@@ -8,7 +8,7 @@ BENCH_TIME ?= 300ms
 # keeps the CI gate fast, the 25% threshold absorbs the extra noise.
 COMPARE_TIME ?= 200ms
 
-.PHONY: build test race bench bench-smoke bench-compare scenarios daemon soak soak-durable
+.PHONY: build test race bench bench-smoke bench-compare e2e-smoke scenarios daemon soak soak-durable
 
 build:
 	go build ./...
@@ -40,6 +40,13 @@ bench-smoke:
 bench-compare:
 	go run ./cmd/benchjson compare -baseline BENCH_$(BENCH_PR).json \
 		-benchtime $(COMPARE_TIME)
+
+# e2e-smoke runs the repo benchmark's four workloads (bench/README.md) at
+# 2 s each, through the public API, real TCP and the WAL, and fails when a
+# workload's correctness gate does: the end-to-end path cannot rot between
+# measured runs.
+e2e-smoke:
+	go run ./bench -smoke
 
 # scenarios runs the deterministic fault-injection matrix across the CI
 # seeds, failing on any invariant violation.

@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		janitorInterval = fs.Duration("janitor-interval", time.Minute, "maintenance pass period: TTL expiry, tombstone GC, log compaction (0 disables)")
 		tombstoneTTL    = fs.Duration("tombstone-retention", 0, "how long tombstones outlive their delete before collection (0 = store default)")
 		keyTTL          = fs.Duration("key-ttl", 0, "expire live keys older than this into tombstones (0 disables)")
-		snapCatchUp     = fs.Int("snapshot-catchup", 1024, "pull deltas above this many updates are served as one snapshot frame (0 disables the size trigger)")
+		snapCatchUp     = fs.Int("snapshot-catchup", 1024, "pull deltas above this many updates are served as a snapshot of the live state when that is smaller (0 disables the size trigger)")
 
 		walDir        = fs.String("wal-dir", "", "write-ahead-log directory; enables crash-consistent durability (supersedes -snapshot restore)")
 		fsyncPolicy   = fs.String("fsync", "interval", "WAL fsync policy: always (group commit per append), interval (timer-bounded loss window), never (kernel-paced)")

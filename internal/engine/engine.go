@@ -23,9 +23,9 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
@@ -69,6 +69,9 @@ type Hooks[ID comparable] struct {
 	// OnSuspect fires when a peer is suspected offline because its ack
 	// never arrived (§6).
 	OnSuspect func(peer ID)
+	// OnCatchUp fires when a snapshot stream completed and its frontier was
+	// adopted into the store. The clock may alias the inbound message.
+	OnCatchUp func(frontier version.Clock)
 }
 
 // Config parameterises an engine. Timeouts are in Endpoint.Now ticks.
@@ -110,9 +113,10 @@ type Config[ID comparable] struct {
 	PullGossipSample int
 	// SnapshotCatchUp is the delta-size threshold of the snapshot catch-up
 	// path: a pull request missing more than this many updates is answered
-	// with a full snapshot frame instead of an entry-by-entry delta. 0
-	// disables the size trigger; a gap below the compaction frontier is
-	// always answered with a snapshot, since the delta no longer exists.
+	// with the responder's live cut instead of the entry-by-entry delta —
+	// when the cut is the smaller of the two. 0 disables the size trigger; a
+	// gap below the compaction frontier is always answered with the cut,
+	// since the delta no longer exists.
 	SnapshotCatchUp int
 	// FrontierTTL is how many ticks a peer's pull clock stays in the stable-
 	// frontier bookkeeping. Expiring stale clocks lets the frontier advance
@@ -144,11 +148,12 @@ type Config[ID comparable] struct {
 	// DeferPullRender makes pull requests answered with an *unrendered*
 	// intent: a KindPullResp message carrying only the requester's clock
 	// (cloned into Message.Clock) and the gossiped peer sample, with no
-	// updates. The adapter renders the actual delta — or snapshot — at
-	// transmission time via RenderPullResp. This is the late-binding
-	// contract of a coalescing sender: responses that wait behind a busy
-	// link are merged by clock and re-rendered when the link frees, so the
-	// requester receives the newest superset instead of a stale backlog.
+	// updates. The adapter renders the actual delta — or snapshot stream —
+	// at transmission time via RenderPullResp and StreamSnapshot. This is
+	// the late-binding contract of a coalescing sender: responses that wait
+	// behind a busy link are merged by clock and re-rendered when the link
+	// frees, so the requester receives the newest superset instead of a
+	// stale backlog.
 	// Off (the default), responses are rendered eagerly inside handlePullReq
 	// exactly as before.
 	DeferPullRender bool
@@ -197,6 +202,13 @@ type updateState[ID comparable] struct {
 	rf    *orderedSet[ID]
 	dupes int
 	pfn   pf.Func
+}
+
+// snapshotStream is the receive position in one peer's snapshot stream: the
+// stream's identifier and the index of the next chunk expected.
+type snapshotStream struct {
+	id   uint64
+	next int
 }
 
 // pullClock is one entry of the stable-frontier bookkeeping: a peer's last
@@ -280,6 +292,15 @@ type Engine[ID comparable] struct {
 	// notConfident is set while a lazily-pulling peer has not yet synced
 	// after coming online.
 	notConfident bool
+	// streams tracks, per sending peer, the snapshot stream being received;
+	// a frontier is adopted only at the end of an unbroken one.
+	streams map[ID]snapshotStream
+	// streamSeq numbers the snapshot streams this engine sends. It starts
+	// at the construction tick so a restarted process does not reuse the
+	// identifiers of streams its previous life left torn, and is atomic
+	// because StreamSnapshot, like RenderPullResp, runs outside the adapter's
+	// engine serialisation.
+	streamSeq atomic.Uint64
 
 	// §6 ack optimisation state (only used when cfg.Acks). The maps are the
 	// source of truth; the queues order the timeout sweeps and the acked
@@ -315,7 +336,7 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 	if cfg.PullGossipSample <= 0 {
 		cfg.PullGossipSample = defaultPullGossipSample
 	}
-	return &Engine[ID]{
+	e := &Engine[ID]{
 		cfg:         cfg,
 		ep:          ep,
 		self:        ep.Self(),
@@ -324,12 +345,15 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 		view:        newPeerView[ID](16),
 		states:      make(map[store.Ref]*updateState[ID]),
 		pullClocks:  make(map[ID]pullClock),
+		streams:     make(map[ID]snapshotStream),
 		scratch:     make([]ID, 0, 16),
 		ackedBy:     make(map[ID]int64),
 		suspects:    make(map[ID]int64),
 		awaitingAck: make(map[ID]int64),
 		queries:     make(map[int64]*queryState),
-	}, nil
+	}
+	e.streamSeq.Store(uint64(ep.Now()))
+	return e, nil
 }
 
 // defaultPullGossipSample is the number of peer ids piggybacked on pull
@@ -364,6 +388,7 @@ func (e *Engine[ID]) Restart(bootstrap []ID) {
 	e.ackWaitQ = deadlineQueue[ID]{}
 	e.queries = make(map[int64]*queryState)
 	e.pullClocks = make(map[ID]pullClock)
+	e.streams = make(map[ID]snapshotStream)
 	e.notConfident = false
 	e.lastReceived = e.ep.Now()
 	for _, u := range e.st.MissingFor(nil) {
@@ -524,16 +549,14 @@ func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 		e.handlePush(from, m)
 	case KindPullReq:
 		e.handlePullReq(from, m)
-	case KindPullResp:
-		e.handlePullResp(from, m)
+	case KindPullResp, KindSnapshot:
+		e.pullRespReceived(from, m, nil)
 	case KindAck:
 		e.handleAck(from)
 	case KindQuery:
 		e.handleQuery(from, m)
 	case KindQueryResp:
 		e.handleQueryResp(m)
-	case KindSnapshot:
-		e.handleSnapshot(from, m)
 	}
 }
 
@@ -797,12 +820,13 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 		// serves the newest state, not the state at enqueue time. The clock
 		// is cloned because inbound messages may alias decoder scratch.
 		e.ep.Send(from, Message[ID]{Kind: KindPullResp, Clock: m.Clock.Clone(), Peers: peers})
-	} else if updates, snapshot, ok := e.RenderPullResp(m.Clock); ok {
-		if snapshot != nil {
-			e.ep.Send(from, Message[ID]{Kind: KindSnapshot, Snapshot: snapshot, Peers: peers})
-		} else {
-			e.ep.Send(from, Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
-		}
+	} else if updates, frontier := e.RenderPullResp(m.Clock); frontier == nil {
+		e.ep.Send(from, Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
+	} else {
+		e.StreamSnapshot(updates, frontier, peers, func(chunk Message[ID]) bool {
+			e.ep.Send(from, chunk)
+			return true
+		})
 	}
 
 	// "receives a pull request, but is not sure to have the latest update"
@@ -817,32 +841,68 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 
 // RenderPullResp renders the reply to a pull request that presented the
 // given clock, at whatever moment the adapter transmits it. It is the
-// snapshot-vs-delta decision of the pull phase: a gap that compaction has
-// dropped can only be served as a snapshot, a gap above SnapshotCatchUp is
-// cheaper as one, and everything else ships the exact missing run. A non-nil
-// snapshot means one KindSnapshot frame; otherwise updates (possibly empty)
-// go out as a KindPullResp. ok is false only when the delta is gone and the
-// snapshot failed to encode — nothing useful to send.
+// snapshot-vs-delta decision of the pull phase. A nil frontier means updates
+// is the exact missing run (possibly empty) and goes out as one
+// KindPullResp. A non-nil frontier means updates is the store's live cut and
+// goes out as a KindSnapshot stream (StreamSnapshot) that ends with the
+// frontier: the only answer left when compaction has dropped part of the
+// gap, and the cheaper one when the gap exceeds SnapshotCatchUp and the live
+// state is smaller than it. A complete delta is never replaced by a larger
+// cut — a requester merely a burst behind a busy responder is not sent the
+// whole store.
 //
 // With Config.DeferPullRender the adapter calls this at send time (it reads
 // only the store and immutable configuration, so a live adapter may call it
 // without holding its engine lock); without it, handlePullReq calls it
 // eagerly.
-func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update, snapshot []byte, ok bool) {
+func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update, frontier version.Clock) {
 	missing, complete := e.st.DeltaFor(clock)
-	if !complete || (e.cfg.SnapshotCatchUp > 0 && len(missing) > e.cfg.SnapshotCatchUp) {
-		var buf bytes.Buffer
-		if err := e.st.WriteSnapshot(&buf); err == nil {
-			return nil, buf.Bytes(), true
-		}
-		if !complete {
-			// Encoding to memory failing is effectively unreachable; with the
-			// delta also compacted away there is nothing left to serve.
-			return nil, nil, false
-		}
-		// Keep the peer live on the delta when we still have one.
+	if complete && (e.cfg.SnapshotCatchUp == 0 || len(missing) <= e.cfg.SnapshotCatchUp) {
+		return missing, nil
 	}
-	return missing, nil, true
+	cut, frontier := e.st.LiveCut()
+	if complete && len(cut) >= len(missing) {
+		return missing, nil
+	}
+	return cut, frontier
+}
+
+// SnapshotChunkBytes bounds the update records of one snapshot chunk, by
+// store.Update.SizeBytes. It keeps a chunk's frame within the transport's
+// pooled buffer size, so a catch-up of any length encodes and decodes in
+// recycled memory, and far below wire.MaxFrameBytes. A single update larger
+// than the bound travels in a chunk of its own.
+const SnapshotChunkBytes = 48 << 10
+
+// StreamSnapshot sends a live cut (RenderPullResp with a non-nil frontier)
+// as one snapshot stream: KindSnapshot chunks of at most SnapshotChunkBytes
+// handed to send one at a time — so the adapter encodes chunk k+1 while the
+// receiver applies chunk k and neither side ever holds the cut's encoding —
+// the last carrying the frontier and the peer sample. An empty cut is one
+// Last chunk. It stops at the first chunk send reports undelivered and
+// returns whether the whole stream went out: the receiver adopts a frontier
+// only after chunks 0..Last of one stream, in order, so a torn stream costs
+// a repeated pull and never a wrongly advanced clock. Like RenderPullResp it
+// is safe without the adapter's engine serialisation.
+func (e *Engine[ID]) StreamSnapshot(cut []store.Update, frontier version.Clock, peers []ID, send func(Message[ID]) bool) bool {
+	stream := e.streamSeq.Add(1)
+	for chunk := 0; ; chunk++ {
+		n, size := 0, 0
+		for n < len(cut) && (n == 0 || size+cut[n].SizeBytes() <= SnapshotChunkBytes) {
+			size += cut[n].SizeBytes()
+			n++
+		}
+		m := Message[ID]{Kind: KindSnapshot, Updates: cut[:n], Stream: stream, Chunk: chunk}
+		if cut = cut[n:]; len(cut) == 0 {
+			m.Last, m.Clock, m.Peers = true, frontier, peers
+		}
+		if !send(m) {
+			return false
+		}
+		if m.Last {
+			return true
+		}
+	}
 }
 
 // RenderPush renders the carried flooding list for a pending push of ref at
@@ -905,56 +965,19 @@ func (e *Engine[ID]) StableFrontier() version.Clock {
 	return frontier
 }
 
-// handleSnapshot ingests a snapshot catch-up frame: apply every update it
-// carries (registering engine state so re-pushed copies count as
-// duplicates), then adopt the sender's compacted watermark so our clock
-// jumps the holes its compaction left. The updates count as pull traffic for
-// the hooks — a snapshot is anti-entropy in one frame.
-func (e *Engine[ID]) handleSnapshot(from ID, m Message[ID]) {
-	e.Learn(from)
-	e.learnAll(m.Peers)
-	updates, wm, err := store.DecodeSnapshot(bytes.NewReader(m.Snapshot))
-	if err != nil {
-		return
-	}
-	for _, u := range updates {
-		applied, branches := e.st.ApplyObserved(u)
-		if _, ok := e.states[u.Ref()]; !ok {
-			e.states[u.Ref()] = e.newState()
-		}
-		e.fireApply(u, applied, SourcePull, branches)
-	}
-	e.st.AdoptFrontier(wm)
-	e.notConfident = false
-	e.lastReceived = e.ep.Now()
-}
-
-// HandleSnapshotApplied is Handle for a KindSnapshot message whose payload
-// the adapter already decoded, applied to the store, and adopted; refs
-// identifies every update the snapshot carried. See HandlePushApplied.
-func (e *Engine[ID]) HandleSnapshotApplied(from ID, m Message[ID], refs []store.Ref) {
-	e.Learn(from)
-	e.learnAll(m.Peers)
-	for _, ref := range refs {
-		if _, ok := e.states[ref]; !ok {
-			e.states[ref] = e.newState()
-		}
-	}
-	e.notConfident = false
-	e.lastReceived = e.ep.Now()
-}
-
-// HandlePullRespApplied is Handle for a KindPullResp message whose updates
-// the adapter already applied to the store, in order; pre[i] is the outcome
-// of m.Updates[i]. See HandlePushApplied.
+// HandlePullRespApplied is Handle for a KindPullResp or KindSnapshot message
+// whose updates the adapter already applied to the store, in order; pre[i]
+// is the outcome of m.Updates[i]. See HandlePushApplied.
 func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) {
 	e.pullRespReceived(from, m, pre)
 }
 
-func (e *Engine[ID]) handlePullResp(from ID, m Message[ID]) {
-	e.pullRespReceived(from, m, nil)
-}
-
+// pullRespReceived ingests pull traffic of both shapes. A snapshot chunk is
+// a pull response whose updates are the responder's live state, not the
+// receiver's gap — so store duplicates among them are neither news nor a
+// push-tuning signal and are not offered to the hooks — followed by one
+// position check that, at the end of an unbroken stream, adopts the
+// frontier.
 func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
@@ -975,13 +998,46 @@ func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 			// already saturated the online population (§4.3's optimism).
 			e.states[u.Ref()] = e.newState()
 		}
+		if m.Kind == KindSnapshot && applied == store.Duplicate {
+			continue
+		}
 		e.fireApply(u, applied, SourcePull, branches)
 	}
-	if gotNew || len(m.Updates) == 0 {
-		// Either fresh data, or confirmation that we were current.
+	// An empty delta confirms we were current; so does a completed stream.
+	current := len(m.Updates) == 0
+	if m.Kind == KindSnapshot {
+		current = e.snapshotChunk(from, m)
+	}
+	if gotNew || current {
 		e.notConfident = false
 		e.lastReceived = e.ep.Now()
 	}
+}
+
+// snapshotChunk advances from's stream position past one applied chunk and
+// reports whether it completed the stream. A frontier certifies that every
+// update at or below it that still matters was among the stream's records,
+// so it is adopted only when chunks 0..Last of one stream arrived in order;
+// anything else — a chunk lost to a reconnect, two streams interleaved —
+// forgets the stream, and the next pull starts another. Adoption may carry
+// this replica's own origin past the writer's counter (a rejoin after disk
+// loss), hence the resync.
+func (e *Engine[ID]) snapshotChunk(from ID, m Message[ID]) bool {
+	if s := e.streams[from]; m.Chunk != 0 && (s.id != m.Stream || s.next != m.Chunk) {
+		delete(e.streams, from)
+		return false
+	}
+	if !m.Last {
+		e.streams[from] = snapshotStream{id: m.Stream, next: m.Chunk + 1}
+		return false
+	}
+	delete(e.streams, from)
+	e.st.AdoptFrontier(m.Clock)
+	e.w.Resync()
+	if e.cfg.Hooks.OnCatchUp != nil {
+		e.cfg.Hooks.OnCatchUp(m.Clock)
+	}
+	return true
 }
 
 // --- Acknowledgements (§6) -------------------------------------------

@@ -26,9 +26,10 @@ const (
 	KindQuery
 	// KindQueryResp answers a query.
 	KindQueryResp
-	// KindSnapshot answers a pull request whose gap is compacted away (or
-	// exceeds the snapshot threshold) with the responder's entire resident
-	// state in one frame instead of an entry-by-entry delta.
+	// KindSnapshot is one chunk of a snapshot catch-up stream: a pull request
+	// whose gap is compacted away (or exceeds the snapshot threshold and the
+	// responder's live state) is answered with the responder's live cut in
+	// bounded chunks, the last of which carries the frontier to adopt.
 	KindSnapshot
 )
 
@@ -68,17 +69,21 @@ type Message[ID comparable] struct {
 	RF []ID
 	// T is the push round counter for KindPush; the initiator sends T = 0.
 	T int
-	// Clock is the requester's vector clock for KindPullReq.
+	// Clock is the requester's vector clock for KindPullReq and, on the Last
+	// chunk of a KindSnapshot stream, the responder's frontier.
 	Clock version.Clock
-	// Updates are the missing updates for KindPullResp.
+	// Updates are the missing updates for KindPullResp and the records of
+	// one KindSnapshot chunk.
 	Updates []store.Update
 	// Peers is a membership sample piggybacked on KindPullResp and
 	// KindSnapshot — the name-dropper effect applied to the pull phase.
 	Peers []ID
-	// Snapshot is the responder's serialised resident state for
-	// KindSnapshot, in the shared store snapshot encoding (resident log plus
-	// compacted watermark).
-	Snapshot []byte
+	// Stream, Chunk and Last place a KindSnapshot chunk: the stream it
+	// belongs to (unique per sender), its zero-based position, and whether
+	// it ends the stream. See StreamSnapshot.
+	Stream uint64
+	Chunk  int
+	Last   bool
 	// UpdateRef identifies the acknowledged update for KindAck. The
 	// comparable form keeps the ack path allocation-free; adapters render
 	// the "origin/seq" string only at their wire boundary.

@@ -54,33 +54,150 @@ func TestRenderPushLateBoundList(t *testing.T) {
 func TestRenderPullRespSnapshotDecision(t *testing.T) {
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1, SnapshotCatchUp: 2}
 	e, _ := newTestEngine(t, 1, cfg, nil)
-	for _, kv := range []string{"a", "b", "c", "d", "e"} {
+	for _, kv := range []string{"a", "a", "a", "b", "c"} {
 		e.Publish(kv, []byte(kv))
 	}
 
-	// A peer missing all five updates is over the SnapshotCatchUp threshold:
-	// one snapshot frame, no delta.
-	updates, snapshot, ok := e.RenderPullResp(version.Clock{})
-	if !ok || snapshot == nil || updates != nil {
-		t.Fatalf("far-behind render = %d updates, snapshot %t, ok %t; want snapshot",
-			len(updates), snapshot != nil, ok)
+	// A peer missing all five updates is over the SnapshotCatchUp threshold
+	// and the live state — three keys — is smaller than its gap: the live cut
+	// with the responder's clock as frontier, no delta.
+	updates, frontier := e.RenderPullResp(version.Clock{})
+	if frontier == nil || len(updates) != 3 {
+		t.Fatalf("far-behind render = %d updates, frontier %v; want the 3-entry live cut", len(updates), frontier)
+	}
+	if frontier.Compare(e.Store().Clock()) != version.Equal {
+		t.Fatalf("cut frontier %v, want the responder's clock %v", frontier, e.Store().Clock())
 	}
 
 	// A nearly caught-up peer gets the exact missing run.
-	updates, snapshot, ok = e.RenderPullResp(version.Clock{"peer-1": 4})
-	if !ok || snapshot != nil || len(updates) != 1 {
-		t.Fatalf("near-tip render = %d updates, snapshot %t, ok %t; want 1 update",
-			len(updates), snapshot != nil, ok)
+	updates, frontier = e.RenderPullResp(version.Clock{"peer-1": 4})
+	if frontier != nil || len(updates) != 1 {
+		t.Fatalf("near-tip render = %d updates, frontier %v; want 1 update", len(updates), frontier)
 	}
-	if updates[0].Key != "e" {
+	if updates[0].Key != "c" {
 		t.Fatalf("missing run served %q, want the fifth publish", updates[0].Key)
 	}
 
-	// A fully caught-up peer gets an empty (but ok) delta.
-	updates, snapshot, ok = e.RenderPullResp(e.Store().Clock())
-	if !ok || snapshot != nil || len(updates) != 0 {
-		t.Fatalf("caught-up render = %d updates, snapshot %t, ok %t; want empty delta",
-			len(updates), snapshot != nil, ok)
+	// A fully caught-up peer gets an empty delta.
+	updates, frontier = e.RenderPullResp(e.Store().Clock())
+	if frontier != nil || len(updates) != 0 {
+		t.Fatalf("caught-up render = %d updates, frontier %v; want empty delta", len(updates), frontier)
+	}
+
+	// Never the larger answer: a gap of three over the threshold whose delta
+	// is complete is not replaced by a cut of the same size.
+	updates, frontier = e.RenderPullResp(version.Clock{"peer-1": 2})
+	if frontier != nil || len(updates) != 3 {
+		t.Fatalf("over-threshold render = %d updates, frontier %v; want the 3-update delta", len(updates), frontier)
+	}
+
+	// Once compaction has dropped part of the gap the cut is the only answer,
+	// whatever its size.
+	e.Store().CompactLog(e.Store().Clock())
+	updates, frontier = e.RenderPullResp(version.Clock{"peer-1": 1})
+	if frontier == nil || len(updates) != 3 {
+		t.Fatalf("compacted-gap render = %d updates, frontier %v; want the live cut", len(updates), frontier)
+	}
+}
+
+// snapshotStreamOf renders from's live cut as the chunk messages a sender
+// would emit.
+func snapshotStreamOf(from *Engine[int]) []Message[int] {
+	cut, frontier := from.Store().LiveCut()
+	var out []Message[int]
+	from.StreamSnapshot(cut, frontier, nil, func(m Message[int]) bool {
+		out = append(out, m)
+		return true
+	})
+	return out
+}
+
+// TestSnapshotStreamAdoption: a frontier is adopted only at the end of an
+// unbroken stream, duplicates in a cut are not offered to OnApply, and a torn
+// stream leaves the clock alone until the next complete one.
+func TestSnapshotStreamAdoption(t *testing.T) {
+	src, _ := newTestEngine(t, 1, Config[int]{}, nil)
+	// Values over half a chunk: every cut entry travels in a chunk of its own.
+	big := make([]byte, SnapshotChunkBytes/2+1)
+	for _, k := range []string{"a", "a", "b", "b", "c"} {
+		src.Publish(k, big)
+	}
+	want := src.Store().Clock()
+
+	var offered []store.ApplyResult
+	catchUps := 0
+	dst, _ := newTestEngine(t, 2, Config[int]{Hooks: Hooks[int]{
+		OnApply:   func(_ store.Update, res store.ApplyResult, _ Source, _ int) { offered = append(offered, res) },
+		OnCatchUp: func(version.Clock) { catchUps++ },
+	}}, nil)
+
+	// Torn: the middle chunk never arrives, the trailer does.
+	chunks := snapshotStreamOf(src)
+	if len(chunks) != 3 {
+		t.Fatalf("fixture cut has %d chunks, want 3", len(chunks))
+	}
+	dst.Handle(1, chunks[0])
+	dst.Handle(1, chunks[2])
+	if got := dst.Store().Clock().Get("peer-1"); got != 0 || catchUps != 0 {
+		t.Fatalf("torn stream moved the clock to %d (%d catch-ups); want untouched", got, catchUps)
+	}
+
+	// Chunks of two streams do not add up to one.
+	other := snapshotStreamOf(src)
+	dst.Handle(1, other[0])
+	dst.Handle(1, chunks[1])
+	dst.Handle(1, other[2])
+	if catchUps != 0 {
+		t.Fatal("interleaved streams completed a catch-up")
+	}
+
+	// Complete: every chunk in order.
+	offered = nil
+	for _, m := range snapshotStreamOf(src) {
+		dst.Handle(1, m)
+	}
+	if catchUps != 1 {
+		t.Fatalf("complete stream fired %d catch-ups, want 1", catchUps)
+	}
+	if got := dst.Store().Clock(); got.Compare(want) != version.Equal {
+		t.Fatalf("clock after catch-up %v, want %v", got, want)
+	}
+	if !dst.Store().Equal(src.Store()) {
+		t.Fatal("state differs after catch-up")
+	}
+	// The earlier torn attempts already applied every cut entry, so the
+	// complete stream carried only duplicates: none reach the hook.
+	if len(offered) != 0 {
+		t.Fatalf("duplicates of a cut were offered to OnApply: %v", offered)
+	}
+}
+
+// TestEagerSnapshotAnswerIsOneStream: without DeferPullRender a pull request
+// past the threshold is answered in place with the chunks of one stream, the
+// frontier on the last.
+func TestEagerSnapshotAnswerIsOneStream(t *testing.T) {
+	e, ep := newTestEngine(t, 1, Config[int]{PullAttempts: 1, SnapshotCatchUp: 1}, nil)
+	big := make([]byte, SnapshotChunkBytes/2)
+	for _, k := range []string{"a", "a", "a", "b", "b", "b", "c", "c", "c"} {
+		e.Publish(k, big)
+	}
+	ep.sent = nil
+	e.Handle(2, Message[int]{Kind: KindPullReq, Clock: version.Clock{}})
+	if len(ep.sent) < 2 {
+		t.Fatalf("cut of 3 half-chunk values left in %d messages, want several chunks", len(ep.sent))
+	}
+	total := 0
+	for i, s := range ep.sent {
+		m := s.msg
+		last := i == len(ep.sent)-1
+		if m.Kind != KindSnapshot || m.Chunk != i || m.Stream != ep.sent[0].msg.Stream ||
+			m.Last != last || (m.Clock != nil) != last {
+			t.Fatalf("message %d of %d: %+v", i, len(ep.sent), m)
+		}
+		total += len(m.Updates)
+	}
+	if total != 3 {
+		t.Fatalf("stream carried %d updates, want the 3-entry cut", total)
 	}
 }
 
@@ -122,9 +239,9 @@ func TestDeferPullRenderIntentMatchesEagerPath(t *testing.T) {
 		t.Fatalf("deferred path sent %+v, want an unrendered intent (clock, no updates)", intent)
 	}
 
-	got, snapshot, ok := deferred.RenderPullResp(intent.Clock)
-	if !ok || snapshot != nil {
-		t.Fatalf("rendering the intent gave snapshot %t, ok %t; want a delta", snapshot != nil, ok)
+	got, frontier := deferred.RenderPullResp(intent.Clock)
+	if frontier != nil {
+		t.Fatalf("rendering the intent gave a cut with frontier %v; want a delta", frontier)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("deferred render served %d updates, eager served %d", len(got), len(want))

@@ -95,9 +95,9 @@ type Config struct {
 	// janitor.
 	CompactEvery int
 	// SnapshotCatchUp is the delta-size threshold above which a pull request
-	// is answered with one snapshot frame instead of an entry-by-entry
-	// delta; 0 disables the size trigger (compaction gaps still force
-	// snapshots).
+	// is answered with the responder's live cut — when that is smaller —
+	// instead of an entry-by-entry delta; 0 disables the size trigger
+	// (compaction gaps still force snapshots).
 	SnapshotCatchUp int
 	// KeyTTL expires live revisions older than this many rounds (one round
 	// is one simulated second), converting them to tombstones on the
@@ -197,14 +197,16 @@ const (
 	MetricAcks = "gossip_acks"
 	// MetricReplicasLearned counts replicas discovered via partial lists.
 	MetricReplicasLearned = "gossip_replicas_learned"
-	// MetricSnapshots counts snapshot catch-up frames sent to peers whose
-	// pull gap was compacted away or exceeded the snapshot threshold.
+	// MetricSnapshots counts snapshot catch-ups served — streams, however
+	// many chunks each took — to peers whose pull gap was compacted away or
+	// exceeded both the snapshot threshold and the live state.
 	MetricSnapshots = "gossip_snapshots"
 	// MetricSnapshotBytes accumulates the binary-encoded bytes of snapshot
-	// frames sent — the rejoin-cost metric the scenario rejoin-bytes
+	// chunks sent — the rejoin-cost metric the scenario rejoin-bytes
 	// invariant checks.
 	MetricSnapshotBytes = "gossip_snapshot_bytes"
-	// MetricSnapshotCatchups counts snapshot catch-up frames ingested.
+	// MetricSnapshotCatchups counts snapshot catch-ups completed: streams
+	// received whole, whose frontier was adopted.
 	MetricSnapshotCatchups = "gossip_snapshot_catchups"
 	// MetricTombstonesGC counts tombstoned revisions collected by the
 	// janitor after their retention expired.

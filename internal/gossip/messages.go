@@ -101,20 +101,35 @@ func (m PullResp) SizeBytes() int {
 	return n + peerListSize(m.Peers)
 }
 
-// SnapshotMsg answers a pull request whose gap is compacted away (or exceeds
-// the snapshot threshold) with the responder's entire resident state in one
-// frame, plus the membership sample piggybacked on every pull answer.
+// SnapshotMsg is one chunk of a snapshot catch-up stream — the answer to a
+// pull request whose gap is compacted away, or larger than the responder's
+// live state: a run of the responder's live cut and the chunk's place in its
+// stream. The last chunk carries the frontier to adopt and the membership
+// sample piggybacked on every pull answer.
 type SnapshotMsg struct {
-	// Data is the serialised resident state (the shared store snapshot
-	// encoding: resident log plus compacted watermark).
-	Data []byte
+	// Updates are the chunk's records, in (origin, seq) order.
+	Updates []store.Update
+	// Stream identifies the stream (unique per sender), Chunk is the
+	// zero-based position in it, and Last marks its final chunk.
+	Stream uint64
+	Chunk  int
+	Last   bool
+	// Frontier is the responder's clock; set on the last chunk only.
+	Frontier version.Clock
 	// Peers is a sample of the responder's membership view.
 	Peers []int
 }
 
-// SizeBytes sums the encoded snapshot blob and the peer sample.
+// SizeBytes sums the encoded update records, the stream position (two
+// varints and the flag byte), the frontier on the last chunk, and the peer
+// sample.
 func (m SnapshotMsg) SizeBytes() int {
-	return wire.BlobSize(m.Data) + peerListSize(m.Peers)
+	n := PullResp{Updates: m.Updates, Peers: m.Peers}.SizeBytes() +
+		wire.UvarintSize(m.Stream) + wire.UvarintSize(uint64(m.Chunk)) + 1
+	if m.Last {
+		n += wire.ClockSize(m.Frontier)
+	}
+	return n
 }
 
 // AckMsg acknowledges the receipt of an update (§6): the sender gains

@@ -9,6 +9,7 @@ import (
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/simnet"
 	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/version"
 )
 
 // Simulator time constants, in rounds (one round = one engine tick).
@@ -106,18 +107,19 @@ func (p *Peer) refreshBudget() {
 // size the live binary codec would. Deferred pull responses — an intent
 // carrying only the requester's clock (Config.DeferPullRender, on exactly
 // when LinkBudget is) — are rendered here, at transmission time, into a
-// delta or a snapshot.
+// delta or a snapshot stream; the stream's chunks together spend the one
+// link token the intent was admitted on.
 func (p *Peer) emit(to int, m engine.Message[int]) {
 	if m.Kind == engine.KindPullResp && m.Updates == nil && m.Clock != nil {
-		updates, snapshot, ok := p.eng.RenderPullResp(m.Clock)
-		if !ok {
+		updates, frontier := p.eng.RenderPullResp(m.Clock)
+		if frontier != nil {
+			p.eng.StreamSnapshot(updates, frontier, m.Peers, func(chunk engine.Message[int]) bool {
+				p.emit(to, chunk)
+				return true
+			})
 			return
 		}
-		if snapshot != nil {
-			m = engine.Message[int]{Kind: engine.KindSnapshot, Snapshot: snapshot, Peers: m.Peers}
-		} else {
-			m = engine.Message[int]{Kind: engine.KindPullResp, Updates: updates, Peers: m.Peers}
-		}
+		m = engine.Message[int]{Kind: engine.KindPullResp, Updates: updates, Peers: m.Peers}
 	}
 	env := p.env
 	reg := env.Metrics()
@@ -154,10 +156,15 @@ func (p *Peer) emit(to int, m engine.Message[int]) {
 		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricQueryResponses)
 	case engine.KindSnapshot:
-		msg := SnapshotMsg{Data: m.Snapshot, Peers: m.Peers}
+		msg := SnapshotMsg{
+			Updates: m.Updates, Stream: m.Stream, Chunk: m.Chunk,
+			Last: m.Last, Frontier: m.Clock, Peers: m.Peers,
+		}
 		bytes := frame + msg.SizeBytes()
 		env.Send(to, msg, bytes)
-		reg.Inc(MetricSnapshots)
+		if m.Last {
+			reg.Inc(MetricSnapshots)
+		}
 		reg.Add(MetricSnapshotBytes, float64(bytes))
 	}
 }
@@ -216,6 +223,9 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 			},
 			OnDuplicate: func(store.Update, int) {
 				p.env.Metrics().Inc(MetricDuplicates)
+			},
+			OnCatchUp: func(version.Clock) {
+				p.env.Metrics().Inc(MetricSnapshotCatchups)
 			},
 		},
 	}, simEndpoint{p}, st, w)
@@ -397,12 +407,9 @@ func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 		})
 	case SnapshotMsg:
 		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindSnapshot, Snapshot: m.Data, Peers: m.Peers,
+			Kind: engine.KindSnapshot, Updates: m.Updates, Stream: m.Stream,
+			Chunk: m.Chunk, Last: m.Last, Clock: m.Frontier, Peers: m.Peers,
 		})
-		// The snapshot may carry this peer's own origin past the writer's
-		// counter (rejoin after disk loss); never reuse sequence numbers.
-		p.w.Resync()
-		env.Metrics().Inc(MetricSnapshotCatchups)
 	}
 }
 

@@ -166,7 +166,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 
 	// Snapshot catch-up: a replica joining with an empty clock pulls from
 	// the now-compacted replica-0, whose delta is gone — the response must
-	// be one snapshot frame.
+	// be a snapshot stream.
 	str, err := hub.Attach("snap")
 	if err != nil {
 		t.Fatal(err)

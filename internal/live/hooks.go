@@ -80,10 +80,12 @@ const (
 	MetricQuerySent = "live.query.sent"
 	// MetricQueryServed counts queries answered for peers (§4.4).
 	MetricQueryServed = "live.query.served"
-	// MetricSnapshotServed counts snapshot catch-up frames sent to peers
-	// whose pull gap was compacted away or exceeded the snapshot threshold.
+	// MetricSnapshotServed counts snapshot catch-ups served — whole streams,
+	// however many chunks each took — to peers whose pull gap was compacted
+	// away or exceeded both the snapshot threshold and the live state.
 	MetricSnapshotServed = "live.snapshot.served"
-	// MetricSnapshotCatchups counts snapshot catch-up frames ingested.
+	// MetricSnapshotCatchups counts snapshot catch-ups completed: streams
+	// received whole, whose frontier was adopted.
 	MetricSnapshotCatchups = "live.snapshot.catchups"
 	// MetricTombstonesGC counts tombstoned revisions collected by the
 	// janitor after their retention expired.

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,6 +12,7 @@ import (
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 	"github.com/p2pgossip/update/internal/wire"
 )
@@ -50,8 +50,9 @@ type Config struct {
 	// SuspectTTL is how long suspected peers are skipped; 0 means 1m.
 	SuspectTTL time.Duration
 	// SnapshotCatchUp is the delta-size threshold above which a pull request
-	// is answered with one snapshot frame instead of an entry-by-entry delta;
-	// 0 disables the size trigger (compaction gaps still force snapshots).
+	// is answered with the responder's live cut — when that is smaller —
+	// instead of an entry-by-entry delta; 0 disables the size trigger
+	// (compaction gaps still force snapshots).
 	SnapshotCatchUp int
 	// FrontierTTL bounds how long a peer's last pull clock participates in
 	// the stable compaction frontier; 0 means 10 minutes.
@@ -204,6 +205,7 @@ type protoEvent struct {
 	src      Source
 	branches int
 	peer     string
+	frontier version.Clock
 }
 
 type protoEventKind int
@@ -213,6 +215,7 @@ const (
 	evDuplicate
 	evAck
 	evSuspect
+	evCatchUp
 )
 
 // liveEndpoint adapts a Replica to the engine's Endpoint: wall-clock
@@ -315,6 +318,9 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 			OnSuspect: func(peer string) {
 				r.pending = append(r.pending, protoEvent{kind: evSuspect, peer: peer})
 			},
+			OnCatchUp: func(frontier version.Clock) {
+				r.pending = append(r.pending, protoEvent{kind: evCatchUp, frontier: frontier})
+			},
 		},
 	}, liveEndpoint{r}, r.st, w)
 	if err != nil {
@@ -355,6 +361,12 @@ func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
 			if r.cfg.Hooks.OnSuspect != nil {
 				r.cfg.Hooks.OnSuspect(ev.peer)
 			}
+		case evCatchUp:
+			// Logged after the stream's updates (each chunk's were appended
+			// before it entered the engine), so replay adopts the frontier
+			// over records it can stand on.
+			r.inc(MetricSnapshotCatchups)
+			r.walAppendFrontier(ev.frontier)
 		}
 	}
 	if r.coalesce {
@@ -378,7 +390,9 @@ func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
 			case wire.KindQuery:
 				name = MetricQuerySent
 			case wire.KindSnapshot:
-				name = MetricSnapshotServed
+				if env.Last {
+					name = MetricSnapshotServed
+				}
 			}
 			if name != "" {
 				r.cfg.Metrics.Add(name, float64(len(b.tos)))
@@ -533,7 +547,10 @@ func (r *Replica) handle(env wire.Envelope) {
 				Kind: engine.KindPullReq, Clock: env.Clock,
 			})
 		})
-	case wire.KindPullResp:
+	case wire.KindPullResp, wire.KindSnapshot:
+		// A snapshot chunk is a pull response with a stream position: the
+		// applies run here like any other, and the engine adopts the frontier
+		// once the stream's last chunk arrives behind all the others.
 		updates := make([]store.Update, len(env.Updates))
 		pre := make([]engine.Applied, len(env.Updates))
 		for i := range env.Updates {
@@ -544,11 +561,12 @@ func (r *Replica) handle(env wire.Envelope) {
 				_ = r.walAppend(updates[i])
 			}
 		}
-		r.run(func(e *engine.Engine[string]) {
-			e.HandlePullRespApplied(env.From, engine.Message[string]{
-				Kind: engine.KindPullResp, Updates: updates, Peers: env.KnownPeers,
-			}, pre)
-		})
+		msg := engine.Message[string]{Kind: engine.KindPullResp, Updates: updates, Peers: env.KnownPeers}
+		if env.Kind == wire.KindSnapshot {
+			msg.Kind, msg.Stream, msg.Chunk = engine.KindSnapshot, env.Stream, env.Chunk
+			msg.Last, msg.Clock = env.Last, env.Clock
+		}
+		r.run(func(e *engine.Engine[string]) { e.HandlePullRespApplied(env.From, msg, pre) })
 	case wire.KindAck:
 		r.inc(MetricAckReceived)
 		r.run(func(e *engine.Engine[string]) {
@@ -571,35 +589,6 @@ func (r *Replica) handle(env wire.Envelope) {
 				Confident: env.Confident,
 			})
 		})
-	case wire.KindSnapshot:
-		// The whole catch-up — decode, apply, frontier adoption — runs on the
-		// reader goroutine; only the engine bookkeeping is serialised. Apply
-		// order: updates first, then the watermark, so entries the sender
-		// retained below its watermark are not rejected as duplicates.
-		updates, wm, err := store.DecodeSnapshot(bytes.NewReader(env.Snapshot))
-		if err != nil {
-			return
-		}
-		r.inc(MetricSnapshotCatchups)
-		refs := make([]store.Ref, len(updates))
-		for i, u := range updates {
-			res, branches := r.st.ApplyObserved(u)
-			refs[i] = u.Ref()
-			r.fireApply(u, res, SourcePull, branches)
-			if res != store.Duplicate {
-				_ = r.walAppend(u)
-			}
-		}
-		r.st.AdoptFrontier(wm)
-		r.walAppendFrontier(wm)
-		// The snapshot may carry our own origin past the writer's counter
-		// (restart after disk loss); never reuse sequence numbers.
-		r.writer.Resync()
-		r.run(func(e *engine.Engine[string]) {
-			e.HandleSnapshotApplied(env.From, engine.Message[string]{
-				Kind: engine.KindSnapshot, Peers: env.KnownPeers,
-			}, refs)
-		})
 	}
 }
 
@@ -615,13 +604,17 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 	case engine.KindPullReq:
 		env.Kind = wire.KindPullReq
 		env.Clock = m.Clock
-	case engine.KindPullResp:
+	case engine.KindPullResp, engine.KindSnapshot:
 		env.Kind = wire.KindPullResp
 		env.Updates = make([]wire.Update, len(m.Updates))
 		for i, u := range m.Updates {
 			env.Updates[i] = wire.FromStore(u)
 		}
 		env.KnownPeers = m.Peers
+		if m.Kind == engine.KindSnapshot {
+			env.Kind, env.Stream, env.Chunk = wire.KindSnapshot, m.Stream, m.Chunk
+			env.Last, env.Clock = m.Last, m.Clock
+		}
 	case engine.KindAck:
 		env.Kind = wire.KindAck
 		env.UpdateRef = m.UpdateRef
@@ -637,10 +630,6 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 		env.Value = m.Value
 		env.Confident = m.Confident
 		env.Version = m.Version
-	case engine.KindSnapshot:
-		env.Kind = wire.KindSnapshot
-		env.Snapshot = m.Snapshot
-		env.KnownPeers = m.Peers
 	}
 	return env
 }

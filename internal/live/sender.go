@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wire"
@@ -25,8 +26,8 @@ import (
 //
 // Pending state therefore stays O(live state) per destination, not
 // O(traffic), and nothing is rendered at deposit time: the partial-flooding
-// list, the pull-response delta (or snapshot), and the pull-request clock
-// are all produced at transmission time (engine.RenderPush /
+// list, the pull-response delta (or snapshot stream), and the pull-request
+// clock are all produced at transmission time (engine.RenderPush /
 // engine.RenderPullResp, store.Clock), so a slow consumer receives the
 // newest superset rather than a replay of stale frames.
 
@@ -213,10 +214,10 @@ func (p *pendingDelta) addPullResp(clock version.Clock, peers []string) (coalesc
 // maxPendingAux. dropped counts envelopes discarded undelivered.
 func (p *pendingDelta) addAux(env wire.Envelope) (dropped, delta int) {
 	p.aux = append(p.aux, env)
-	delta = pendingAuxBase + len(env.Key) + len(env.Value) + len(env.Snapshot)
+	delta = pendingAuxBase + len(env.Key) + len(env.Value)
 	if len(p.aux) > maxPendingAux {
 		victim := p.aux[0]
-		delta -= pendingAuxBase + len(victim.Key) + len(victim.Value) + len(victim.Snapshot)
+		delta -= pendingAuxBase + len(victim.Key) + len(victim.Value)
 		copy(p.aux, p.aux[1:])
 		p.aux = p.aux[:len(p.aux)-1]
 		dropped = 1
@@ -325,18 +326,38 @@ func (s *peerSender) deliver() {
 			return
 		}
 		s.r.notePendingBytes(int64(-p.bytes))
-		s.send(s.render(&p))
+		envs, cut, frontier := s.render(&p)
+		s.send(envs)
+		if frontier != nil {
+			s.sendSnapshot(cut, frontier, p.pullRespPeers)
+		}
+	}
+}
+
+// sendSnapshot streams a live cut to the destination one chunk per
+// transport write — the receiver applies chunk k while chunk k+1 is encoded
+// here, and neither side holds more than a chunk of encoding — and stops at
+// the first chunk that fails, so a frontier never follows a hole the sender
+// knows of. A catch-up counts as served once its last chunk went out.
+func (s *peerSender) sendSnapshot(cut []store.Update, frontier version.Clock, peers []string) {
+	r := s.r
+	if r.eng.StreamSnapshot(cut, frontier, peers, func(chunk engine.Message[string]) bool {
+		return s.send([]wire.Envelope{envelopeFromEngine(r.addr, chunk)})
+	}) {
+		r.inc(MetricSnapshotServed)
 	}
 }
 
 // render converts one taken pending delta into wire envelopes, late-binding
 // everything that depends on current state: flooding lists from the engine,
-// the pull-request clock from the store, and the pull response (delta or
-// snapshot) from the coalesced minimum requester clock. Protocol counters
-// fire here — at actual transmission — not at deposit.
-func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
+// the pull-request clock from the store, and the pull response from the
+// coalesced minimum requester clock. A pull response that came out as a live
+// cut is returned beside the batch (frontier non-nil) for sendSnapshot to
+// stream after it. Protocol counters fire here — at actual transmission —
+// not at deposit.
+func (s *peerSender) render(p *pendingDelta) (envs []wire.Envelope, cut []store.Update, frontier version.Clock) {
 	r := s.r
-	envs := make([]wire.Envelope, 0, len(p.order)+len(p.acks)+len(p.aux)+2)
+	envs = make([]wire.Envelope, 0, len(p.order)+len(p.acks)+len(p.aux)+2)
 	// Acks first: they are cheap and unblock the peer's §6 retransmit state.
 	for _, ref := range p.acks {
 		envs = append(envs, wire.Envelope{From: r.addr, Kind: wire.KindAck, UpdateRef: ref})
@@ -376,26 +397,16 @@ func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
 	}
 	if p.pullResp {
 		// RenderPullResp reads only the store and immutable config, so it
-		// runs without the replica lock — snapshot encoding for a far-behind
-		// peer never stalls the protocol.
-		if updates, snapshot, ok := r.eng.RenderPullResp(p.pullRespClock); ok {
-			if snapshot != nil {
-				envs = append(envs, wire.Envelope{
-					From: r.addr, Kind: wire.KindSnapshot,
-					Snapshot: snapshot, KnownPeers: p.pullRespPeers,
-				})
-				r.inc(MetricSnapshotServed)
-			} else {
-				wus := make([]wire.Update, len(updates))
-				for i, u := range updates {
-					wus[i] = wire.FromStore(u)
-				}
-				envs = append(envs, wire.Envelope{
-					From: r.addr, Kind: wire.KindPullResp,
-					Updates: wus, KnownPeers: p.pullRespPeers,
-				})
-				r.inc(MetricPullServed)
-			}
+		// runs without the replica lock — cutting the live state for a
+		// far-behind peer never stalls the protocol.
+		var updates []store.Update
+		if updates, frontier = r.eng.RenderPullResp(p.pullRespClock); frontier != nil {
+			cut = updates
+		} else {
+			envs = append(envs, envelopeFromEngine(r.addr, engine.Message[string]{
+				Kind: engine.KindPullResp, Updates: updates, Peers: p.pullRespPeers,
+			}))
+			r.inc(MetricPullServed)
 		}
 	}
 	for _, env := range p.aux {
@@ -404,50 +415,49 @@ func (s *peerSender) render(p *pendingDelta) []wire.Envelope {
 			r.inc(MetricQuerySent)
 		case wire.KindPullResp:
 			r.inc(MetricPullServed)
-		case wire.KindSnapshot:
-			r.inc(MetricSnapshotServed)
 		}
 		envs = append(envs, env)
 	}
-	return envs
+	return envs, cut, frontier
 }
 
 // send transmits one rendered batch: encoded once into frames and flushed
 // through a single FrameBatchSender write when the transport offers it.
 // Errors drop the batch — counted, never retried here; the protocol's own
-// pull anti-entropy re-derives anything that mattered.
-func (s *peerSender) send(envs []wire.Envelope) {
-	if len(envs) == 0 {
-		return
-	}
+// pull anti-entropy re-derives anything that mattered. It reports whether
+// every envelope was handed to the transport without error.
+func (s *peerSender) send(envs []wire.Envelope) bool {
 	r := s.r
+	failed := 0
 	if fbs, ok := r.transport.(FrameBatchSender); ok {
 		frames := make([]*wire.Frame, 0, len(envs))
 		for i := range envs {
 			f, err := wire.NewFrame(&envs[i])
 			if err != nil {
-				r.inc(MetricSendFailed)
+				failed++
 				continue
 			}
 			frames = append(frames, f)
 		}
-		if len(frames) == 0 {
-			return
+		if len(frames) > 0 {
+			if err := fbs.SendFrames(s.to, frames); err != nil {
+				failed += len(frames)
+			}
+			for _, f := range frames {
+				f.Release()
+			}
 		}
-		err := fbs.SendFrames(s.to, frames)
-		for _, f := range frames {
-			f.Release()
-		}
-		if err != nil {
-			r.add(MetricSendFailed, len(frames))
-		}
-		return
-	}
-	for i := range envs {
-		if err := r.transport.Send(s.to, envs[i]); err != nil {
-			r.inc(MetricSendFailed)
+	} else {
+		for i := range envs {
+			if err := r.transport.Send(s.to, envs[i]); err != nil {
+				failed++
+			}
 		}
 	}
+	if failed > 0 {
+		r.add(MetricSendFailed, failed)
+	}
+	return failed == 0
 }
 
 // tryRetire ends an idle sender: under the registry lock, if nothing is

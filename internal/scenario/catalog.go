@@ -290,8 +290,8 @@ func overwrites(count, keys, n, avoid int) []Publish {
 // catalog configuration: periodic pulls feed the stable frontier, the
 // janitor compacts on a fixed cadence, stale pull clocks age out of the
 // frontier (so one long-dead peer cannot pin compaction forever), and a
-// pull gap past the threshold — or past the compaction watermark — is
-// answered with one snapshot frame.
+// pull gap past the threshold and the live state — or past the compaction
+// watermark — is answered with one snapshot stream.
 func retentionConfig(n int) gossip.Config {
 	cfg := baseConfig(n)
 	cfg.PullEvery = 6
@@ -310,7 +310,7 @@ func longAbsentRejoiner() Scenario {
 	n := catalogN
 	cfg := retentionConfig(n)
 	// One pull target per wave: the rejoiner's catch-up must be a single
-	// snapshot transfer, not one per contacted peer. Timeout pulls stay off
+	// snapshot stream, not one per contacted peer. Timeout pulls stay off
 	// for the same reason; periodic pulls cover the stragglers.
 	cfg.PullAttempts = 1
 	cfg.PullTimeout = 0

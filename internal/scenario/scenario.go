@@ -87,11 +87,11 @@ type Scenario struct {
 	LogBoundFactor float64
 	// RejoinByteFactor, when positive, adds the bounded-rejoin-bytes
 	// invariant: the total snapshot bytes shipped during the run must stay
-	// within RejoinByteFactor × one final live-state snapshot — catch-up
-	// cost O(live state), not O(history).
+	// within RejoinByteFactor × the wire size of one final live cut —
+	// catch-up cost O(live state), not O(history).
 	RejoinByteFactor float64
 	// ExpectSnapshots, when positive, adds the snapshot-catch-up invariant:
-	// exactly this many snapshot transfers must have happened.
+	// exactly this many snapshot catch-ups must have been served.
 	ExpectSnapshots int
 	// SenderBoundFactor, when positive, adds the bounded-sender-pending
 	// invariant: no peer's per-destination coalesced pending delta may ever

@@ -55,6 +55,33 @@ func TestCatalogInvariants(t *testing.T) {
 	}
 }
 
+// TestRejoinBytesBoundedWithoutCompaction reruns the long-absent rejoiner
+// with the janitor off: the responders then hold every overwrite ever made,
+// and the catch-up must still be one snapshot whose bytes are bounded by the
+// live state — the live cut, not a prior compaction, is what keeps it small.
+func TestRejoinBytesBoundedWithoutCompaction(t *testing.T) {
+	sc, ok := Find("long-absent-rejoiner")
+	if !ok {
+		t.Fatal("long-absent-rejoiner missing")
+	}
+	sc.Config.CompactEvery = 0
+	sc.LogBoundFactor = 0 // nothing compacts, so the log is not bounded here
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := Run(sc, seed)
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if res.LogCompacted != 0 {
+			t.Fatalf("seed %d: %d entries compacted with the janitor off", seed, res.LogCompacted)
+		}
+		for _, inv := range res.Invariants {
+			if !inv.Passed {
+				t.Errorf("seed %d: invariant %s violated: %s", seed, inv.Name, inv.Detail)
+			}
+		}
+	}
+}
+
 // TestRunDeterministic runs the heaviest scenario twice under the same seed
 // and requires byte-identical JSON — the contract cmd/scenarios -seed S
 // advertises.

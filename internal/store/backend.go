@@ -49,6 +49,18 @@ type Backend interface {
 	// remote's gap, so only a snapshot can catch it up — never a silent
 	// partial delta.
 	DeltaFor(remote version.Clock) (updates []Update, ok bool)
+	// LiveCut returns the snapshot catch-up payload: the resident log
+	// entries that no resident revision has overwritten, in MissingFor's
+	// canonical order, plus the store's own clock as the frontier they
+	// vouch for. A receiver that applies the updates and then AdoptFrontier
+	// of the clock holds the responder's live state and clock, at a cost
+	// of O(live state) however long the history behind it is. In a
+	// quiescent store these are exactly the entries CompactLog(Clock())
+	// would retain, but the cut is read-only and taken under one
+	// whole-store lock, so an update between its log record and its
+	// revision merge is shipped, never dropped. Callers must treat the
+	// returned updates as read-only.
+	LiveCut() (updates []Update, frontier version.Clock)
 	// CompactLog drops log entries at or below the frontier that no longer
 	// back a coexisting revision, advancing the per-origin compacted
 	// watermark (bounded by the clock's contiguous prefix). It returns the

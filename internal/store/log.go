@@ -182,6 +182,21 @@ func (l *originLog) adoptCompacted(origin string, through uint64) {
 	}
 }
 
+// appendLive appends one origin's share of a live cut: every entry at or
+// below the contiguous clock that superseded does not reject, and — like
+// compact — everything above it untouched, because a hole in the log is an
+// in-flight update the clock (the cut's frontier) does not vouch for.
+func (l *originLog) appendLive(out []Update, origin string, superseded func(Update) bool) []Update {
+	log := l.log[origin]
+	end := seqSearch(log, l.clock.Get(origin)+1)
+	for _, u := range log[:end] {
+		if !superseded(u) {
+			out = append(out, u)
+		}
+	}
+	return append(out, log[end:]...)
+}
+
 // missingCount returns the number of logged updates the remote clock has
 // not seen.
 func (l *originLog) missingCount(remote version.Clock) int {
@@ -257,6 +272,22 @@ func applyRevision(items map[string][]Revision, u Update) ApplyResult {
 func backsRevision(items map[string][]Revision, u Update) bool {
 	for _, r := range items[u.Key] {
 		if r.Version.Compare(u.Version) == version.Equal {
+			return true
+		}
+	}
+	return false
+}
+
+// supersededBy reports whether a resident revision of u's key is strictly
+// newer than u — the drop predicate of the live cut (LiveCut). It is
+// deliberately not the complement of backsRevision: Sharded.apply records an
+// update in the log before it merges the revision, so "no revision has this
+// version" also describes an update still in flight, and dropping that one
+// behind a frontier that covers its sequence number would lose it for good.
+// An entry is history only once something resident has overwritten it.
+func supersededBy(items map[string][]Revision, u Update) bool {
+	for _, r := range items[u.Key] {
+		if r.Version.Compare(u.Version) == version.After {
 			return true
 		}
 	}

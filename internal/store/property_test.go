@@ -185,6 +185,152 @@ func TestDeltaForCompactionProperty(t *testing.T) {
 	}
 }
 
+// refsOf lists update identities in order.
+func refsOf(updates []Update) []Ref {
+	refs := make([]Ref, len(updates))
+	for i, u := range updates {
+		refs[i] = u.Ref()
+	}
+	return refs
+}
+
+// TestLiveCutProperty pins the snapshot catch-up payload on random
+// interleaved workloads — several writers in two groups that never see each
+// other's writes (so keys grow concurrent branches), deletes, updates lost
+// in flight (so clocks stop at holes), and a random earlier compaction — for
+// both backends as source and as receiver:
+//
+//   - cut + frontier restored into an empty store reproduce the source's
+//     clock, live state and branches;
+//   - both backends cut the same entries in the same canonical order;
+//   - quiescent and before any tombstone GC, the cut is exactly what
+//     CompactLog(Clock()) leaves resident on the source (a source compacted
+//     earlier may keep more: compaction does not revisit an origin whose
+//     watermark cannot advance, the cut always does);
+//   - a receiver that already holds part of the history ends in the same
+//     state, and a second helping changes nothing.
+func TestLiveCutProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	backends := []func() Backend{
+		func() Backend { return New() },
+		func() Backend { return NewSharded(4) },
+	}
+	for trial := 0; trial < 150; trial++ {
+		groups := []*Store{New(), New()}
+		writers := make([]*Writer, rng.Intn(4)+2)
+		for i := range writers {
+			w, err := NewWriter(fmt.Sprintf("origin-%d", i), groups[i%2],
+				func() time.Time { return time.Unix(1_700_000_000, 0) },
+				rand.New(rand.NewSource(int64(trial*10+i))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writers[i] = w
+		}
+		var workload []Update
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			w := writers[rng.Intn(len(writers))]
+			key := fmt.Sprintf("key-%d", rng.Intn(6))
+			if rng.Intn(8) == 0 {
+				workload = append(workload, w.Delete(key))
+			} else {
+				workload = append(workload, w.Put(key, []byte{byte(i)}))
+			}
+		}
+		// One update in ten never arrives.
+		arrived := workload[:0:0]
+		for _, u := range workload {
+			if rng.Intn(10) > 0 {
+				arrived = append(arrived, u)
+			}
+		}
+
+		sources := []Backend{backends[0](), backends[1]()}
+		order := rng.Perm(len(arrived))
+		early := version.NewClock()
+		for _, w := range writers {
+			early[w.Origin()] = uint64(rng.Intn(8))
+		}
+		for _, src := range sources {
+			half := len(order) / 2
+			for _, i := range order[:half] {
+				src.Apply(arrived[i])
+			}
+			if trial%3 == 0 {
+				src.CompactLog(early)
+			}
+			for _, i := range order[half:] {
+				src.Apply(arrived[i])
+			}
+		}
+
+		cut, frontier := sources[0].LiveCut()
+		shardedCut, shardedFrontier := sources[1].LiveCut()
+		if fmt.Sprint(refsOf(cut)) != fmt.Sprint(refsOf(shardedCut)) ||
+			frontier.Compare(shardedFrontier) != version.Equal {
+			t.Fatalf("trial %d: backends cut differently:\n store   %v %v\n sharded %v %v",
+				trial, refsOf(cut), frontier, refsOf(shardedCut), shardedFrontier)
+		}
+
+		src := sources[trial%2]
+		if frontier.Compare(src.Clock()) != version.Equal {
+			t.Fatalf("trial %d: frontier %v is not the source clock %v", trial, frontier, src.Clock())
+		}
+		same := func(what string, got Backend) {
+			t.Helper()
+			if c := got.Clock(); c.Compare(src.Clock()) != version.Equal {
+				t.Fatalf("trial %d: %s: clock %v, source %v", trial, what, c, src.Clock())
+			}
+			if !got.Equal(src) {
+				t.Fatalf("trial %d: %s: live state differs from the source", trial, what)
+			}
+			for k := 0; k < 6; k++ {
+				key := fmt.Sprintf("key-%d", k)
+				if g, w := got.Versions(key), src.Versions(key); len(g) != len(w) {
+					t.Fatalf("trial %d: %s: %s has %d branches, source %d", trial, what, key, len(g), len(w))
+				}
+			}
+		}
+		for _, fresh := range backends {
+			dst := fresh()
+			for _, u := range cut {
+				dst.Apply(u)
+			}
+			dst.AdoptFrontier(frontier)
+			same("restore into empty", dst)
+
+			partial := fresh()
+			for _, i := range order[:rng.Intn(len(order)+1)] {
+				partial.Apply(arrived[i])
+			}
+			for round := 0; round < 2; round++ {
+				for _, u := range cut {
+					if res := partial.Apply(u); round == 1 && res != Duplicate {
+						t.Fatalf("trial %d: second helping of %v was %v", trial, u.Ref(), res)
+					}
+				}
+				partial.AdoptFrontier(frontier)
+				same("restore over partial history", partial)
+			}
+		}
+
+		src.CompactLog(src.Clock())
+		retained := make(map[Ref]bool)
+		for _, u := range src.MissingFor(nil) {
+			retained[u.Ref()] = true
+		}
+		for _, u := range cut {
+			if !retained[u.Ref()] {
+				t.Fatalf("trial %d: cut ships %v, which CompactLog(Clock()) drops", trial, u.Ref())
+			}
+		}
+		if trial%3 != 0 && len(cut) != len(retained) {
+			t.Fatalf("trial %d: cut has %d entries, CompactLog(Clock()) retains %d:\n cut      %v\n retained %v",
+				trial, len(cut), len(retained), refsOf(cut), refsOf(src.MissingFor(nil)))
+		}
+	}
+}
+
 func TestRefStringRoundTrip(t *testing.T) {
 	for _, ref := range []Ref{
 		{Origin: "peer-0", Seq: 1},

@@ -38,9 +38,10 @@ import (
 //
 // The apply window between the log record and the revision merge means a
 // reader can momentarily see an update in the log (clock, MissingFor) before
-// it reaches the revision map. That is indistinguishable from the update
-// having been applied just before the read, and snapshots serialise only the
-// log, so snapshot bytes and anti-entropy stay exact.
+// it reaches the revision map. For readers of the log alone — anti-entropy
+// deltas, disk snapshots — that is indistinguishable from the update having
+// been applied just before the read. LiveCut reads both halves, and treats
+// "no revision yet" as in flight, never as superseded (see supersededBy).
 type Sharded struct {
 	logs  []logShard
 	items []itemShard
@@ -248,17 +249,66 @@ func (s *Sharded) Keys() []string {
 // Origins are disjoint across shards, so composition is a union, taken under
 // all log-shard read locks (ascending) for a consistent cut.
 func (s *Sharded) Clock() version.Clock {
-	for i := range s.logs {
-		s.logs[i].mu.RLock()
-	}
+	s.rlockLogs()
+	defer s.runlockLogs()
+	return s.clockLocked()
+}
+
+// clockLocked is Clock under log-shard locks the caller holds.
+func (s *Sharded) clockLocked() version.Clock {
 	out := version.NewClock()
 	for i := range s.logs {
 		for origin, seq := range s.logs[i].data.clock {
 			out[origin] = seq
 		}
 	}
+	return out
+}
+
+// rlockLogs takes every log-shard read lock in ascending order — the first
+// half of the whole-store lock order; runlockLogs releases them.
+func (s *Sharded) rlockLogs() {
+	for i := range s.logs {
+		s.logs[i].mu.RLock()
+	}
+}
+
+func (s *Sharded) runlockLogs() {
 	for i := len(s.logs) - 1; i >= 0; i-- {
 		s.logs[i].mu.RUnlock()
+	}
+}
+
+// sortedOrigins returns every logged origin in ascending order. Origins are
+// disjoint across shards and sorted within each, so a global sort of the
+// union restores the canonical order; each origin's run then comes whole
+// from its home shard. Callers hold the log-shard locks.
+func (s *Sharded) sortedOrigins() []string {
+	n := 0
+	for i := range s.logs {
+		n += len(s.logs[i].data.origins)
+	}
+	origins := make([]string, 0, n)
+	for i := range s.logs {
+		origins = append(origins, s.logs[i].data.origins...)
+	}
+	sort.Strings(origins)
+	return origins
+}
+
+// missingLocked is MissingFor under log-shard locks the caller holds.
+func (s *Sharded) missingLocked(remote version.Clock) []Update {
+	total := 0
+	for i := range s.logs {
+		total += s.logs[i].data.missingCount(remote)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Update, 0, total)
+	for _, o := range s.sortedOrigins() {
+		log := s.logFor(o).data.log[o]
+		out = append(out, log[seqSearch(log, remote.Get(o)+1):]...)
 	}
 	return out
 }
@@ -268,72 +318,51 @@ func (s *Sharded) Clock() version.Clock {
 // shard layout never leaks into the result. Taken under all log-shard read
 // locks for a consistent cut; callers must treat the result as read-only.
 func (s *Sharded) MissingFor(remote version.Clock) []Update {
-	for i := range s.logs {
-		s.logs[i].mu.RLock()
-	}
-	defer func() {
-		for i := len(s.logs) - 1; i >= 0; i-- {
-			s.logs[i].mu.RUnlock()
-		}
-	}()
-	total, norigins := 0, 0
-	for i := range s.logs {
-		total += s.logs[i].data.missingCount(remote)
-		norigins += len(s.logs[i].data.origins)
-	}
-	if total == 0 {
-		return nil
-	}
-	// Origins are disjoint across shards and sorted within each, so a global
-	// sort of the union restores the canonical order; each origin's run then
-	// comes whole from its home shard.
-	origins := make([]string, 0, norigins)
-	for i := range s.logs {
-		origins = append(origins, s.logs[i].data.origins...)
-	}
-	sort.Strings(origins)
-	out := make([]Update, 0, total)
-	for _, o := range origins {
-		log := s.logFor(o).data.log[o]
-		out = append(out, log[seqSearch(log, remote.Get(o)+1):]...)
-	}
-	return out
+	s.rlockLogs()
+	defer s.runlockLogs()
+	return s.missingLocked(remote)
 }
 
 // DeltaFor is MissingFor with compaction awareness: ok == false reports that
 // compaction has dropped part of the remote's gap, so only a snapshot can
 // catch it up. Taken under all log-shard read locks for a consistent cut.
 func (s *Sharded) DeltaFor(remote version.Clock) ([]Update, bool) {
-	for i := range s.logs {
-		s.logs[i].mu.RLock()
-	}
-	defer func() {
-		for i := len(s.logs) - 1; i >= 0; i-- {
-			s.logs[i].mu.RUnlock()
-		}
-	}()
-	total, norigins := 0, 0
+	s.rlockLogs()
+	defer s.runlockLogs()
 	for i := range s.logs {
 		if s.logs[i].data.gapBefore(remote) {
 			return nil, false
 		}
-		total += s.logs[i].data.missingCount(remote)
-		norigins += len(s.logs[i].data.origins)
 	}
-	if total == 0 {
-		return nil, true
+	return s.missingLocked(remote), true
+}
+
+// LiveCut returns the snapshot catch-up payload (see Backend.LiveCut) under
+// the whole-store lock order, read-only: all log shards ascending, then all
+// item shards. Holding the log locks first is what makes the drop predicate
+// safe: any revision visible in an item shard had its log record written
+// before the log locks were taken, so the entry that supersedes a dropped
+// one is always itself in the cut.
+func (s *Sharded) LiveCut() ([]Update, version.Clock) {
+	s.rlockLogs()
+	keys := 0
+	for i := range s.items {
+		s.items[i].mu.RLock()
+		keys += len(s.items[i].items)
 	}
-	origins := make([]string, 0, norigins)
-	for i := range s.logs {
-		origins = append(origins, s.logs[i].data.origins...)
+	superseded := func(u Update) bool {
+		return supersededBy(s.itemFor(u.Key).items, u)
 	}
-	sort.Strings(origins)
-	out := make([]Update, 0, total)
-	for _, o := range origins {
-		log := s.logFor(o).data.log[o]
-		out = append(out, log[seqSearch(log, remote.Get(o)+1):]...)
+	out := make([]Update, 0, keys)
+	for _, o := range s.sortedOrigins() {
+		out = s.logFor(o).data.appendLive(out, o, superseded)
 	}
-	return out, true
+	frontier := s.clockLocked()
+	for i := len(s.items) - 1; i >= 0; i-- {
+		s.items[i].mu.RUnlock()
+	}
+	s.runlockLogs()
+	return out, frontier
 }
 
 // CompactLog drops log entries at or below the frontier that no longer back
@@ -367,17 +396,18 @@ func (s *Sharded) CompactLog(frontier version.Clock) int {
 // CompactedThrough returns a copy of the per-origin compacted watermark,
 // composed from the per-shard segments like Clock.
 func (s *Sharded) CompactedThrough() version.Clock {
-	for i := range s.logs {
-		s.logs[i].mu.RLock()
-	}
+	s.rlockLogs()
+	defer s.runlockLogs()
+	return s.compactedLocked()
+}
+
+// compactedLocked is CompactedThrough under log-shard locks the caller holds.
+func (s *Sharded) compactedLocked() version.Clock {
 	out := version.NewClock()
 	for i := range s.logs {
 		for origin, seq := range s.logs[i].data.compacted {
 			out[origin] = seq
 		}
-	}
-	for i := len(s.logs) - 1; i >= 0; i-- {
-		s.logs[i].mu.RUnlock()
 	}
 	return out
 }
@@ -446,32 +476,9 @@ func (s *Sharded) Equal(other Backend) bool {
 func (s *Sharded) WriteSnapshot(w io.Writer) error {
 	// One consistent cut across all log shards for both the entries and the
 	// watermark, mirroring the single-lock Store's single read lock.
-	for i := range s.logs {
-		s.logs[i].mu.RLock()
-	}
-	total, norigins := 0, 0
-	for i := range s.logs {
-		total += s.logs[i].data.missingCount(nil)
-		norigins += len(s.logs[i].data.origins)
-	}
-	origins := make([]string, 0, norigins)
-	for i := range s.logs {
-		origins = append(origins, s.logs[i].data.origins...)
-	}
-	sort.Strings(origins)
-	updates := make([]Update, 0, total)
-	compacted := version.NewClock()
-	for _, o := range origins {
-		updates = append(updates, s.logFor(o).data.log[o]...)
-	}
-	for i := range s.logs {
-		for origin, seq := range s.logs[i].data.compacted {
-			compacted[origin] = seq
-		}
-	}
-	for i := len(s.logs) - 1; i >= 0; i-- {
-		s.logs[i].mu.RUnlock()
-	}
+	s.rlockLogs()
+	updates, compacted := s.missingLocked(nil), s.compactedLocked()
+	s.runlockLogs()
 	return encodeSnapshot(w, updates, compacted)
 }
 

@@ -290,6 +290,61 @@ func TestShardedConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestLiveCutKeepsInFlightUpdate pins the cut's drop rule on the state
+// Sharded.apply passes through between its two locks: an update recorded in
+// the log — and the clock — whose revision has not been merged yet. The cut
+// must ship it (nothing resident has overwritten it), because the frontier
+// beside it covers its sequence number and a receiver would never accept a
+// later copy.
+func TestLiveCutKeepsInFlightUpdate(t *testing.T) {
+	w, err := NewWriter("origin", New(), nil, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := w.Put("k", []byte("v1"))
+	second := w.Put("k", []byte("v2")) // overwrites first
+	other := w.Put("j", []byte("w"))   // a key with no revision at all yet
+
+	src := NewSharded(4)
+	src.Apply(first)
+	inFlight := []Update{second, other}
+	for _, u := range inFlight {
+		ls := src.logFor(u.Origin)
+		ls.mu.Lock()
+		ls.data.record(u)
+		ls.mu.Unlock()
+	}
+
+	cut, frontier := src.LiveCut()
+	if got, want := fmt.Sprint(refsOf(cut)), fmt.Sprint(refsOf([]Update{first, second, other})); got != want {
+		t.Fatalf("cut mid-apply = %s, want %s: an unmerged update is in flight, not superseded", got, want)
+	}
+	if frontier.Get("origin") != 3 {
+		t.Fatalf("frontier %v does not cover the recorded updates", frontier)
+	}
+	dst := NewSharded(4)
+	for _, u := range cut {
+		dst.Apply(u)
+	}
+	dst.AdoptFrontier(frontier)
+
+	// The applies complete: the receiver of the earlier cut already holds
+	// everything, and only now is the first write history.
+	for _, u := range inFlight {
+		is := src.itemFor(u.Key)
+		is.mu.Lock()
+		applyRevision(is.items, u)
+		is.mu.Unlock()
+	}
+	if !dst.Equal(src) || dst.Clock().Compare(src.Clock()) != version.Equal {
+		t.Fatal("receiver of the mid-apply cut differs from the source once its applies completed")
+	}
+	cut, _ = src.LiveCut()
+	if got, want := fmt.Sprint(refsOf(cut)), fmt.Sprint(refsOf([]Update{second, other})); got != want {
+		t.Fatalf("cut after the applies = %s, want %s", got, want)
+	}
+}
+
 // TestNormalizeShards pins the shard-count rounding rule.
 func TestNormalizeShards(t *testing.T) {
 	cases := map[int]int{

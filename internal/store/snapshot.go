@@ -124,15 +124,6 @@ func decodeSnapshot(r io.Reader) ([]Update, version.Clock, error) {
 	return updates, compacted, nil
 }
 
-// DecodeSnapshot reads a snapshot stream produced by any Backend's
-// WriteSnapshot back into its resident update log and compacted watermark
-// (nil when the snapshot was uncompacted). It is the shared decoder of every
-// restore path, including the engine's snapshot catch-up frames: apply the
-// updates, then AdoptFrontier the watermark.
-func DecodeSnapshot(r io.Reader) ([]Update, version.Clock, error) {
-	return decodeSnapshot(r)
-}
-
 // WriteSnapshot serialises the store's resident update log and compacted
 // watermark to w.
 func (s *Store) WriteSnapshot(w io.Writer) error {

@@ -316,6 +316,18 @@ func (s *Store) DeltaFor(remote version.Clock) ([]Update, bool) {
 	return s.data.appendMissing(make([]Update, 0, total), remote), true
 }
 
+// LiveCut returns the snapshot catch-up payload. See Backend.LiveCut.
+func (s *Store) LiveCut() ([]Update, version.Clock) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	superseded := func(u Update) bool { return supersededBy(s.items, u) }
+	out := make([]Update, 0, len(s.items))
+	for _, o := range s.data.origins {
+		out = s.data.appendLive(out, o, superseded)
+	}
+	return out, s.data.clock.Clone()
+}
+
 // CompactLog drops log entries at or below the frontier that no longer back
 // a coexisting revision, advancing the compacted watermark. The frontier is
 // the minimum clock across known peers (the engine's pull bookkeeping);

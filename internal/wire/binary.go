@@ -33,7 +33,9 @@ import (
 //	query     = i64 qid | str key
 //	queryresp = i64 qid | str key | flags u8 (bit0 found, bit1 confident) |
 //	            blob value | hist version
-//	snapshot  = blob snapshot | uvarint nPeers × str
+//	snapshot  = uvarint nUpd × update | uvarint stream | uvarint chunk |
+//	            flags u8 (bit0 last) | clock frontier (last only) |
+//	            uvarint nPeers × str
 //
 // The leading format-version byte exists for evolution: a node seeing an
 // unknown version drops the connection instead of misparsing. The decoder
@@ -52,16 +54,17 @@ const BinaryVersion = 1
 // frame is the From address and the kind-specific payload.
 const FrameOverhead = 6
 
-// flag bits of the update and query-response flag bytes.
+// flag bits of the update, query-response and snapshot-chunk flag bytes.
 const (
 	flagDelete    = 1 << 0
 	flagFound     = 1 << 0
 	flagConfident = 1 << 1
+	flagLast      = 1 << 0
 )
 
-// maxPushRound bounds the push round counter on both codec sides: rounds
-// are small in practice, and sharing one bound keeps the invariant that
-// everything encodable decodes.
+// maxPushRound bounds the push round counter — and the snapshot chunk index
+// — on both codec sides: both are small in practice, and sharing one bound
+// keeps the invariant that everything encodable decodes.
 const maxPushRound = 1 << 30
 
 // --- Sizes -------------------------------------------------------------
@@ -104,28 +107,35 @@ func updateSize(u *Update) int {
 		BlobSize(u.Value) + 1 + HistorySize(len(u.Version)) + 8
 }
 
+// updatesSize and stringsSize return the encoded length of a count-prefixed
+// update list and string list.
+func updatesSize(us []Update) int {
+	n := UvarintSize(uint64(len(us)))
+	for i := range us {
+		n += updateSize(&us[i])
+	}
+	return n
+}
+
+func stringsSize(list []string) int {
+	n := UvarintSize(uint64(len(list)))
+	for _, s := range list {
+		n += StringSize(s)
+	}
+	return n
+}
+
 // EncodedSize returns the total frame length — FrameOverhead plus body —
 // the binary codec produces for env.
 func EncodedSize(env *Envelope) int {
 	n := FrameOverhead + StringSize(env.From)
 	switch env.Kind {
 	case KindPush:
-		n += updateSize(&env.Update) + UvarintSize(uint64(len(env.RF)))
-		for _, addr := range env.RF {
-			n += StringSize(addr)
-		}
-		n += UvarintSize(uint64(env.T))
+		n += updateSize(&env.Update) + stringsSize(env.RF) + UvarintSize(uint64(env.T))
 	case KindPullReq:
 		n += ClockSize(env.Clock)
 	case KindPullResp:
-		n += UvarintSize(uint64(len(env.Updates)))
-		for i := range env.Updates {
-			n += updateSize(&env.Updates[i])
-		}
-		n += UvarintSize(uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			n += StringSize(addr)
-		}
+		n += updatesSize(env.Updates) + stringsSize(env.KnownPeers)
 	case KindAck:
 		n += StringSize(env.UpdateRef.Origin) + UvarintSize(env.UpdateRef.Seq)
 	case KindQuery:
@@ -134,9 +144,10 @@ func EncodedSize(env *Envelope) int {
 		n += 8 + StringSize(env.Key) + 1 + BlobSize(env.Value) +
 			HistorySize(len(env.Version))
 	case KindSnapshot:
-		n += BlobSize(env.Snapshot) + UvarintSize(uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			n += StringSize(addr)
+		n += updatesSize(env.Updates) + UvarintSize(env.Stream) +
+			UvarintSize(uint64(env.Chunk)) + 1 + stringsSize(env.KnownPeers)
+		if env.Last {
+			n += ClockSize(env.Clock)
 		}
 	}
 	return n
@@ -209,37 +220,47 @@ func appendUpdate(dst []byte, u *Update) []byte {
 	return appendI64(dst, u.Stamp)
 }
 
+func appendUpdates(dst []byte, us []Update) []byte {
+	dst = appendUvarint(dst, uint64(len(us)))
+	for i := range us {
+		dst = appendUpdate(dst, &us[i])
+	}
+	return dst
+}
+
+func appendStrings(dst []byte, list []string) []byte {
+	dst = appendUvarint(dst, uint64(len(list)))
+	for _, s := range list {
+		dst = appendString(dst, s)
+	}
+	return dst
+}
+
 // AppendBody appends the binary body (format version, kind, from, payload —
 // everything but the length prefix) of env to dst.
 func AppendBody(dst []byte, env *Envelope) ([]byte, error) {
-	if env.Kind < KindPush || env.Kind > kindMax {
+	if !validKind(env.Kind) {
 		return dst, fmt.Errorf("wire: cannot encode kind %d", int(env.Kind))
 	}
-	// Mirror the decoder's bound exactly: anything encodable must decode.
+	// Mirror the decoder's bounds exactly: anything encodable must decode.
 	if env.T < 0 || env.T > maxPushRound {
 		return dst, fmt.Errorf("wire: push round %d out of range", env.T)
+	}
+	if env.Chunk < 0 || env.Chunk > maxPushRound {
+		return dst, fmt.Errorf("wire: snapshot chunk %d out of range", env.Chunk)
 	}
 	dst = append(dst, BinaryVersion, byte(env.Kind))
 	dst = appendString(dst, env.From)
 	switch env.Kind {
 	case KindPush:
 		dst = appendUpdate(dst, &env.Update)
-		dst = appendUvarint(dst, uint64(len(env.RF)))
-		for _, addr := range env.RF {
-			dst = appendString(dst, addr)
-		}
+		dst = appendStrings(dst, env.RF)
 		dst = appendUvarint(dst, uint64(env.T))
 	case KindPullReq:
 		dst = appendClock(dst, env.Clock)
 	case KindPullResp:
-		dst = appendUvarint(dst, uint64(len(env.Updates)))
-		for i := range env.Updates {
-			dst = appendUpdate(dst, &env.Updates[i])
-		}
-		dst = appendUvarint(dst, uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			dst = appendString(dst, addr)
-		}
+		dst = appendUpdates(dst, env.Updates)
+		dst = appendStrings(dst, env.KnownPeers)
 	case KindAck:
 		dst = appendString(dst, env.UpdateRef.Origin)
 		dst = appendUvarint(dst, env.UpdateRef.Seq)
@@ -260,11 +281,16 @@ func AppendBody(dst []byte, env *Envelope) ([]byte, error) {
 		dst = appendBlob(dst, env.Value)
 		dst = appendHistory(dst, env.Version)
 	case KindSnapshot:
-		dst = appendBlob(dst, env.Snapshot)
-		dst = appendUvarint(dst, uint64(len(env.KnownPeers)))
-		for _, addr := range env.KnownPeers {
-			dst = appendString(dst, addr)
+		dst = appendUpdates(dst, env.Updates)
+		dst = appendUvarint(dst, env.Stream)
+		dst = appendUvarint(dst, uint64(env.Chunk))
+		if env.Last {
+			dst = append(dst, flagLast)
+			dst = appendClock(dst, env.Clock)
+		} else {
+			dst = append(dst, 0)
 		}
+		dst = appendStrings(dst, env.KnownPeers)
 	}
 	return dst, nil
 }
@@ -504,6 +530,35 @@ func (r *binReader) update(u *Update) error {
 	return err
 }
 
+// updates decodes a count-prefixed update list, reusing dst's slots — not
+// just the backing array — so each slot's previous origin/key strings serve
+// as the decode caches. Beyond the retained capacity the slice grows one
+// parsed entry at a time, so memory tracks bytes consumed, not the claimed
+// count.
+func (r *binReader) updates(dst []Update) ([]Update, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// Each update record is at least 14 bytes (five 1-byte empty fields,
+	// the flag byte, and the 8-byte stamp).
+	if n > uint64(r.remaining())/14 {
+		return nil, errShort
+	}
+	dst = dst[:0]
+	for i := uint64(0); i < n; i++ {
+		if i < uint64(cap(dst)) {
+			dst = dst[:i+1]
+		} else {
+			dst = append(dst, Update{})
+		}
+		if err := r.update(&dst[i]); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
 // strs decodes a length-prefixed string list, reusing dst's backing array.
 func (r *binReader) strs(dst []string) ([]string, error) {
 	n, err := r.uvarint()
@@ -612,7 +667,7 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 	if err != nil {
 		return err
 	}
-	if Kind(kind) < KindPush || Kind(kind) > kindMax {
+	if !validKind(Kind(kind)) {
 		return fmt.Errorf("wire: unknown kind %d", kind)
 	}
 	env.Kind = Kind(kind)
@@ -641,31 +696,9 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 			return err
 		}
 	case KindPullResp:
-		n, err := r.uvarint()
-		if err != nil {
+		if env.Updates, err = r.updates(updates); err != nil {
 			return err
 		}
-		// Each update record is at least 14 bytes (five 1-byte empty
-		// fields, the flag byte, and the 8-byte stamp).
-		if n > uint64(r.remaining())/14 {
-			return errShort
-		}
-		// Slots are reused (not just the backing array) so each slot's
-		// previous origin/key strings serve as the decode caches; beyond the
-		// retained capacity the slice grows one parsed entry at a time, so
-		// memory tracks bytes consumed, not the claimed count.
-		updates = updates[:0]
-		for i := uint64(0); i < n; i++ {
-			if i < uint64(cap(updates)) {
-				updates = updates[:i+1]
-			} else {
-				updates = append(updates, Update{})
-			}
-			if err := r.update(&updates[i]); err != nil {
-				return err
-			}
-		}
-		env.Updates = updates
 		if env.KnownPeers, err = r.strs(peers); err != nil {
 			return err
 		}
@@ -706,8 +739,31 @@ func decodeBody(data []byte, env *Envelope, s *decodeScratch) error {
 			return err
 		}
 	case KindSnapshot:
-		if env.Snapshot, err = r.blob(); err != nil {
+		if env.Updates, err = r.updates(updates); err != nil {
 			return err
+		}
+		if env.Stream, err = r.uvarint(); err != nil {
+			return err
+		}
+		chunk, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		if chunk > maxPushRound {
+			return fmt.Errorf("wire: snapshot chunk %d out of range", chunk)
+		}
+		env.Chunk = int(chunk)
+		flags, err := r.byte()
+		if err != nil {
+			return err
+		}
+		if flags&^byte(flagLast) != 0 {
+			return fmt.Errorf("wire: unknown snapshot flags %#x", flags)
+		}
+		if env.Last = flags&flagLast != 0; env.Last {
+			if env.Clock, err = r.clock(clock); err != nil {
+				return err
+			}
 		}
 		if env.KnownPeers, err = r.strs(peers); err != nil {
 			return err

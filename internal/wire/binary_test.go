@@ -33,9 +33,10 @@ func binTestEnvelopes(t *testing.T) []Envelope {
 		{Kind: KindQueryResp, From: "f", QID: 1 << 60, Key: "k", Found: true,
 			Value: []byte("v"), Version: u.Version, Confident: true},
 		{Kind: KindQueryResp, From: "f", QID: 0, Key: ""},
-		{Kind: KindSnapshot, From: "g", Snapshot: []byte("resident-state"),
-			KnownPeers: []string{"h", "i"}},
-		{Kind: KindSnapshot, From: "g"}, // empty snapshot, no peers
+		{Kind: KindSnapshot, From: "g", Updates: []Update{u, del}, Stream: 1 << 50, Chunk: 3},
+		{Kind: KindSnapshot, From: "g", Updates: []Update{del}, Stream: 7, Chunk: 4, Last: true,
+			Clock: version.Clock{"x": 3, "y": 9}, KnownPeers: []string{"h", "i"}},
+		{Kind: KindSnapshot, From: "g", Last: true}, // empty cut, empty frontier, no peers
 	}
 }
 
@@ -54,9 +55,6 @@ func normalizeEnvelope(env Envelope) Envelope {
 	}
 	if len(env.Value) == 0 {
 		env.Value = nil
-	}
-	if len(env.Snapshot) == 0 {
-		env.Snapshot = nil
 	}
 	if len(env.Version) == 0 {
 		env.Version = nil
@@ -191,5 +189,119 @@ func TestBinaryKindCrossFields(t *testing.T) {
 	}
 	if back.UpdateRef != env.UpdateRef {
 		t.Fatalf("ack ref = %+v", back.UpdateRef)
+	}
+}
+
+// snapshotGoldenVectors are committed bodies of the KindSnapshot frame, written
+// out by hand from the layout in binary.go — not produced by the encoder under
+// test — so a change to the chunk format fails here even when encoder and
+// decoder change together.
+var snapshotGoldenVectors = []struct {
+	name string
+	body []byte
+	env  Envelope
+}{
+	{
+		name: "last chunk: one record, stream 300, chunk 2, frontier, one peer",
+		body: []byte{
+			0x01, 0x08, // format version, kind
+			0x03, 'a', ':', '1', // from
+			0x01,      // one update
+			0x01, 'o', // origin
+			0x05,      // seq
+			0x01, 'k', // key
+			0x01, 'v', // value
+			0x00, // flags
+			0x01, // one version id
+			1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+			0, 0, 0, 0, 0, 0, 0, 42, // stamp
+			0xac, 0x02, // stream 300
+			0x02,                                   // chunk
+			0x01,                                   // flags: last
+			0x02, 0x01, 'o', 0x05, 0x01, 'p', 0x01, // frontier {o:5, p:1}
+			0x01, 0x03, 'b', ':', '2', // peers
+		},
+		env: Envelope{
+			Kind: KindSnapshot, From: "a:1",
+			Updates: []Update{{Origin: "o", Seq: 5, Key: "k", Value: []byte("v"),
+				Version: version.History{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}, Stamp: 42}},
+			Stream: 300, Chunk: 2, Last: true,
+			Clock:      version.Clock{"o": 5, "p": 1},
+			KnownPeers: []string{"b:2"},
+		},
+	},
+	{
+		name: "first chunk: one tombstone record, no frontier, no peers",
+		body: []byte{
+			0x01, 0x08,
+			0x03, 'a', ':', '1',
+			0x01,
+			0x01, 'o',
+			0x09,
+			0x01, 'k',
+			0x00,                                           // no value
+			0x01,                                           // flags: delete
+			0x00,                                           // no version ids
+			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // stamp -1
+			0x01, // stream
+			0x00, // chunk
+			0x00, // flags
+			0x00, // no peers
+		},
+		env: Envelope{
+			Kind: KindSnapshot, From: "a:1",
+			Updates: []Update{{Origin: "o", Seq: 9, Key: "k", Delete: true, Stamp: -1}},
+			Stream:  1,
+		},
+	},
+}
+
+func TestSnapshotGoldenVectors(t *testing.T) {
+	for _, v := range snapshotGoldenVectors {
+		got, err := DecodeBinary(v.body)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", v.name, err)
+		}
+		if !reflect.DeepEqual(normalizeEnvelope(got), normalizeEnvelope(v.env)) {
+			t.Fatalf("%s: decoded\n got %+v\nwant %+v", v.name, got, v.env)
+		}
+		body, err := EncodeBinary(&v.env)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", v.name, err)
+		}
+		if !bytes.Equal(body, v.body) {
+			t.Fatalf("%s: encoded\n got %x\nwant %x", v.name, body, v.body)
+		}
+	}
+}
+
+// TestSnapshotKindRefusesV1: the chunked snapshot frame took a new kind
+// number instead of reusing the v1 gob-blob frame's. A v1 decoder bounds
+// kinds at 7, so it rejects kind 8 as unknown before reading a byte of the
+// body; this decoder refuses 7 the same way, and the encoder cannot emit it.
+func TestSnapshotKindRefusesV1(t *testing.T) {
+	const v1KindMax = 7
+	if KindSnapshot <= v1KindMax {
+		t.Fatalf("KindSnapshot = %d reuses a kind number a v1 node parses", KindSnapshot)
+	}
+	// What a v1 node sent: version, kind 7, from "a", blob "gob", no peers.
+	v1 := []byte{0x01, 0x07, 0x01, 'a', 0x03, 'g', 'o', 'b', 0x00}
+	if _, err := DecodeBinary(v1); err == nil {
+		t.Fatal("a v1 snapshot frame decoded")
+	}
+	if _, err := EncodeBinary(&Envelope{Kind: Kind(v1KindMax), From: "a"}); err == nil {
+		t.Fatal("the retired v1 snapshot kind encoded")
+	}
+	// Malformed chunk trailers are rejected, not guessed at.
+	good := snapshotGoldenVectors[1].body
+	for name, mutate := range map[string]func([]byte){
+		"unknown flag bit": func(b []byte) { b[len(b)-2] = 0x02 },
+		"chunk too large":  func(b []byte) { b[len(b)-3] = 0xff },
+	} {
+		bad := append([]byte(nil), good...)
+		mutate(bad)
+		if _, err := DecodeBinary(bad); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
 	}
 }

@@ -41,14 +41,25 @@ const (
 	KindQuery
 	// KindQueryResp answers a query.
 	KindQueryResp
-	// KindSnapshot answers a pull request whose gap is compacted away (or
-	// exceeds the snapshot threshold) with the responder's entire resident
-	// state in one frame.
+	// kindSnapshotV1 is the retired snapshot frame of the first release: the
+	// responder's whole resident log as one gob blob. Its number is never
+	// reused and both codec sides refuse it, so a v1 node and a current one
+	// reject each other's snapshot frames instead of misparsing them.
+	kindSnapshotV1
+	// KindSnapshot is one chunk of a snapshot catch-up stream: the answer to
+	// a pull request whose gap is compacted away, or larger than the
+	// responder's live state, as update records; the last chunk carries the
+	// frontier clock they vouch for.
 	KindSnapshot
 
-	// kindMax bounds the valid kind range for the binary decoder.
+	// kindMax bounds the valid kind range for the binary codec.
 	kindMax = KindSnapshot
 )
+
+// validKind reports whether the binary codec speaks k.
+func validKind(k Kind) bool {
+	return k >= KindPush && k <= kindMax && k != kindSnapshotV1
+}
 
 // String names the kind.
 func (k Kind) String() string {
@@ -130,19 +141,29 @@ type Envelope struct {
 	RF []string
 	// T is the push round counter for KindPush.
 	T int
-	// Clock is the requester's vector clock for KindPullReq, carried
+	// Clock is the requester's vector clock for KindPullReq and, on the Last
+	// chunk of a KindSnapshot stream, the responder's frontier. It is carried
 	// directly — the hot path pays no map copy (the old ClockToWire /
 	// ClockFromWire round trip survives only as the compat shim in
 	// convert.go).
 	Clock version.Clock
-	// Updates are the missing updates for KindPullResp.
+	// Updates are the missing updates for KindPullResp and the records of
+	// one KindSnapshot chunk.
 	Updates []Update
 	// KnownPeers is a membership sample piggybacked on KindPullResp and
 	// KindSnapshot — the name-dropper effect applied to the pull phase, which
 	// bootstraps the views of freshly joined replicas.
 	KnownPeers []string
-	// Snapshot is the responder's serialised resident state for KindSnapshot
-	// (the shared store snapshot encoding, opaque to the wire layer).
+	// Stream identifies the snapshot stream a KindSnapshot chunk belongs to
+	// (unique per sender), Chunk is its zero-based position in that stream,
+	// and Last marks the chunk that ends it and carries the frontier. A
+	// receiver adopts the frontier only after chunks 0..Chunk of the same
+	// stream, in order.
+	Stream uint64
+	Chunk  int
+	Last   bool
+	// Snapshot was the gob payload of the retired v1 snapshot frame. The
+	// binary codec neither writes nor reads it.
 	Snapshot []byte
 	// UpdateRef identifies the acknowledged update for KindAck. The
 	// comparable (origin, seq) form travels as-is; no "origin/seq" string is

@@ -61,7 +61,8 @@ func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 		{Kind: KindQuery, From: "e", QID: -9, Key: "k"},
 		{Kind: KindQueryResp, From: "f", QID: -9, Key: "k", Found: true,
 			Value: []byte("v"), Version: u.Version, Confident: true},
-		{Kind: KindSnapshot, From: "g", Snapshot: []byte("blob"), KnownPeers: []string{"h"}},
+		{Kind: KindSnapshot, From: "g", Updates: []Update{u}, Stream: 9, Chunk: 1, Last: true,
+			Clock: version.Clock{"x": 3}, KnownPeers: []string{"h"}},
 	}
 	for _, env := range envs {
 		// The gob compat codec round-trips.

@@ -310,9 +310,10 @@ func WithKeyTTL(d time.Duration) Option {
 	return func(o *nodeOptions) { o.cfg.KeyTTL = d }
 }
 
-// WithSnapshotCatchUp answers a pull whose delta exceeds n updates with one
-// snapshot frame instead of an entry-by-entry list; 0 disables the size
-// trigger (compaction gaps still force snapshots).
+// WithSnapshotCatchUp answers a pull whose delta exceeds n updates with a
+// snapshot — the node's live state, streamed in bounded chunks — instead of
+// an entry-by-entry list, when the snapshot is the smaller of the two; 0
+// disables the size trigger (compaction gaps still force snapshots).
 func WithSnapshotCatchUp(n int) Option {
 	return func(o *nodeOptions) { o.cfg.SnapshotCatchUp = n }
 }
