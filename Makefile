@@ -1,14 +1,10 @@
 # Developer entry points. CI runs the same commands; see
 # .github/workflows/ci.yml.
 
-# The perf-trajectory file emitted by `make bench` (one per perf PR).
-BENCH_PR ?= 10
-BENCH_TIME ?= 300ms
-# bench-compare reruns the baseline's benchmarks at this benchtime; short
-# keeps the CI gate fast, the 25% threshold absorbs the extra noise.
-COMPARE_TIME ?= 200ms
+# scenarios-diff compares this tree's scenario results with those of BASE.
+BASE ?= HEAD
 
-.PHONY: build test race bench bench-smoke bench-compare e2e-smoke scenarios daemon soak soak-durable
+.PHONY: build test race bench-smoke e2e-smoke scenarios scenarios-diff loc daemon soak soak-durable
 
 build:
 	go build ./...
@@ -23,23 +19,13 @@ race:
 	GOMAXPROCS=4 go test -race . ./internal/live/... ./internal/gossip/... \
 		./internal/engine/... ./internal/store/...
 
-# bench runs the engine/store/wire/live hot-path benchmarks and writes the
-# machine-readable trajectory file BENCH_$(BENCH_PR).json.
-bench:
-	go run ./cmd/benchjson -benchtime $(BENCH_TIME) -out BENCH_$(BENCH_PR).json
-
-# bench-smoke is the CI guard: every benchmark compiles and runs once,
-# race-enabled, so the perf baseline cannot rot.
+# bench-smoke is the CI guard: every hot-path benchmark compiles and runs
+# once, race-enabled. Timing is judged only by the repo benchmark, on
+# interleaved pairs against the parent commit (bench/README.md).
 bench-smoke:
 	go test -race -run '^$$' -bench . -benchtime=1x \
 		./internal/engine/ ./internal/store/ ./internal/wire/ ./internal/live/ \
 		./internal/wal/ .
-
-# bench-compare is the CI perf gate: rerun the committed baseline's
-# benchmarks and fail if ns/op or allocs/op regress more than 25% anywhere.
-bench-compare:
-	go run ./cmd/benchjson compare -baseline BENCH_$(BENCH_PR).json \
-		-benchtime $(COMPARE_TIME)
 
 # e2e-smoke runs the repo benchmark's four workloads (bench/README.md) at
 # 2 s each, through the public API, real TCP and the WAL, and fails when a
@@ -52,6 +38,26 @@ e2e-smoke:
 # seeds, failing on any invariant violation.
 scenarios:
 	go run ./cmd/scenarios -seeds 1,2,3 -out scenario-results
+
+# scenarios-diff is the determinism gate for changes that must not alter the
+# simulated protocol: build cmd/scenarios at BASE (in a throwaway worktree)
+# and in this tree, run every catalog scenario on seeds 1-10 with both, and
+# diff the JSON. No output after the two runs means byte-identical results.
+scenarios-diff:
+	@tmp=$$(mktemp -d) && trap 'git worktree remove --force $$tmp/base; rm -rf $$tmp' EXIT && \
+	git worktree add -q --detach $$tmp/base $(BASE) && \
+	(cd $$tmp/base && go build -o $$tmp/scenarios.base ./cmd/scenarios) && \
+	go build -o $$tmp/scenarios.head ./cmd/scenarios && \
+	$$tmp/scenarios.base -seeds 1,2,3,4,5,6,7,8,9,10 -out $$tmp/out.base >/dev/null && \
+	$$tmp/scenarios.head -seeds 1,2,3,4,5,6,7,8,9,10 -out $$tmp/out.head >/dev/null && \
+	diff -r $$tmp/out.base $$tmp/out.head && echo "scenarios-diff: identical to $(BASE)"
+
+# loc prints the non-test Go lines per package and their total, bench/
+# excluded — the number ROADMAP tracks and every CHANGES.md entry reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
+		END { for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t }' | sort -k2
 
 # daemon builds the serving binary (HTTP client edge + /metrics over one
 # live replica) into ./bin.

@@ -20,7 +20,7 @@ import (
 
 // newBenchEngine builds an engine with n known peers and a discarding
 // endpoint, so measurements cover the engine, not a transport.
-func newBenchEngine(b *testing.B, n int, cfg Config[int]) (*Engine[int], *testEndpoint) {
+func newBenchEngine(b testing.TB, n int, cfg Config[int]) (*Engine[int], *testEndpoint) {
 	b.Helper()
 	cfg.Population = n
 	e, ep := newTestEngine(b, 0, cfg, nil)
@@ -82,8 +82,11 @@ func BenchmarkHandlePushFirstReceipt(b *testing.B) {
 	}
 }
 
-func BenchmarkHandlePushDuplicate(b *testing.B) {
-	e, _ := newBenchEngine(b, 1024, Config[int]{
+// duplicatePush returns one step of the pure duplicate/merge/observe path:
+// a push of an update the engine has already processed, carrying a list it
+// has already merged.
+func duplicatePush(tb testing.TB) func() {
+	e, _ := newBenchEngine(tb, 1024, Config[int]{
 		Fanout:      10,
 		PartialList: true,
 		NewPF:       func() pf.Func { return pf.NewAdaptive(0.9) },
@@ -91,11 +94,23 @@ func BenchmarkHandlePushDuplicate(b *testing.B) {
 	u := benchUpdate(0)
 	rf := benchRF(128)
 	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
+	return func() { e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2}) }
+}
+
+func BenchmarkHandlePushDuplicate(b *testing.B) {
+	step := duplicatePush(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Same update, same list: the pure duplicate/merge/observe path.
-		e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2})
+		step()
+	}
+}
+
+// TestDuplicatePushAllocatesNothing gates what a flood mostly consists of:
+// a duplicate push is absorbed without touching the heap.
+func TestDuplicatePushAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(200, duplicatePush(t)); n != 0 {
+		t.Fatalf("a duplicate push allocates %v times, want 0", n)
 	}
 }
 

@@ -149,13 +149,11 @@ type Config[ID comparable] struct {
 	// intent: a KindPullResp message carrying only the requester's clock
 	// (cloned into Message.Clock) and the gossiped peer sample, with no
 	// updates. The adapter renders the actual delta — or snapshot stream —
-	// at transmission time via RenderPullResp and StreamSnapshot. This is
-	// the late-binding contract of a coalescing sender: responses that wait
-	// behind a busy link are merged by clock and re-rendered when the link
-	// frees, so the requester receives the newest superset instead of a
-	// stale backlog.
-	// Off (the default), responses are rendered eagerly inside handlePullReq
-	// exactly as before.
+	// at transmission time via AnswerPull. This is the late-binding contract
+	// of a coalescing sender: responses that wait behind a busy link are
+	// merged by clock (Pending) and rendered when the link frees, so the
+	// requester receives the newest superset instead of a stale backlog.
+	// Off (the default), handlePullReq answers in place.
 	DeferPullRender bool
 	// ValidID reports whether a peer identity learned from the wire is
 	// usable as a protocol target. Nil accepts every non-self identity;
@@ -815,16 +813,14 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 
 	if e.cfg.DeferPullRender {
 		// Late-binding: ship only the intent (requester clock + peer
-		// gossip); the adapter calls RenderPullResp when the message
-		// actually leaves, so a response that waited behind a slow link
-		// serves the newest state, not the state at enqueue time. The clock
-		// is cloned because inbound messages may alias decoder scratch.
+		// gossip); the adapter calls AnswerPull when the message actually
+		// leaves, so a response that waited behind a slow link serves the
+		// newest state, not the state at enqueue time. The clock is cloned
+		// because inbound messages may alias decoder scratch.
 		e.ep.Send(from, Message[ID]{Kind: KindPullResp, Clock: m.Clock.Clone(), Peers: peers})
-	} else if updates, frontier := e.RenderPullResp(m.Clock); frontier == nil {
-		e.ep.Send(from, Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
 	} else {
-		e.StreamSnapshot(updates, frontier, peers, func(chunk Message[ID]) bool {
-			e.ep.Send(from, chunk)
+		e.AnswerPull(m.Clock, peers, func(answer Message[ID]) bool {
+			e.ep.Send(from, answer)
 			return true
 		})
 	}
@@ -851,10 +847,8 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 // cut — a requester merely a burst behind a busy responder is not sent the
 // whole store.
 //
-// With Config.DeferPullRender the adapter calls this at send time (it reads
-// only the store and immutable configuration, so a live adapter may call it
-// without holding its engine lock); without it, handlePullReq calls it
-// eagerly.
+// It reads only the store and immutable configuration, so a live adapter may
+// call it without holding its engine lock.
 func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update, frontier version.Clock) {
 	missing, complete := e.st.DeltaFor(clock)
 	if complete && (e.cfg.SnapshotCatchUp == 0 || len(missing) <= e.cfg.SnapshotCatchUp) {
@@ -865,6 +859,24 @@ func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update
 		return missing, nil
 	}
 	return cut, frontier
+}
+
+// AnswerPull renders the answer to a pull request that presented clock and
+// hands it to send in its message shape: one KindPullResp carrying the exact
+// missing run, or — when RenderPullResp returns a live cut — the KindSnapshot
+// chunks of one StreamSnapshot. peers rides on the response or on the
+// stream's last chunk. Every pull answer leaves through here: handlePullReq
+// calls it in place, and with Config.DeferPullRender the adapter calls it
+// for the intent (Message.IsPullIntent) at the moment of transmission. A
+// stream stops at the first chunk send reports undelivered. Like
+// RenderPullResp it needs no engine serialisation.
+func (e *Engine[ID]) AnswerPull(clock version.Clock, peers []ID, send func(Message[ID]) bool) {
+	updates, frontier := e.RenderPullResp(clock)
+	if frontier == nil {
+		send(Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
+		return
+	}
+	e.StreamSnapshot(updates, frontier, peers, send)
 }
 
 // SnapshotChunkBytes bounds the update records of one snapshot chunk, by

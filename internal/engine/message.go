@@ -55,10 +55,10 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is the engine's transport-independent protocol message. Adapters
-// convert it to and from their wire representation (typed simulator payloads
-// with byte accounting, gob envelopes on TCP). Only the fields relevant to
-// the Kind are set.
+// Message is the engine's transport-independent protocol message. The
+// simulator delivers it as is, charged the bytes the binary codec would
+// frame it in; the live runtime converts it to and from wire.Envelope at the
+// transport boundary. Only the fields relevant to the Kind are set.
 type Message[ID comparable] struct {
 	// Kind selects which fields are meaningful.
 	Kind Kind
@@ -69,8 +69,9 @@ type Message[ID comparable] struct {
 	RF []ID
 	// T is the push round counter for KindPush; the initiator sends T = 0.
 	T int
-	// Clock is the requester's vector clock for KindPullReq and, on the Last
-	// chunk of a KindSnapshot stream, the responder's frontier.
+	// Clock is the requester's vector clock for KindPullReq and for a
+	// deferred pull answer (IsPullIntent) and, on the Last chunk of a
+	// KindSnapshot stream, the responder's frontier.
 	Clock version.Clock
 	// Updates are the missing updates for KindPullResp and the records of
 	// one KindSnapshot chunk.
@@ -102,6 +103,14 @@ type Message[ID comparable] struct {
 	// Confident is false when the responder suspects it is stale (§6 lazy
 	// pull).
 	Confident bool
+}
+
+// IsPullIntent reports whether m is the unrendered pull answer an engine
+// with Config.DeferPullRender emits: a KindPullResp carrying the requester's
+// clock and no updates, which AnswerPull turns into the actual answer at
+// transmission time.
+func (m Message[ID]) IsPullIntent() bool {
+	return m.Kind == KindPullResp && m.Clock != nil && m.Updates == nil
 }
 
 // Source identifies how an update reached a replica.

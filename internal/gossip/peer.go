@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"github.com/p2pgossip/update/internal/engine"
@@ -26,7 +27,7 @@ const (
 // round-based simulator. It is a thin adapter: the §4/§6 state machine
 // lives in internal/engine, shared verbatim with the live runtime; this
 // type only translates between simnet's message/round model (int peer
-// indices, typed payloads with byte accounting) and the engine.
+// indices, engine messages charged their wire size) and the engine.
 type Peer struct {
 	id  int
 	cfg Config
@@ -48,11 +49,11 @@ type Peer struct {
 	snapshot  []byte
 	bootstrap []int
 
-	// Link-budget coalescing state (coalesce.go), active only with
-	// cfg.LinkBudget > 0: per-destination pending deltas for over-budget
-	// traffic, tokens spent per destination this round, and the lifetime
-	// peak pending size the scenario invariants read.
-	pendingOut  map[int]*simPending
+	// Link-budget coalescing state, active only with cfg.LinkBudget > 0:
+	// per-destination pending deltas for over-budget traffic (the type the
+	// live per-peer senders hold), tokens spent per destination this round,
+	// and the lifetime peak pending size the scenario invariants read.
+	pendingOut  map[int]*engine.Pending[int]
 	spent       map[int]int
 	spentRound  int
 	peakPending int
@@ -66,8 +67,7 @@ var (
 // simEndpoint adapts a Peer to the engine's Endpoint: simulated time is the
 // round number, randomness is the engine-wide deterministic source, and
 // sends become simnet messages charged with the byte size the live binary
-// codec would put on the wire (payload plus the per-frame fixed costs; see
-// messages.go).
+// codec would put on the wire (messages.go).
 type simEndpoint struct{ p *Peer }
 
 func (s simEndpoint) Self() int        { return s.p.id }
@@ -103,65 +103,98 @@ func (p *Peer) refreshBudget() {
 	}
 }
 
+// deposit merges one over-budget message into the destination's pending
+// delta and tracks the peak pending size for the scenario invariant.
+func (p *Peer) deposit(to int, m engine.Message[int]) {
+	sp := p.pendingOut[to]
+	if sp == nil {
+		if p.pendingOut == nil {
+			p.pendingOut = make(map[int]*engine.Pending[int])
+		}
+		sp = new(engine.Pending[int])
+		p.pendingOut[to] = sp
+	}
+	sp.Add(m)
+	if n := sp.Len(); n > p.peakPending {
+		p.peakPending = n
+	}
+}
+
+// drainPending emits pending messages until each destination's LinkBudget
+// for the round is spent, in sorted destination order so the deterministic
+// message stream does not depend on map iteration, with everything
+// late-bound: flooding lists from engine state, the pull-request clock from
+// the store, the pull answer (in emit) from the coalesced clock. The
+// remainder stays pending — and keeps merging — for the next round.
+func (p *Peer) drainPending() {
+	dests := make([]int, 0, len(p.pendingOut))
+	for to := range p.pendingOut {
+		dests = append(dests, to)
+	}
+	sort.Ints(dests)
+	for _, to := range dests {
+		sp := p.pendingOut[to]
+		for p.spent[to] < p.cfg.LinkBudget {
+			m, ok := sp.Pop()
+			if !ok {
+				break
+			}
+			switch m.Kind {
+			case engine.KindPush:
+				m.RF, _ = p.eng.RenderPush(m.Update.Ref())
+			case engine.KindPullReq:
+				m.Clock = p.st.Clock()
+			}
+			p.emit(to, m)
+			p.spent[to]++
+		}
+		if sp.Len() == 0 {
+			delete(p.pendingOut, to)
+		}
+	}
+}
+
+// PeakPendingPerDest reports the largest pending-delta size (distinct
+// coalesced items) any single destination accumulated over the peer's
+// lifetime. Zero unless LinkBudget is set. The slow-link scenarios assert
+// this stays bounded by the live-state size rather than traffic volume —
+// with eventual delivery through a throttled link, the coalescing design's
+// two load-bearing properties, checked deterministically here because no
+// wall-clock test of the TCP path can.
+func (p *Peer) PeakPendingPerDest() int { return p.peakPending }
+
 // emit puts one engine message on the simulated wire, charging the byte
-// size the live binary codec would. Deferred pull responses — an intent
-// carrying only the requester's clock (Config.DeferPullRender, on exactly
-// when LinkBudget is) — are rendered here, at transmission time, into a
-// delta or a snapshot stream; the stream's chunks together spend the one
+// size the live binary codec would. A deferred pull answer — the intent of
+// Config.DeferPullRender, on exactly when LinkBudget is — is rendered here,
+// at transmission time; a snapshot stream's chunks together spend the one
 // link token the intent was admitted on.
 func (p *Peer) emit(to int, m engine.Message[int]) {
-	if m.Kind == engine.KindPullResp && m.Updates == nil && m.Clock != nil {
-		updates, frontier := p.eng.RenderPullResp(m.Clock)
-		if frontier != nil {
-			p.eng.StreamSnapshot(updates, frontier, m.Peers, func(chunk engine.Message[int]) bool {
-				p.emit(to, chunk)
-				return true
-			})
-			return
-		}
-		m = engine.Message[int]{Kind: engine.KindPullResp, Updates: updates, Peers: m.Peers}
+	if m.IsPullIntent() {
+		p.eng.AnswerPull(m.Clock, m.Peers, func(answer engine.Message[int]) bool {
+			p.emit(to, answer)
+			return true
+		})
+		return
 	}
-	env := p.env
-	reg := env.Metrics()
-	frame := frameBytes(p.id)
+	bytes := frameBytes(p.id) + messageBytes(m)
+	p.env.Send(to, m, bytes)
+	reg := p.env.Metrics()
 	switch m.Kind {
 	case engine.KindPush:
-		msg := PushMsg{Update: m.Update, RF: m.RF, T: m.T}
-		bytes := frame + msg.SizeBytes()
-		env.Send(to, msg, bytes)
 		reg.Inc(MetricPushes)
 		reg.Add(MetricPushBytes, float64(bytes))
 	case engine.KindPullReq:
-		msg := PullReq{Clock: m.Clock}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricPullRequests)
 	case engine.KindPullResp:
-		msg := PullResp{Updates: m.Updates, Peers: m.Peers}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricPullResponses)
 		reg.Add(MetricPullUpdates, float64(len(m.Updates)))
 	case engine.KindAck:
-		msg := AckMsg{Ref: m.UpdateRef}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricAcks)
 	case engine.KindQuery:
-		msg := QueryMsg{QID: m.QID, Key: m.Key}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricQueries)
 	case engine.KindQueryResp:
-		msg := QueryResp{
-			QID: m.QID, Key: m.Key, Found: m.Found,
-			Value: m.Value, Version: m.Version, Confident: m.Confident,
-		}
-		env.Send(to, msg, frame+msg.SizeBytes())
 		reg.Inc(MetricQueryResponses)
 	case engine.KindSnapshot:
-		msg := SnapshotMsg{
-			Updates: m.Updates, Stream: m.Stream, Chunk: m.Chunk,
-			Last: m.Last, Frontier: m.Clock, Peers: m.Peers,
-		}
-		bytes := frame + msg.SizeBytes()
-		env.Send(to, msg, bytes)
 		if m.Last {
 			reg.Inc(MetricSnapshots)
 		}
@@ -375,41 +408,12 @@ func (p *Peer) runJanitor() {
 	}
 }
 
-// HandleMessage implements simnet.Node.
+// HandleMessage implements simnet.Node. Payloads that are not engine
+// messages are ignored.
 func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 	p.bind(env)
-	switch m := msg.Payload.(type) {
-	case PushMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPush, Update: m.Update, RF: m.RF, T: m.T,
-		})
-	case PullReq:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPullReq, Clock: m.Clock,
-		})
-	case PullResp:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindPullResp, Updates: m.Updates, Peers: m.Peers,
-		})
-	case AckMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindAck, UpdateRef: m.Ref,
-		})
-	case QueryMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindQuery, QID: m.QID, Key: m.Key,
-		})
-	case QueryResp:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindQueryResp, QID: m.QID, Key: m.Key,
-			Found: m.Found, Value: m.Value, Version: m.Version,
-			Confident: m.Confident,
-		})
-	case SnapshotMsg:
-		p.eng.Handle(msg.From, engine.Message[int]{
-			Kind: engine.KindSnapshot, Updates: m.Updates, Stream: m.Stream,
-			Chunk: m.Chunk, Last: m.Last, Clock: m.Frontier, Peers: m.Peers,
-		})
+	if m, ok := msg.Payload.(engine.Message[int]); ok {
+		p.eng.Handle(msg.From, m)
 	}
 }
 

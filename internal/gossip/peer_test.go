@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/p2pgossip/update/internal/churn"
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/simnet"
@@ -184,7 +185,7 @@ func TestLazyPullWaitsThenSyncsOnDemand(t *testing.T) {
 	// A pull request arriving at the lazy (not confident) peer forces it to
 	// sync itself (§3: received_pull and not_confident).
 	net.Peers[16].CameOnline(envOf(t, en, 16)) // also lazy: no traffic
-	req := PullReq{Clock: net.Peers[16].Store().Clock()}
+	req := engine.Message[int]{Kind: engine.KindPullReq, Clock: net.Peers[16].Store().Clock()}
 	net.Peers[15].HandleMessage(envOf(t, en, 15),
 		simnet.Message{From: 16, To: 15, Payload: req})
 	en.Run(6)
@@ -220,10 +221,10 @@ func TestDuplicateCountingAndListMerge(t *testing.T) {
 	// different lists.
 	env5 := envOf(t, en, 5)
 	net.Peers[5].HandleMessage(env5, simnet.Message{
-		From: 1, To: 5, Payload: PushMsg{Update: u, RF: []int{1, 2}, T: 1},
+		From: 1, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{1, 2}, T: 1},
 	})
 	net.Peers[5].HandleMessage(env5, simnet.Message{
-		From: 2, To: 5, Payload: PushMsg{Update: u, RF: []int{3, 4}, T: 1},
+		From: 2, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{3, 4}, T: 1},
 	})
 	if got := net.Peers[5].Duplicates(id); got != 1 {
 		t.Fatalf("duplicates = %d, want 1", got)
@@ -376,7 +377,7 @@ func TestSimPathFeedsListFractionIntoAdaptivePF(t *testing.T) {
 	// Deliver a push carrying a 4-entry list to peer 5: R_f = {1,2,3,4,5},
 	// L = 5/10, so the adaptive schedule must report PF = 1·(1−0.5) = 0.5.
 	net.Peers[5].HandleMessage(envOf(t, en, 5), simnet.Message{
-		From: 1, To: 5, Payload: PushMsg{Update: u, RF: []int{1, 2, 3, 4}, T: 1},
+		From: 1, To: 5, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1},
 	})
 	ad := captured[len(captured)-1]
 	if got := ad.P(2); math.Abs(got-0.5) > 1e-9 {

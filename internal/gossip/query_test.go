@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/p2pgossip/update/internal/churn"
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/simnet"
 )
 
@@ -50,7 +51,7 @@ func TestQueryPicksFreshestVersion(t *testing.T) {
 	u2 := net.Peers[0].Publish(envOf(t, en, 0), "k", []byte("new"))
 	// Deliver directly to peer 1 only (simulating partial spread).
 	net.Peers[1].HandleMessage(envOf(t, en, 1), simnet.Message{
-		From: 0, To: 1, Payload: PushMsg{Update: u2, T: 0},
+		From: 0, To: 1, Payload: engine.Message[int]{Kind: engine.KindPush, Update: u2, T: 0},
 	})
 
 	// Query everyone: at least one responder (0 or 1) has "new"; it must
@@ -144,7 +145,7 @@ func TestQueryTriggersLazyPull(t *testing.T) {
 
 	// Query peer 9 directly.
 	net.Peers[9].HandleMessage(envOf(t, en, 9), simnet.Message{
-		From: 3, To: 9, Payload: QueryMsg{QID: 77, Key: "k"},
+		From: 3, To: 9, Payload: engine.Message[int]{Kind: engine.KindQuery, QID: 77, Key: "k"},
 	})
 	en.Run(6)
 	if got := en.Metrics().Counter(MetricPullRequests); got <= pullsBefore {

@@ -143,8 +143,8 @@ func BenchmarkLiveSustainedPublish(b *testing.B) {
 // updates/s at the receiver.
 func BenchmarkLiveParallelIngest(b *testing.B) {
 	for _, procs := range []int{1, 2, 4} {
-		// "=" keeps the proc count out of benchjson's GOMAXPROCS-suffix
-		// trimming, so the three sub-benchmarks stay distinct in BENCH_*.json.
+		// "procs=N", not "-N": the go tool appends "-GOMAXPROCS" to
+		// benchmark names, and tools that trim that suffix must not eat ours.
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(procs)
 			defer runtime.GOMAXPROCS(prev)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wire"
 )
@@ -212,11 +213,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	v1 := cw.Put("ck", []byte("one"))
 	v2 := cw.Put("ck", []byte("two")) // dominates v1: supersedes it in the pending delta
 	for _, u := range []store.Update{v1, v2} {
-		u := u
-		if !sender.deposit(func(p *pendingDelta) (int, int, int) {
-			c, d := p.addPush(u, 0)
-			return c, 0, d
-		}) {
+		if !sender.deposit(engine.Message[string]{Kind: engine.KindPush, Update: u}) {
 			t.Fatal("deposit rejected by a fresh sender")
 		}
 	}

@@ -405,76 +405,30 @@ func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
 	}
 }
 
-// depositOut routes one flushed outbox into the per-peer coalescing
-// senders: pushes, acks, pull requests, and pull-response intents merge by
-// class (sender.go); query traffic, which cannot merge, rides along as
-// rendered envelopes. Metrics for these sends fire at transmission time in
-// the sender, not here — a coalesced-away push was never sent.
+// depositOut routes one flushed outbox into the per-peer coalescing senders,
+// whose engine.Pending merges each message by class. Metrics for these sends
+// fire at transmission time in the sender, not here — a coalesced-away push
+// was never sent.
 func (r *Replica) depositOut(out []outboundBatch) {
 	for i := range out {
-		b := &out[i]
-		switch b.msg.Kind {
-		case engine.KindPush:
-			u, t := b.msg.Update, b.msg.T
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addPush(u, t)
-					return c, 0, d
-				})
-			}
-		case engine.KindAck:
-			ref := b.msg.UpdateRef
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addAck(ref)
-					return c, 0, d
-				})
-			}
-		case engine.KindPullReq:
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					c, d := p.addPullReq()
-					return c, 0, d
-				})
-			}
-		case engine.KindPullResp:
-			if b.msg.Clock != nil && b.msg.Updates == nil {
-				// The engine's deferred intent: requester clock plus peer
-				// sample, rendered at send time.
-				clock, peers := b.msg.Clock, b.msg.Peers
-				for _, to := range b.tos {
-					r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-						c, d := p.addPullResp(clock, peers)
-						return c, 0, d
-					})
-				}
-				break
-			}
-			fallthrough
-		default:
-			env := envelopeFromEngine(r.addr, b.msg)
-			for _, to := range b.tos {
-				r.depositTo(to, func(p *pendingDelta) (int, int, int) {
-					dropped, d := p.addAux(env)
-					return 0, dropped, d
-				})
-			}
+		for _, to := range out[i].tos {
+			r.depositTo(to, out[i].msg)
 		}
 	}
 }
 
-// depositTo merges one deposit into the destination's sender, creating it
-// on demand. A sender caught mid-retire rejects the deposit; the loop then
+// depositTo merges one message into the destination's sender, creating it on
+// demand. A sender caught mid-retire rejects the deposit; the loop then
 // observes a fresh registry state and retries, so deposits are never lost
 // to the idle-retire race. A nil sender means the replica is stopping and
 // the deposit is intentionally dropped.
-func (r *Replica) depositTo(to string, f func(*pendingDelta) (coalesced, dropped, delta int)) {
+func (r *Replica) depositTo(to string, m engine.Message[string]) {
 	for {
 		s := r.senderFor(to)
 		if s == nil {
 			return
 		}
-		if s.deposit(f) {
+		if s.deposit(m) {
 			return
 		}
 	}

@@ -5,226 +5,28 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/engine"
-	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
 // This file implements the coalescing per-peer delta senders (the weave
-// GossipSender shape): one goroutine and one pending delta per destination.
+// GossipSender shape): one goroutine and one engine.Pending per destination.
 // Engine sends are deposited into the destination's pending delta and the
 // sender goroutine drains it through the transport. While a link is busy —
 // the transport write is synchronous, so a slow peer parks exactly its own
-// sender — new deposits MERGE into the pending delta instead of queueing:
-//
-//   - pushes dedup by store.Ref and newer versions of a key supersede
-//     pending dominated ones (the receiver's clock gap, if any, is repaired
-//     by ordinary pull anti-entropy);
-//   - pull responses collapse to the pointwise-minimum requester clock, so
-//     one rendered response covers every outstanding request;
-//   - pull requests and acks are idempotent flags/sets.
-//
-// Pending state therefore stays O(live state) per destination, not
-// O(traffic), and nothing is rendered at deposit time: the partial-flooding
-// list, the pull-response delta (or snapshot stream), and the pull-request
-// clock are all produced at transmission time (engine.RenderPush /
-// engine.RenderPullResp, store.Clock), so a slow consumer receives the
-// newest superset rather than a replay of stale frames.
+// sender — new deposits MERGE into the pending delta instead of queueing
+// (the rules are engine.Pending's, shared with the simulator), so pending
+// state stays O(live state) per destination, not O(traffic). Nothing is
+// rendered at deposit time: the partial-flooding list, the pull-request
+// clock and the pull answer (delta or snapshot stream) are all produced at
+// transmission time (engine.RenderPush, store.Clock, engine.AnswerPull), so
+// a slow consumer receives the newest superset rather than a replay of stale
+// frames.
 
 // senderIdleTimeout is how long a peer sender with nothing pending lingers
 // before retiring its goroutine. Senders are recreated transparently on the
 // next deposit; the timeout only bounds idle-goroutine count at the churn
 // rate, not correctness.
 const senderIdleTimeout = time.Minute
-
-// maxPendingAux caps the non-mergeable envelope classes (queries, query
-// responses) a pending delta will hold for a stalled destination. These
-// carry request/response semantics and cannot coalesce; beyond the cap the
-// oldest are dropped (counted as MetricSendFailed) — queries time out and
-// retry at the protocol layer, so dropping is safe and keeps even the aux
-// portion of pending state bounded.
-const maxPendingAux = 1024
-
-// pendingPush is one coalesced outbound push: the update plus the round
-// counter it would have carried. The flooding list is deliberately absent —
-// it is re-rendered from live engine state at send time.
-type pendingPush struct {
-	u store.Update
-	t int
-}
-
-// pendingDelta is everything owed to one destination, in mergeable form.
-// All methods require external synchronisation (peerSender.mu) and return
-// the change in the estimated byte footprint plus how many deposits merged
-// into existing state instead of growing it.
-type pendingDelta struct {
-	// entries holds the coalesced pushes keyed by update identity; order
-	// preserves first-deposit order for rendering (stale refs — superseded
-	// entries — are skipped at render). byKey indexes entries by key so a
-	// newer version can displace dominated pending ones in O(branches).
-	entries map[store.Ref]pendingPush
-	order   []store.Ref
-	byKey   map[string][]store.Ref
-
-	// acks is the deduplicated set of update refs to acknowledge.
-	acks   []store.Ref
-	ackSet map[store.Ref]struct{}
-
-	// pullReq records that at least one anti-entropy request is owed; the
-	// clock is rendered from the store at send time, so later is only ever
-	// better.
-	pullReq bool
-
-	// pullResp records an owed pull response as the pointwise-minimum of
-	// every outstanding requester clock (an origin absent from either clock
-	// counts as zero and drops out); rendering DeltaFor(min) at send time
-	// yields a superset of every coalesced request's gap. pullRespPeers is
-	// the latest membership sample to piggyback.
-	pullResp      bool
-	pullRespClock version.Clock
-	pullRespPeers []string
-
-	// aux holds rendered envelopes that cannot merge (query traffic),
-	// bounded by maxPendingAux.
-	aux []wire.Envelope
-
-	// bytes is the estimated footprint of everything above, maintained
-	// incrementally so the replica can expose a cheap pending-memory gauge.
-	bytes int
-}
-
-func newPendingDelta() pendingDelta {
-	return pendingDelta{
-		entries: make(map[store.Ref]pendingPush),
-		byKey:   make(map[string][]store.Ref),
-		ackSet:  make(map[store.Ref]struct{}),
-	}
-}
-
-func (p *pendingDelta) empty() bool {
-	return len(p.entries) == 0 && len(p.acks) == 0 && !p.pullReq &&
-		!p.pullResp && len(p.aux) == 0
-}
-
-// Fixed-size estimates for the non-payload pending classes.
-const (
-	pendingAckBytes  = 24
-	pendingFlagBytes = 16
-	pendingAuxBase   = 64
-)
-
-func pendingClockBytes(c version.Clock) int {
-	n := pendingFlagBytes
-	for origin := range c {
-		n += len(origin) + 8
-	}
-	return n
-}
-
-// addPush merges one outbound push. Same ref: the round counter refreshes
-// in place. New ref: any pending entry for the same key whose version is
-// dominated by the newcomer is displaced, and the newcomer itself is
-// dropped when a pending entry already dominates it — newest version wins
-// in both directions. Concurrent branches coexist.
-func (p *pendingDelta) addPush(u store.Update, t int) (coalesced, delta int) {
-	ref := u.Ref()
-	if e, ok := p.entries[ref]; ok {
-		e.t = t
-		p.entries[ref] = e
-		return 1, 0
-	}
-	refs := p.byKey[u.Key]
-	for _, other := range refs {
-		if e, ok := p.entries[other]; ok && e.u.Version.Dominates(u.Version) {
-			// A pending entry already carries this key at or past the
-			// deposited version; the deposit is fully absorbed.
-			return 1, 0
-		}
-	}
-	kept := refs[:0]
-	for _, other := range refs {
-		e, ok := p.entries[other]
-		if !ok {
-			continue // stale index entry
-		}
-		if u.Version.Dominates(e.u.Version) {
-			delete(p.entries, other)
-			coalesced++
-			delta -= e.u.SizeBytes()
-			continue
-		}
-		kept = append(kept, other)
-	}
-	p.entries[ref] = pendingPush{u: u, t: t}
-	p.order = append(p.order, ref)
-	p.byKey[u.Key] = append(kept, ref)
-	delta += u.SizeBytes()
-	p.bytes += delta
-	return coalesced, delta
-}
-
-// addAck records one acknowledgement, deduplicated by ref.
-func (p *pendingDelta) addAck(ref store.Ref) (coalesced, delta int) {
-	if _, ok := p.ackSet[ref]; ok {
-		return 1, 0
-	}
-	p.ackSet[ref] = struct{}{}
-	p.acks = append(p.acks, ref)
-	p.bytes += pendingAckBytes
-	return 0, pendingAckBytes
-}
-
-// addPullReq records that an anti-entropy request is owed.
-func (p *pendingDelta) addPullReq() (coalesced, delta int) {
-	if p.pullReq {
-		return 1, 0
-	}
-	p.pullReq = true
-	p.bytes += pendingFlagBytes
-	return 0, pendingFlagBytes
-}
-
-// addPullResp merges an owed pull response: the pending clock becomes the
-// pointwise minimum of itself and the new requester clock (missing origins
-// count as zero and drop out), and the piggybacked peer sample is replaced
-// by the newest one. The pending delta takes ownership of both arguments.
-func (p *pendingDelta) addPullResp(clock version.Clock, peers []string) (coalesced, delta int) {
-	if !p.pullResp {
-		p.pullResp = true
-		p.pullRespClock = clock
-		p.pullRespPeers = peers
-		delta = pendingClockBytes(clock)
-		p.bytes += delta
-		return 0, delta
-	}
-	old := p.bytes
-	for origin, have := range p.pullRespClock {
-		if nv, ok := clock[origin]; !ok {
-			delete(p.pullRespClock, origin)
-			p.bytes -= len(origin) + 8
-		} else if nv < have {
-			p.pullRespClock[origin] = nv
-		}
-	}
-	p.pullRespPeers = peers
-	return 1, p.bytes - old
-}
-
-// addAux appends a non-mergeable envelope, dropping the oldest beyond
-// maxPendingAux. dropped counts envelopes discarded undelivered.
-func (p *pendingDelta) addAux(env wire.Envelope) (dropped, delta int) {
-	p.aux = append(p.aux, env)
-	delta = pendingAuxBase + len(env.Key) + len(env.Value)
-	if len(p.aux) > maxPendingAux {
-		victim := p.aux[0]
-		delta -= pendingAuxBase + len(victim.Key) + len(victim.Value)
-		copy(p.aux, p.aux[1:])
-		p.aux = p.aux[:len(p.aux)-1]
-		dropped = 1
-	}
-	p.bytes += delta
-	return dropped, delta
-}
 
 // peerSender owns all outbound traffic to one destination: a pending delta
 // deposits merge into, and a goroutine (run) that drains it through the
@@ -239,25 +41,26 @@ type peerSender struct {
 	wake chan struct{}
 
 	mu      sync.Mutex
-	p       pendingDelta
+	p       engine.Pending[string]
 	closing bool
 }
 
 func newPeerSender(r *Replica, to string) *peerSender {
-	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1), p: newPendingDelta()}
+	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1)}
 }
 
-// deposit applies one merge to the pending delta. It reports false when the
-// sender is retiring — the caller must fetch a fresh sender and retry — and
-// otherwise fires the coalescing/drop counters and the pending-bytes gauge
-// outside the sender lock and nudges the run loop.
-func (s *peerSender) deposit(f func(p *pendingDelta) (coalesced, dropped, delta int)) bool {
+// deposit merges one engine message into the pending delta. It reports false
+// when the sender is retiring — the caller must fetch a fresh sender and
+// retry — and otherwise fires the coalescing/drop counters (a dropped
+// message was never sent: send.failed) and the pending-bytes gauge outside
+// the sender lock and nudges the run loop.
+func (s *peerSender) deposit(m engine.Message[string]) bool {
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
 		return false
 	}
-	coalesced, dropped, delta := f(&s.p)
+	coalesced, dropped, delta := s.p.Add(m)
 	s.mu.Unlock()
 	if coalesced > 0 {
 		s.r.add(MetricSendCoalesced, coalesced)
@@ -304,16 +107,16 @@ func (s *peerSender) run() {
 	}
 }
 
-// take swaps the pending delta out under the lock, leaving a fresh one for
+// take swaps the pending delta out under the lock, leaving an empty one for
 // concurrent deposits.
-func (s *peerSender) take() (pendingDelta, bool) {
+func (s *peerSender) take() (engine.Pending[string], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.p.empty() {
-		return pendingDelta{}, false
+	if s.p.Len() == 0 {
+		return engine.Pending[string]{}, false
 	}
 	p := s.p
-	s.p = newPendingDelta()
+	s.p = engine.Pending[string]{}
 	return p, true
 }
 
@@ -325,100 +128,80 @@ func (s *peerSender) deliver() {
 		if !ok {
 			return
 		}
-		s.r.notePendingBytes(int64(-p.bytes))
-		envs, cut, frontier := s.render(&p)
-		s.send(envs)
-		if frontier != nil {
-			s.sendSnapshot(cut, frontier, p.pullRespPeers)
-		}
+		s.r.notePendingBytes(int64(-p.Bytes()))
+		s.flush(&p)
 	}
 }
 
-// sendSnapshot streams a live cut to the destination one chunk per
-// transport write — the receiver applies chunk k while chunk k+1 is encoded
-// here, and neither side holds more than a chunk of encoding — and stops at
-// the first chunk that fails, so a frontier never follows a hole the sender
-// knows of. A catch-up counts as served once its last chunk went out.
-func (s *peerSender) sendSnapshot(cut []store.Update, frontier version.Clock, peers []string) {
+// flush drains one taken pending delta into wire envelopes and transmits them
+// as one batch, late-binding everything that depends on current state:
+// flooding lists from the engine, the pull-request clock from the store, and
+// the pull answer from the coalesced minimum requester clock. The answer
+// goes last: a delta, or the first chunk of a snapshot stream, closes the
+// batch; a stream's remaining chunks follow one per transport write — the
+// receiver applies chunk k while chunk k+1 is encoded here, and neither side
+// holds more than a chunk of encoding — stopping at the first write that
+// fails, so a frontier never follows a hole the sender knows of. Protocol
+// counters fire here — at actual transmission — not at deposit.
+func (s *peerSender) flush(p *engine.Pending[string]) {
 	r := s.r
-	if r.eng.StreamSnapshot(cut, frontier, peers, func(chunk engine.Message[string]) bool {
-		return s.send([]wire.Envelope{envelopeFromEngine(r.addr, chunk)})
-	}) {
-		r.inc(MetricSnapshotServed)
-	}
-}
-
-// render converts one taken pending delta into wire envelopes, late-binding
-// everything that depends on current state: flooding lists from the engine,
-// the pull-request clock from the store, and the pull response from the
-// coalesced minimum requester clock. A pull response that came out as a live
-// cut is returned beside the batch (frontier non-nil) for sendSnapshot to
-// stream after it. Protocol counters fire here — at actual transmission —
-// not at deposit.
-func (s *peerSender) render(p *pendingDelta) (envs []wire.Envelope, cut []store.Update, frontier version.Clock) {
-	r := s.r
-	envs = make([]wire.Envelope, 0, len(p.order)+len(p.acks)+len(p.aux)+2)
-	// Acks first: they are cheap and unblock the peer's §6 retransmit state.
-	for _, ref := range p.acks {
-		envs = append(envs, wire.Envelope{From: r.addr, Kind: wire.KindAck, UpdateRef: ref})
-	}
-	if n := len(p.acks); n > 0 {
-		r.add(MetricAckSent, n)
-	}
-	if len(p.order) > 0 {
+	envs := make([]wire.Envelope, 0, p.Len())
+	var intent engine.Message[string]
+	m, ok := p.Pop()
+	if ok && m.Kind == engine.KindPush {
 		pushes := 0
 		r.mu.Lock()
-		for _, ref := range p.order {
-			e, ok := p.entries[ref]
-			if !ok {
-				continue // superseded while pending
-			}
-			delete(p.entries, ref)
-			// Late-bound flooding list: the engine's current carried list
-			// for the update, not the one frozen at deposit. Updates the
-			// engine no longer tracks still ship, with no list.
-			rf, _ := r.eng.RenderPush(ref)
-			envs = append(envs, wire.Envelope{
-				From: r.addr, Kind: wire.KindPush,
-				Update: wire.FromStore(e.u), RF: rf, T: e.t,
-			})
+		for ; ok && m.Kind == engine.KindPush; m, ok = p.Pop() {
+			// Late-bound flooding list: the engine's current carried list for
+			// the update, not the one frozen at deposit. Updates the engine
+			// no longer tracks still ship, with no list.
+			m.RF, _ = r.eng.RenderPush(m.Update.Ref())
+			envs = append(envs, envelopeFromEngine(r.addr, m))
 			pushes++
 		}
 		r.mu.Unlock()
-		if pushes > 0 {
-			r.add(MetricPushSent, pushes)
-		}
+		r.add(MetricPushSent, pushes)
 	}
-	if p.pullReq {
-		envs = append(envs, wire.Envelope{
-			From: r.addr, Kind: wire.KindPullReq, Clock: r.st.Clock(),
-		})
-		r.inc(MetricPullRequests)
-	}
-	if p.pullResp {
-		// RenderPullResp reads only the store and immutable config, so it
-		// runs without the replica lock — cutting the live state for a
-		// far-behind peer never stalls the protocol.
-		var updates []store.Update
-		if updates, frontier = r.eng.RenderPullResp(p.pullRespClock); frontier != nil {
-			cut = updates
-		} else {
-			envs = append(envs, envelopeFromEngine(r.addr, engine.Message[string]{
-				Kind: engine.KindPullResp, Updates: updates, Peers: p.pullRespPeers,
-			}))
+	acks := 0
+	for ; ok; m, ok = p.Pop() {
+		switch {
+		case m.Kind == engine.KindAck:
+			acks++
+		case m.Kind == engine.KindPullReq:
+			m.Clock = r.st.Clock()
+			r.inc(MetricPullRequests)
+		case m.IsPullIntent():
+			intent = m
+			continue
+		case m.Kind == engine.KindPullResp:
 			r.inc(MetricPullServed)
-		}
-	}
-	for _, env := range p.aux {
-		switch env.Kind {
-		case wire.KindQuery:
+		case m.Kind == engine.KindQuery:
 			r.inc(MetricQuerySent)
-		case wire.KindPullResp:
-			r.inc(MetricPullServed)
 		}
-		envs = append(envs, env)
+		envs = append(envs, envelopeFromEngine(r.addr, m))
 	}
-	return envs, cut, frontier
+	if acks > 0 {
+		r.add(MetricAckSent, acks)
+	}
+	if !intent.IsPullIntent() {
+		s.send(envs)
+		return
+	}
+	// AnswerPull reads only the store and immutable config, so it runs
+	// without the replica lock — cutting the live state for a far-behind peer
+	// never stalls the protocol.
+	r.eng.AnswerPull(intent.Clock, intent.Peers, func(m engine.Message[string]) bool {
+		sent := s.send(append(envs, envelopeFromEngine(r.addr, m)))
+		envs = envs[:0]
+		switch {
+		case m.Kind == engine.KindPullResp:
+			r.inc(MetricPullServed)
+		case m.Last && sent:
+			// A catch-up counts as served once its last chunk went out.
+			r.inc(MetricSnapshotServed)
+		}
+		return sent
+	})
 }
 
 // send transmits one rendered batch: encoded once into frames and flushed
@@ -468,7 +251,7 @@ func (s *peerSender) tryRetire() bool {
 	r := s.r
 	r.sendMu.Lock()
 	s.mu.Lock()
-	if !s.p.empty() {
+	if s.p.Len() > 0 {
 		s.mu.Unlock()
 		r.sendMu.Unlock()
 		return false
@@ -486,8 +269,8 @@ func (s *peerSender) tryRetire() bool {
 func (s *peerSender) discard() {
 	s.mu.Lock()
 	s.closing = true
-	n := s.p.bytes
-	s.p = pendingDelta{}
+	n := s.p.Bytes()
+	s.p = engine.Pending[string]{}
 	s.mu.Unlock()
 	if n != 0 {
 		s.r.notePendingBytes(int64(-n))

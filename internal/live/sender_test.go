@@ -2,123 +2,19 @@ package live
 
 import (
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
-	"github.com/p2pgossip/update/internal/wire"
 )
 
-// Tests for the coalescing per-peer senders that replaced the bounded
-// per-connection frame queue: the pending-delta merge rules in isolation,
-// and the three behaviours the old writer queue could not give — bounded
-// sender memory behind a wedged consumer, recovery with the newest merged
-// state after a peer restarts on its address, and a disconnecting peer
-// taking down only its own pending state.
-
-func testWriter(t *testing.T, origin string) *store.Writer {
-	t.Helper()
-	w, err := store.NewWriter(origin, store.New(), time.Now, rand.New(rand.NewSource(42)))
-	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
-	}
-	return w
-}
-
-func TestPendingDeltaPushCoalescing(t *testing.T) {
-	w := testWriter(t, "w")
-	v1 := w.Put("k", []byte("one"))
-	v2 := w.Put("k", []byte("two")) // dominates v1
-	other := w.Put("other", []byte("x"))
-
-	p := newPendingDelta()
-	if c, d := p.addPush(v1, 1); c != 0 || d != v1.SizeBytes() {
-		t.Fatalf("first deposit coalesced %d, delta %d", c, d)
-	}
-	if c, _ := p.addPush(other, 1); c != 0 {
-		t.Fatalf("unrelated key coalesced %d", c)
-	}
-	// The newer version displaces the pending dominated one.
-	if c, d := p.addPush(v2, 2); c != 1 || d != v2.SizeBytes()-v1.SizeBytes() {
-		t.Fatalf("displacing deposit coalesced %d, delta %d", c, d)
-	}
-	if _, ok := p.entries[v1.Ref()]; ok {
-		t.Fatal("dominated push still pending after displacement")
-	}
-	// A dominated version arriving late is absorbed without growing state.
-	if c, d := p.addPush(v1, 3); c != 1 || d != 0 {
-		t.Fatalf("absorbed deposit coalesced %d, delta %d", c, d)
-	}
-	// Same ref again only refreshes the round counter.
-	if c, d := p.addPush(v2, 9); c != 1 || d != 0 {
-		t.Fatalf("same-ref deposit coalesced %d, delta %d", c, d)
-	}
-	if got := p.entries[v2.Ref()].t; got != 9 {
-		t.Fatalf("round counter %d, want refreshed 9", got)
-	}
-	if len(p.entries) != 2 {
-		t.Fatalf("%d entries pending, want v2 and other", len(p.entries))
-	}
-	if want := v2.SizeBytes() + other.SizeBytes(); p.bytes != want {
-		t.Fatalf("tracked %dB, want %dB", p.bytes, want)
-	}
-}
-
-func TestPendingDeltaPullRespMerge(t *testing.T) {
-	p := newPendingDelta()
-	if c, _ := p.addPullResp(version.Clock{"a": 5, "b": 3}, []string{"x"}); c != 0 {
-		t.Fatalf("first pull response coalesced %d", c)
-	}
-	// Merging takes the pointwise minimum; an origin missing from either
-	// side counts as zero and drops out. The peer sample is the newest one.
-	if c, _ := p.addPullResp(version.Clock{"a": 2, "c": 9}, []string{"y"}); c != 1 {
-		t.Fatalf("second pull response coalesced %d", c)
-	}
-	if len(p.pullRespClock) != 1 || p.pullRespClock["a"] != 2 {
-		t.Fatalf("merged clock %v, want {a:2}", p.pullRespClock)
-	}
-	if len(p.pullRespPeers) != 1 || p.pullRespPeers[0] != "y" {
-		t.Fatalf("merged peers %v, want the newest sample", p.pullRespPeers)
-	}
-	// Idempotent flag classes dedup too.
-	if c, _ := p.addPullReq(); c != 0 {
-		t.Fatalf("first pull request coalesced %d", c)
-	}
-	if c, d := p.addPullReq(); c != 1 || d != 0 {
-		t.Fatalf("repeat pull request coalesced %d, delta %d", c, d)
-	}
-	ref := store.Ref{Origin: "o", Seq: 1}
-	if c, _ := p.addAck(ref); c != 0 {
-		t.Fatalf("first ack coalesced %d", c)
-	}
-	if c, d := p.addAck(ref); c != 1 || d != 0 {
-		t.Fatalf("repeat ack coalesced %d, delta %d", c, d)
-	}
-}
-
-func TestPendingDeltaAuxCap(t *testing.T) {
-	p := newPendingDelta()
-	dropped := 0
-	for i := 0; i < maxPendingAux+7; i++ {
-		env := wire.Envelope{Kind: wire.KindQuery, Key: fmt.Sprintf("q-%d", i)}
-		d, _ := p.addAux(env)
-		dropped += d
-	}
-	if dropped != 7 {
-		t.Fatalf("%d aux envelopes dropped, want 7 beyond the cap", dropped)
-	}
-	if len(p.aux) != maxPendingAux {
-		t.Fatalf("%d aux pending, want the cap %d", len(p.aux), maxPendingAux)
-	}
-	// Oldest dropped first: the survivors start at q-7.
-	if p.aux[0].Key != "q-7" {
-		t.Fatalf("oldest surviving aux %q, want q-7", p.aux[0].Key)
-	}
-}
+// Tests for the coalescing per-peer senders: bounded sender memory behind a
+// wedged consumer, recovery with the newest merged state after a peer
+// restarts on its address, and a disconnecting peer taking down only its own
+// pending state. The merge rules themselves are engine.Pending's and are
+// tested there.
 
 // TestSlowConsumerBoundedPending wedges one consumer completely — it accepts
 // the publisher's connection and never reads a byte — while the publisher

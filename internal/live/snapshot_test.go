@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,15 @@ import (
 // Tests for snapshot catch-up as a chunked stream of the responder's live
 // cut: safety of the cut under concurrent applies, the 16 MiB single-frame
 // ceiling gone, and the torn-stream rule on both ends of the link.
+
+func testWriter(t *testing.T, origin string) *store.Writer {
+	t.Helper()
+	w, err := store.NewWriter(origin, store.New(), time.Now, rand.New(rand.NewSource(42)))
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	return w
+}
 
 // tcpReplica starts a replica on a fresh loopback TCP transport.
 func tcpReplica(t *testing.T, cfg Config) *Replica {
@@ -277,10 +287,7 @@ func TestSnapshotStreamAbortsOnSendError(t *testing.T) {
 		r.Publish(k, value)
 	}
 	sender := newPeerSender(r, "rejoiner")
-	if !sender.deposit(func(p *pendingDelta) (int, int, int) {
-		c, d := p.addPullResp(version.NewClock(), nil)
-		return c, 0, d
-	}) {
+	if !sender.deposit(engine.Message[string]{Kind: engine.KindPullResp, Clock: version.NewClock()}) {
 		t.Fatal("deposit rejected by a fresh sender")
 	}
 	sender.deliver()
