@@ -4,7 +4,7 @@
 # scenarios-diff compares this tree's scenario results with those of BASE.
 BASE ?= HEAD
 
-.PHONY: build test race bench-smoke e2e-smoke scenarios scenarios-diff loc daemon soak soak-durable
+.PHONY: build test race bench-smoke e2e-smoke scenarios scenarios-diff loc loc-check daemon soak soak-durable
 
 build:
 	go build ./...
@@ -40,12 +40,13 @@ scenarios:
 	go run ./cmd/scenarios -seeds 1,2,3 -out scenario-results
 
 # scenarios-diff is the determinism gate for changes that must not alter the
-# simulated protocol: build cmd/scenarios at BASE (in a throwaway worktree)
-# and in this tree, run every catalog scenario on seeds 1-10 with both, and
-# diff the JSON. No output after the two runs means byte-identical results.
+# simulated protocol: build cmd/scenarios at BASE (from a throwaway
+# `git archive` copy under $TMPDIR) and in this tree, run every catalog
+# scenario on seeds 1-10 with both, and diff the JSON. No output after the
+# two runs means byte-identical results.
 scenarios-diff:
-	@tmp=$$(mktemp -d) && trap 'git worktree remove --force $$tmp/base; rm -rf $$tmp' EXIT && \
-	git worktree add -q --detach $$tmp/base $(BASE) && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && mkdir $$tmp/base && \
+	git archive $(BASE) | tar -x -C $$tmp/base && \
 	(cd $$tmp/base && go build -o $$tmp/scenarios.base ./cmd/scenarios) && \
 	go build -o $$tmp/scenarios.head ./cmd/scenarios && \
 	$$tmp/scenarios.base -seeds 1,2,3,4,5,6,7,8,9,10 -out $$tmp/out.base >/dev/null && \
@@ -58,6 +59,19 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
 		-exec wc -l {} + | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1; t += $$1 } \
 		END { for (p in n) printf "%6d %s\n", n[p], p; printf "%6d total\n", t }' | sort -k2
+
+# loc-check is the line budget CI enforces: it fails when loc's total
+# exceeds LOC_CEILING, the total of the last PR that lowered it. A PR that
+# deletes code lowers the ceiling to its own total; one that must add code
+# raises it in the open, in the same diff.
+LOC_CEILING := 19045
+
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$total" -gt $(LOC_CEILING) ]; then \
+		echo "loc-check: $$total non-test lines outside bench/ exceed the ceiling of $(LOC_CEILING)" >&2; exit 1; \
+	fi; \
+	echo "loc-check: $$total non-test lines outside bench/, ceiling $(LOC_CEILING)"
 
 # daemon builds the serving binary (HTTP client edge + /metrics over one
 # live replica) into ./bin.

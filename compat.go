@@ -8,21 +8,10 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// This file re-exports the layer types behind the Node API and keeps the
-// pre-Node constructors compiling. New code should open a Node; the
-// deprecated shims remain thin forwards to the live runtime.
+// This file re-exports the layer types behind the Node API.
 
 // Live runtime types.
 type (
-	// Replica is a live protocol node.
-	//
-	// Deprecated: open a Node instead; Replica remains for code written
-	// against the pre-Node API.
-	Replica = live.Replica
-	// ReplicaConfig parameterises a Replica.
-	//
-	// Deprecated: configure a Node with Options instead.
-	ReplicaConfig = live.Config
 	// Transport moves protocol envelopes between replicas.
 	Transport = live.Transport
 	// Hub is an in-memory transport fabric for tests and examples.
@@ -72,20 +61,6 @@ type (
 	// PushResult is the resulting trajectory.
 	PushResult = analytic.PushResult
 )
-
-// NewReplica builds a live replica on the given transport.
-//
-// Deprecated: use Open with a transport option; it returns a Node with
-// context-aware operations, Watch streams, and graceful shutdown.
-func NewReplica(cfg ReplicaConfig, tr Transport) (*Replica, error) {
-	return live.NewReplica(cfg, tr)
-}
-
-// DefaultReplicaConfig returns a production-ready configuration: fanout 5,
-// PF(t) = 0.9^t, partial lists, eager + periodic pull.
-//
-// Deprecated: Open starts from these defaults already; adjust with Options.
-func DefaultReplicaConfig() ReplicaConfig { return live.DefaultReplicaConfig() }
 
 // NewHub returns an in-memory transport fabric; attach nodes to it with
 // WithHub.

@@ -52,7 +52,6 @@
 // snapshot-on-shutdown; see the "Serving surface" section of DESIGN.md and
 // examples/httpcluster for a curl-level session.
 //
-// See the examples/ directory for complete programs, DESIGN.md for the
-// architecture and the migration table from the legacy Replica API, and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// See the examples/ directory for complete programs and DESIGN.md for the
+// architecture.
 package pushpull

@@ -79,7 +79,11 @@ func floodOnce(newPF func() pushpull.PFFunc, seedBase int64) (pushes, dupes floa
 		node, err := pushpull.Open(
 			pushpull.WithHub(hub, addrs[i]),
 			pushpull.WithPF(newPF),
-			pushpull.WithPullInterval(20*time.Millisecond),
+			// Delivery is asynchronous: the flood needs real time to run its
+			// course, and a replica that learns the update by pull first
+			// never forwards it. The anti-entropy period is therefore long
+			// against the flood and only heals the replicas PF(t) left out.
+			pushpull.WithPullInterval(250*time.Millisecond),
 			pushpull.WithSeed(seedBase+int64(i)+1),
 			pushpull.WithMetrics(reg),
 			pushpull.WithPeers(addrs...),

@@ -74,7 +74,7 @@ func BenchmarkHandlePushFirstReceipt(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Handle(1, Message[int]{
+				deliver(e, 1, Message[int]{
 					Kind: KindPush, Update: benchUpdate(i), RF: rf, T: 2,
 				})
 			}
@@ -93,8 +93,8 @@ func duplicatePush(tb testing.TB) func() {
 	})
 	u := benchUpdate(0)
 	rf := benchRF(128)
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
-	return func() { e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2}) }
+	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
+	return func() { deliver(e, 2, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 2}) }
 }
 
 func BenchmarkHandlePushDuplicate(b *testing.B) {
@@ -120,14 +120,14 @@ func BenchmarkPullReconciliation(b *testing.B) {
 	const updateCount, missing = 512, 32
 	e, _ := newBenchEngine(b, 64, Config[int]{PullAttempts: 3})
 	for i := 0; i < updateCount; i++ {
-		e.Handle(1, Message[int]{Kind: KindPush, Update: benchUpdate(i), T: 1})
+		deliver(e, 1, Message[int]{Kind: KindPush, Update: benchUpdate(i), T: 1})
 	}
 	remote := version.NewClock()
 	remote["writer"] = updateCount - missing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Handle(2, Message[int]{Kind: KindPullReq, Clock: remote})
+		deliver(e, 2, Message[int]{Kind: KindPullReq, Clock: remote})
 	}
 }
 
@@ -150,7 +150,7 @@ func BenchmarkSampleTargets(b *testing.B) {
 			if tt.acks {
 				// A quarter of the population has acked; a few suspects.
 				for i := 1; i <= 256; i++ {
-					e.Handle(i, Message[int]{Kind: KindAck})
+					deliver(e, i, Message[int]{Kind: KindAck})
 				}
 				for i := 900; i < 916; i++ {
 					e.suspect(i, 0)

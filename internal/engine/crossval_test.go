@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/live"
@@ -22,7 +23,10 @@ import (
 // The workload is configured to be RNG-independent (full fanout, PF = 1, no
 // churn), because the two adapters legitimately differ in randomness
 // architecture: the simulator shares one engine-wide source, the live
-// runtime seeds one per replica.
+// runtime seeds one per replica. It is also independent of delivery order —
+// every node hears each update exactly once from every node that forwards it
+// — because the live runtime delivers through per-peer sender goroutines: the
+// live outcome is read at quiescence, not after a synchronous cascade.
 
 // crossPopulation is the cluster size; addresses/origins are "peer-<i>" on
 // both sides so store contents are directly comparable.
@@ -111,7 +115,11 @@ func runSimWorkload(t *testing.T, partialList bool) *dissemination {
 	return out
 }
 
-func runLiveWorkload(t *testing.T, partialList bool) *dissemination {
+// runLiveWorkload runs the workload on live replicas, waits until their
+// dissemination has reached want with nothing left in any sender, stops them
+// — which also waits out deliveries in flight — and returns what they hold
+// then. On a deadline it returns the state reached, for the caller's diff.
+func runLiveWorkload(t *testing.T, partialList bool, want *dissemination) *dissemination {
 	t.Helper()
 	hub := live.NewHub()
 	replicas := make([]*live.Replica, crossPopulation)
@@ -136,26 +144,40 @@ func runLiveWorkload(t *testing.T, partialList bool) *dissemination {
 	for _, r := range replicas {
 		r.AddPeers(addrs...)
 	}
-	// The replicas are never Started: with the pull phase disabled there is
-	// no background activity, so every push cascade runs synchronously in
-	// the publisher's goroutine and the run is deterministic.
 	var ids []string
 	for _, w := range crossWriters {
 		u, _ := replicas[w].Publish(fmt.Sprintf("key-%d", w),
 			[]byte(fmt.Sprintf("value-%d", w)))
 		ids = append(ids, u.ID())
 	}
-	out := newDissemination()
-	for i, r := range replicas {
-		r := r
-		out.record(i, ids, r.HasUpdate, r.Duplicates,
-			func(key string) (string, bool) {
-				rev, ok := r.Get(key)
-				return string(rev.Value), ok
-			},
-			clockMap(r.Store().Clock()))
+	snapshot := func() *dissemination {
+		out := newDissemination()
+		for i, r := range replicas {
+			r := r
+			out.record(i, ids, r.HasUpdate, r.Duplicates,
+				func(key string) (string, bool) {
+					rev, ok := r.Get(key)
+					return string(rev.Value), ok
+				},
+				clockMap(r.Store().Clock()))
+		}
+		return out
 	}
-	return out
+	quiescent := func() bool {
+		for _, r := range replicas {
+			if pending, _ := r.PendingSendBytes(); pending != 0 {
+				return false
+			}
+		}
+		return reflect.DeepEqual(snapshot(), want)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !quiescent() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	for _, r := range replicas {
+		r.Stop()
+	}
+	return snapshot()
 }
 
 func clockMap(c map[string]uint64) map[string]uint64 {
@@ -188,7 +210,7 @@ func TestCrossValidationSimVsLive(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			sim := runSimWorkload(t, tt.partialList)
-			lv := runLiveWorkload(t, tt.partialList)
+			lv := runLiveWorkload(t, tt.partialList, sim)
 
 			if !reflect.DeepEqual(sim.delivered, lv.delivered) {
 				t.Fatalf("delivered sets differ:\nsim  %v\nlive %v", sim.delivered, lv.delivered)

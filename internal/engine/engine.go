@@ -13,7 +13,12 @@
 // Because both layers share this code, every behavioural fix — and every
 // §6 self-tuning signal, such as the flooding-list-fraction feedback into
 // the adaptive PF schedule — lands on the simulated and the live path at
-// once, and simulator scenarios exercise exactly the code that ships.
+// once. Both adapters enter the same way: they write the store themselves
+// (a local write through the shared store.Writer, an inbound update through
+// store.Backend.ApplyObserved) and hand the engine the outcome through
+// PublishApplied, HandlePushApplied and HandlePullRespApplied; messages
+// without updates go through Handle. The engine never applies an update, so
+// simulator scenarios exercise exactly the entry points that ship.
 //
 // The engine is deliberately single-threaded: it never locks, never spawns
 // goroutines, and calls Endpoint.Send and hook callbacks synchronously.
@@ -525,9 +530,9 @@ func (e *Engine[ID]) CameOnline() {
 }
 
 // Tick runs the periodic sweeps: suspect expiry, ack-deadline detection,
-// query expiry, and the "no_updates_since(t)" timeout pull. Round-driven
-// adapters call it once per round; the live runtime relies on LazySweep and
-// wall-clock schedulers instead.
+// query expiry, and the "no_updates_since(t)" timeout pull. The simulator
+// calls it once per round; the live runtime does not call it yet and relies
+// on LazySweep, contexts and a wall-clock pull ticker instead (ROADMAP C(2)).
 func (e *Engine[ID]) Tick() {
 	now := e.ep.Now()
 	e.expireSuspects(now)
@@ -540,15 +545,14 @@ func (e *Engine[ID]) Tick() {
 	}
 }
 
-// Handle dispatches one inbound protocol message.
+// Handle dispatches one inbound protocol message that carries no update: a
+// pull request, an ack, a query or a query response. Pushes and pull answers
+// enter through HandlePushApplied and HandlePullRespApplied, after the
+// adapter applied their updates — the engine never applies an update itself.
 func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 	switch m.Kind {
-	case KindPush:
-		e.handlePush(from, m)
 	case KindPullReq:
 		e.handlePullReq(from, m)
-	case KindPullResp, KindSnapshot:
-		e.pullRespReceived(from, m, nil)
 	case KindAck:
 		e.handleAck(from)
 	case KindQuery:
@@ -560,33 +564,14 @@ func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 
 // --- Push phase (§4.1–4.2) -------------------------------------------
 
-// Publish creates an update for key/value and initiates its push phase (the
-// paper's round 0).
-func (e *Engine[ID]) Publish(key string, value []byte) store.Update {
-	u, branches := e.w.PutObserved(key, value)
-	e.PublishApplied(u, branches)
-	return u
-}
-
-// PublishDelete creates a tombstone update and initiates its push phase.
-func (e *Engine[ID]) PublishDelete(key string) store.Update {
-	u, branches := e.w.DeleteObserved(key)
-	e.PublishApplied(u, branches)
-	return u
-}
-
-// PublishApplied initiates the push phase for an update the adapter already
-// created through the engine's shared Writer and applied to the store.
-// branches is the revision count from the apply. It is the parallel-ingest
-// half of Publish: the live runtime runs the writer outside its engine lock
-// (the Writer serialises itself, and the sharded store stripes the apply) and
-// enters the engine only for the protocol bookkeeping.
+// PublishApplied initiates the push phase (the paper's round 0) for an update
+// the adapter created through the engine's shared Writer, which applied it to
+// the store. branches is the revision count from that apply. Adapters run the
+// writer outside their engine serialisation (the Writer serialises itself,
+// and the sharded store stripes the apply) and enter the engine only for the
+// protocol bookkeeping.
 func (e *Engine[ID]) PublishApplied(u store.Update, branches int) {
 	e.fireApply(u, store.Applied, SourceLocal, branches)
-	e.initiate(u)
-}
-
-func (e *Engine[ID]) initiate(u store.Update) {
 	state := e.newState()
 	e.states[u.Ref()] = state
 	e.lastReceived = e.ep.Now()
@@ -599,9 +584,10 @@ func (e *Engine[ID]) initiate(u store.Update) {
 }
 
 // Applied carries the outcome of a store apply the adapter performed before
-// entering the engine — the parallel-ingest contract: connection readers
-// apply to the (sharded, lock-striped) store concurrently, then enter the
-// engine's small critical section with only the result.
+// entering the engine — the one ingest contract: the adapter offers each
+// inbound update to the store (the live runtime on its connection readers,
+// concurrently, against the lock-striped store; the simulator in place), then
+// enters the engine's small critical section with only the result.
 type Applied struct {
 	// Res classifies the store outcome.
 	Res store.ApplyResult
@@ -610,23 +596,16 @@ type Applied struct {
 	Branches int
 }
 
-// HandlePushApplied is Handle for a KindPush message whose update the
-// adapter already applied to the store. The engine performs only protocol
-// bookkeeping: membership, duplicate tuning, ack, and the forwarding
+// HandlePushApplied ingests a KindPush message whose update the adapter
+// already offered to the store, with outcome pre. The engine performs only
+// protocol bookkeeping: membership, duplicate tuning, ack, and the forwarding
 // decision.
 //
-// A racing twin of the same update may have entered the engine first; the
-// message is then treated as a duplicate exactly as if the store had been
-// consulted under the engine's serialisation.
+// When the engine already tracks the update (HasRef) — a duplicate push, or a
+// racing twin that entered first — pre is ignored, so an adapter that can
+// check HasRef under its engine serialisation may skip the store for
+// duplicates.
 func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
-	e.pushReceived(from, m, &pre)
-}
-
-func (e *Engine[ID]) handlePush(from ID, m Message[ID]) {
-	e.pushReceived(from, m, nil)
-}
-
-func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 	// Name-dropper: every push teaches us replicas we did not know.
 	e.learnAll(m.RF)
 	e.Learn(from)
@@ -649,13 +628,6 @@ func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 	}
 
 	// First receipt: process the update.
-	var applied store.ApplyResult
-	var branches int
-	if pre != nil {
-		applied, branches = pre.Res, pre.Branches
-	} else {
-		applied, branches = e.st.ApplyObserved(m.Update)
-	}
 	e.lastReceived = e.ep.Now()
 	e.notConfident = false
 	state := e.newState()
@@ -673,7 +645,7 @@ func (e *Engine[ID]) pushReceived(from ID, m Message[ID], pre *Applied) {
 		// counts it is available before the forwarding decision below.
 		ad.ObserveListFraction(e.listFraction(state))
 	}
-	e.fireApply(m.Update, applied, SourcePush, branches)
+	e.fireApply(m.Update, pre.Res, SourcePush, pre.Branches)
 
 	// Forward with probability PF(t+1). Per the paper, R_p is a *uniform*
 	// random subset of known replicas; the message goes to R_p \ R_f only,
@@ -977,31 +949,19 @@ func (e *Engine[ID]) StableFrontier() version.Clock {
 	return frontier
 }
 
-// HandlePullRespApplied is Handle for a KindPullResp or KindSnapshot message
-// whose updates the adapter already applied to the store, in order; pre[i]
-// is the outcome of m.Updates[i]. See HandlePushApplied.
+// HandlePullRespApplied ingests a KindPullResp or KindSnapshot message whose
+// updates the adapter already offered to the store, in order; pre[i] is the
+// outcome of m.Updates[i]. A snapshot chunk is a pull response whose updates
+// are the responder's live state, not the receiver's gap — so store
+// duplicates among them are neither news nor a push-tuning signal and are not
+// offered to the hooks — followed by one position check that, at the end of
+// an unbroken stream, adopts the frontier.
 func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) {
-	e.pullRespReceived(from, m, pre)
-}
-
-// pullRespReceived ingests pull traffic of both shapes. A snapshot chunk is
-// a pull response whose updates are the responder's live state, not the
-// receiver's gap — so store duplicates among them are neither news nor a
-// push-tuning signal and are not offered to the hooks — followed by one
-// position check that, at the end of an unbroken stream, adopts the
-// frontier.
-func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
 	gotNew := false
 	for i, u := range m.Updates {
-		var applied store.ApplyResult
-		var branches int
-		if pre != nil {
-			applied, branches = pre[i].Res, pre[i].Branches
-		} else {
-			applied, branches = e.st.ApplyObserved(u)
-		}
+		applied := pre[i].Res
 		if applied == store.Applied {
 			gotNew = true
 		}
@@ -1013,7 +973,7 @@ func (e *Engine[ID]) pullRespReceived(from ID, m Message[ID], pre []Applied) {
 		if m.Kind == KindSnapshot && applied == store.Duplicate {
 			continue
 		}
-		e.fireApply(u, applied, SourcePull, branches)
+		e.fireApply(u, applied, SourcePull, pre[i].Branches)
 	}
 	// An empty delta confirms we were current; so does a completed stream.
 	current := len(m.Updates) == 0

@@ -45,9 +45,45 @@ func (ep *testEndpoint) Send(to int, m Message[int]) {
 	}
 	if ep.net != nil {
 		if target, ok := ep.net.engines[to]; ok {
-			target.Handle(ep.id, m)
+			deliver(target, ep.id, m)
 		}
 	}
+}
+
+// deliver enters m into e the way both adapters do: updates are offered to
+// the store first — a push only when the engine does not track it yet — and
+// the engine receives the outcomes.
+func deliver(e *Engine[int], from int, m Message[int]) {
+	switch m.Kind {
+	case KindPush:
+		var pre Applied
+		if !e.HasRef(m.Update.Ref()) {
+			pre.Res, pre.Branches = e.st.ApplyObserved(m.Update)
+		}
+		e.HandlePushApplied(from, m, pre)
+	case KindPullResp, KindSnapshot:
+		pre := make([]Applied, len(m.Updates))
+		for i, u := range m.Updates {
+			pre[i].Res, pre[i].Branches = e.st.ApplyObserved(u)
+		}
+		e.HandlePullRespApplied(from, m, pre)
+	default:
+		e.Handle(from, m)
+	}
+}
+
+// publish writes key through the engine's writer and starts the push phase,
+// as an adapter's Publish does.
+func publish(e *Engine[int], key string, value []byte) store.Update {
+	u, branches := e.w.PutObserved(key, value)
+	e.PublishApplied(u, branches)
+	return u
+}
+
+func publishDelete(e *Engine[int], key string) store.Update {
+	u, branches := e.w.DeleteObserved(key)
+	e.PublishApplied(u, branches)
+	return u
 }
 
 // newTestEngine builds an engine with a deterministic writer clock and RNG.
@@ -156,7 +192,7 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 	u := testUpdate(t, "peer-0", 1, "k", "v")
 	// First receipt carrying a 4-entry list: R_f = {1,2,3,4} ∪ {5}, so
 	// L = 5/10 and PF = Base·(1−L) = 0.5.
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1})
+	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1})
 	if len(captured) != 1 {
 		t.Fatalf("adaptive instances = %d, want 1", len(captured))
 	}
@@ -166,7 +202,7 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 
 	// A duplicate merging three more ids: L = 8/10, one duplicate, so
 	// PF = 0.7¹·(1−0.8) = 0.14.
-	e.Handle(2, Message[int]{Kind: KindPush, Update: u, RF: []int{6, 7, 8}, T: 2})
+	deliver(e, 2, Message[int]{Kind: KindPush, Update: u, RF: []int{6, 7, 8}, T: 2})
 	if got := e.Duplicates(u.ID()); got != 1 {
 		t.Fatalf("duplicates = %d, want 1", got)
 	}
@@ -188,7 +224,7 @@ func TestValidIDFiltersLearnedIdentities(t *testing.T) {
 		t.Fatal("rejected identity learned directly")
 	}
 	u := testUpdate(t, "peer-9", 1, "k", "v")
-	e.Handle(-1, Message[int]{Kind: KindPush, Update: u, RF: []int{-2, 3}, T: 0})
+	deliver(e, -1, Message[int]{Kind: KindPush, Update: u, RF: []int{-2, 3}, T: 0})
 	if !e.HasUpdate(u.ID()) {
 		t.Fatal("push from rejected identity dropped entirely")
 	}
@@ -204,7 +240,7 @@ func TestPushForwardsToSampledPeersOutsideList(t *testing.T) {
 		e.Learn(i)
 	}
 	u := testUpdate(t, "peer-1", 1, "k", "v")
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3}, T: 0})
+	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3}, T: 0})
 
 	if !e.HasUpdate(u.ID()) {
 		t.Fatal("first receipt not recorded")
@@ -259,14 +295,14 @@ func TestAckLifecycle(t *testing.T) {
 	e.Learn(1)
 	e.Learn(2)
 
-	e.Publish("k", []byte("v"))
+	publish(e, "k", []byte("v"))
 	if got := len(e.AwaitingAck()); got != 2 {
 		t.Fatalf("awaiting acks = %d, want 2", got)
 	}
 
 	// Peer 1 acks in time; peer 2 never does.
 	ep.now = 1
-	e.Handle(1, Message[int]{Kind: KindAck, UpdateRef: store.Ref{Origin: "peer-0", Seq: 1}})
+	deliver(e, 1, Message[int]{Kind: KindAck, UpdateRef: store.Ref{Origin: "peer-0", Seq: 1}})
 	if got := e.Acked(); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("acked = %v", got)
 	}
@@ -283,7 +319,7 @@ func TestAckLifecycle(t *testing.T) {
 		t.Fatalf("sample = %v, want [1]", got)
 	}
 	// A late ack re-admits the suspect immediately.
-	e.Handle(2, Message[int]{Kind: KindAck, UpdateRef: store.Ref{Origin: "peer-0", Seq: 1}})
+	deliver(e, 2, Message[int]{Kind: KindAck, UpdateRef: store.Ref{Origin: "peer-0", Seq: 1}})
 	if len(e.Suspects()) != 0 {
 		t.Fatal("ack did not clear suspicion")
 	}
@@ -295,8 +331,8 @@ func TestAckPreferenceOrdersSample(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		e.Learn(i)
 	}
-	e.Handle(3, Message[int]{Kind: KindAck})
-	e.Handle(6, Message[int]{Kind: KindAck})
+	deliver(e, 3, Message[int]{Kind: KindAck})
+	deliver(e, 6, Message[int]{Kind: KindAck})
 	// Acked peers must fill the sample before any silent peer.
 	for trial := 0; trial < 10; trial++ {
 		got := e.SamplePeers(2)
@@ -370,9 +406,9 @@ func TestPullReconciliation(t *testing.T) {
 	a, _ := newTestEngine(t, 0, cfg, net)
 	b, _ := newTestEngine(t, 1, cfg, net)
 
-	a.Publish("x", []byte("1"))
-	a.Publish("y", []byte("2"))
-	a.PublishDelete("x")
+	publish(a, "x", []byte("1"))
+	publish(a, "y", []byte("2"))
+	publishDelete(a, "x")
 
 	b.Learn(0)
 	b.PullNow()
@@ -402,7 +438,7 @@ func TestPullReqFromStalePeerTriggersCounterPull(t *testing.T) {
 	a.Learn(1)
 	b.Learn(0)
 
-	b.Publish("k", []byte("fresh"))
+	publish(b, "k", []byte("fresh"))
 	// a has been silent past its pull timeout; a pull request arriving now
 	// must make it synchronise itself (§3: received_pull ∧ ¬confident).
 	epA.now = 10
@@ -419,7 +455,7 @@ func TestLazyPullSyncsOnQuery(t *testing.T) {
 	b, _ := newTestEngine(t, 1, cfg, net)
 	a.Learn(1)
 	b.Learn(0)
-	b.Publish("k", []byte("v"))
+	publish(b, "k", []byte("v"))
 
 	a.CameOnline()
 	if !a.NotConfident() {
@@ -429,7 +465,7 @@ func TestLazyPullSyncsOnQuery(t *testing.T) {
 		t.Fatal("lazy peer pulled eagerly")
 	}
 	// An incoming query forces the sync; the answer is flagged unconfident.
-	a.Handle(1, Message[int]{Kind: KindQuery, QID: 9, Key: "k"})
+	deliver(a, 1, Message[int]{Kind: KindQuery, QID: 9, Key: "k"})
 	if !a.HasUpdate("peer-1/1") {
 		t.Fatal("query did not trigger the lazy peer's pull")
 	}
@@ -441,7 +477,7 @@ func TestLazyPullSyncsOnQuery(t *testing.T) {
 func TestQueryLocalVoice(t *testing.T) {
 	cfg := Config[int]{Fanout: 0, QueryLocalVoice: true}
 	e, _ := newTestEngine(t, 0, cfg, nil)
-	e.Publish("k", []byte("here"))
+	publish(e, "k", []byte("here"))
 	notified := 0
 	qid := e.QueryNotify("k", 3, func() { notified++ })
 	res, ok := e.QueryResult(qid)

@@ -16,7 +16,7 @@ func TestRenderPushLateBoundList(t *testing.T) {
 	cfg := Config[int]{Fanout: 1, PartialList: true}
 	e, _ := newTestEngine(t, 1, cfg, nil)
 	e.Learn(2)
-	u := e.Publish("k", []byte("v"))
+	u := publish(e, "k", []byte("v"))
 
 	rf, ok := e.RenderPush(u.Ref())
 	if !ok {
@@ -27,7 +27,7 @@ func TestRenderPushLateBoundList(t *testing.T) {
 	// A duplicate heard from peer 3 carrying peers 4 and 5 merges into the
 	// update's flooding list; a later render must ship the grown list, not
 	// the one frozen at publish time.
-	e.Handle(3, Message[int]{Kind: KindPush, Update: u, RF: []int{4, 5}})
+	deliver(e, 3, Message[int]{Kind: KindPush, Update: u, RF: []int{4, 5}})
 	rf, ok = e.RenderPush(u.Ref())
 	if !ok {
 		t.Fatal("RenderPush lost the update after a duplicate")
@@ -55,7 +55,7 @@ func TestRenderPullRespSnapshotDecision(t *testing.T) {
 	cfg := Config[int]{Fanout: 0, PullAttempts: 1, SnapshotCatchUp: 2}
 	e, _ := newTestEngine(t, 1, cfg, nil)
 	for _, kv := range []string{"a", "a", "a", "b", "c"} {
-		e.Publish(kv, []byte(kv))
+		publish(e, kv, []byte(kv))
 	}
 
 	// A peer missing all five updates is over the SnapshotCatchUp threshold
@@ -120,7 +120,7 @@ func TestSnapshotStreamAdoption(t *testing.T) {
 	// Values over half a chunk: every cut entry travels in a chunk of its own.
 	big := make([]byte, SnapshotChunkBytes/2+1)
 	for _, k := range []string{"a", "a", "b", "b", "c"} {
-		src.Publish(k, big)
+		publish(src, k, big)
 	}
 	want := src.Store().Clock()
 
@@ -136,17 +136,17 @@ func TestSnapshotStreamAdoption(t *testing.T) {
 	if len(chunks) != 3 {
 		t.Fatalf("fixture cut has %d chunks, want 3", len(chunks))
 	}
-	dst.Handle(1, chunks[0])
-	dst.Handle(1, chunks[2])
+	deliver(dst, 1, chunks[0])
+	deliver(dst, 1, chunks[2])
 	if got := dst.Store().Clock().Get("peer-1"); got != 0 || catchUps != 0 {
 		t.Fatalf("torn stream moved the clock to %d (%d catch-ups); want untouched", got, catchUps)
 	}
 
 	// Chunks of two streams do not add up to one.
 	other := snapshotStreamOf(src)
-	dst.Handle(1, other[0])
-	dst.Handle(1, chunks[1])
-	dst.Handle(1, other[2])
+	deliver(dst, 1, other[0])
+	deliver(dst, 1, chunks[1])
+	deliver(dst, 1, other[2])
 	if catchUps != 0 {
 		t.Fatal("interleaved streams completed a catch-up")
 	}
@@ -154,7 +154,7 @@ func TestSnapshotStreamAdoption(t *testing.T) {
 	// Complete: every chunk in order.
 	offered = nil
 	for _, m := range snapshotStreamOf(src) {
-		dst.Handle(1, m)
+		deliver(dst, 1, m)
 	}
 	if catchUps != 1 {
 		t.Fatalf("complete stream fired %d catch-ups, want 1", catchUps)
@@ -179,10 +179,10 @@ func TestEagerSnapshotAnswerIsOneStream(t *testing.T) {
 	e, ep := newTestEngine(t, 1, Config[int]{PullAttempts: 1, SnapshotCatchUp: 1}, nil)
 	big := make([]byte, SnapshotChunkBytes/2)
 	for _, k := range []string{"a", "a", "a", "b", "b", "b", "c", "c", "c"} {
-		e.Publish(k, big)
+		publish(e, k, big)
 	}
 	ep.sent = nil
-	e.Handle(2, Message[int]{Kind: KindPullReq, Clock: version.Clock{}})
+	deliver(e, 2, Message[int]{Kind: KindPullReq, Clock: version.Clock{}})
 	if len(ep.sent) < 2 {
 		t.Fatalf("cut of 3 half-chunk values left in %d messages, want several chunks", len(ep.sent))
 	}
@@ -207,16 +207,16 @@ func TestEagerSnapshotAnswerIsOneStream(t *testing.T) {
 // configuration would have sent immediately.
 func TestDeferPullRenderIntentMatchesEagerPath(t *testing.T) {
 	seed := func(e *Engine[int]) {
-		e.Publish("x", []byte("1"))
-		e.Publish("y", []byte("2"))
-		e.PublishDelete("x")
+		publish(e, "x", []byte("1"))
+		publish(e, "y", []byte("2"))
+		publishDelete(e, "x")
 	}
 	reqClock := version.Clock{"peer-1": 1}
 
 	eager, epEager := newTestEngine(t, 1, Config[int]{Fanout: 0, PullAttempts: 1}, nil)
 	seed(eager)
 	epEager.sent = nil
-	eager.Handle(2, Message[int]{Kind: KindPullReq, Clock: reqClock})
+	deliver(eager, 2, Message[int]{Kind: KindPullReq, Clock: reqClock})
 	if len(epEager.sent) != 1 || epEager.sent[0].msg.Kind != KindPullResp {
 		t.Fatalf("eager path sent %+v, want one rendered pull response", epEager.sent)
 	}
@@ -230,7 +230,7 @@ func TestDeferPullRenderIntentMatchesEagerPath(t *testing.T) {
 	}, nil)
 	seed(deferred)
 	epDef.sent = nil
-	deferred.Handle(2, Message[int]{Kind: KindPullReq, Clock: reqClock})
+	deliver(deferred, 2, Message[int]{Kind: KindPullReq, Clock: reqClock})
 	if len(epDef.sent) != 1 {
 		t.Fatalf("deferred path sent %d messages, want one intent", len(epDef.sent))
 	}

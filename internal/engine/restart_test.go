@@ -15,8 +15,8 @@ func TestRestartWipesVolatileState(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		e.Learn(id)
 	}
-	u := e.Publish("k", []byte("v"))
-	e.Handle(2, Message[int]{Kind: KindAck, UpdateRef: u.Ref()})
+	u := publish(e, "k", []byte("v"))
+	deliver(e, 2, Message[int]{Kind: KindAck, UpdateRef: u.Ref()})
 	ep.now = 100
 	e.Sweep() // unacked pushes become suspects
 	if len(e.Suspects()) == 0 {
@@ -44,7 +44,7 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 	for id := 1; id <= 5; id++ {
 		e.Learn(id)
 	}
-	u := e.Publish("k", []byte("v"))
+	u := publish(e, "k", []byte("v"))
 
 	e.Restart([]int{1, 2, 3})
 
@@ -58,7 +58,7 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 			applies++
 		}
 	})
-	e.Handle(4, Message[int]{Kind: KindPush, Update: u, T: 1})
+	deliver(e, 4, Message[int]{Kind: KindPush, Update: u, T: 1})
 	if applies != 0 {
 		t.Fatalf("re-pushed update applied %d times after restart", applies)
 	}
@@ -76,14 +76,14 @@ func TestRestartReRegistersStoredUpdates(t *testing.T) {
 func TestRestartKeepsWriterSequence(t *testing.T) {
 	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
 	e.Learn(1)
-	e.Publish("a", []byte("1"))
-	u2 := e.Publish("b", []byte("2"))
+	publish(e, "a", []byte("1"))
+	u2 := publish(e, "b", []byte("2"))
 	if u2.Seq != 2 {
 		t.Fatalf("pre-crash seq = %d", u2.Seq)
 	}
 
 	e.Restart([]int{1})
-	u3 := e.Publish("c", []byte("3"))
+	u3 := publish(e, "c", []byte("3"))
 	if u3.Seq != 3 {
 		t.Fatalf("post-restart seq = %d, want 3 (no reuse)", u3.Seq)
 	}

@@ -61,7 +61,7 @@ func TestSamplePrefersAckedAndSkipsSuspects(t *testing.T) {
 	}
 	acked := map[int]bool{3: true, 7: true, 11: true, 15: true, 19: true, 23: true}
 	for id := range acked {
-		e.Handle(id, Message[int]{Kind: KindAck})
+		deliver(e, id, Message[int]{Kind: KindAck})
 	}
 	for _, s := range []int{2, 4, 6} {
 		e.suspect(s, 0)
@@ -122,7 +122,7 @@ func TestSampleExcludingOmitsPeer(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		e.Learn(i)
 	}
-	e.Handle(5, Message[int]{Kind: KindAck}) // excluded peer in the preferred segment
+	deliver(e, 5, Message[int]{Kind: KindAck}) // excluded peer in the preferred segment
 	for trial := 0; trial < 500; trial++ {
 		out := e.sampleExcluding(10, 5)
 		if len(out) != 9 {
@@ -146,14 +146,14 @@ func TestAckBookkeepingStableOrder(t *testing.T) {
 		e.Learn(i)
 	}
 	for _, id := range []int{6, 2, 8} {
-		e.Handle(id, Message[int]{Kind: KindAck})
+		deliver(e, id, Message[int]{Kind: KindAck})
 	}
 	if got := e.Acked(); len(got) != 3 || got[0] != 6 || got[1] != 2 || got[2] != 8 {
 		t.Fatalf("Acked = %v, want first-ack order [6 2 8]", got)
 	}
 
 	u := testUpdate(t, "peer-1", 1, "k", "v")
-	e.Handle(1, Message[int]{Kind: KindPush, Update: u, T: 0})
+	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, T: 0})
 	await := e.AwaitingAck()
 	if len(await) == 0 {
 		t.Fatal("no ack expectations after forwarding")
@@ -236,7 +236,7 @@ func TestPeerViewInvariantsUnderRandomOps(t *testing.T) {
 		case 0:
 			e.Learn(peer)
 		case 1:
-			e.Handle(peer, Message[int]{Kind: KindAck})
+			deliver(e, peer, Message[int]{Kind: KindAck})
 		case 2:
 			if _, already := e.suspects[peer]; !already {
 				e.suspect(peer, ep.now)

@@ -409,10 +409,30 @@ func (p *Peer) runJanitor() {
 }
 
 // HandleMessage implements simnet.Node. Payloads that are not engine
-// messages are ignored.
+// messages are ignored. Update-carrying messages follow the engine's one
+// ingest contract, as live.Replica does: the peer offers the updates to its
+// store, then enters the engine with the outcomes. A push the engine already
+// tracks is a protocol duplicate and never reaches the store.
 func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 	p.bind(env)
-	if m, ok := msg.Payload.(engine.Message[int]); ok {
+	m, ok := msg.Payload.(engine.Message[int])
+	if !ok {
+		return
+	}
+	switch m.Kind {
+	case engine.KindPush:
+		var pre engine.Applied
+		if !p.eng.HasRef(m.Update.Ref()) {
+			pre.Res, pre.Branches = p.st.ApplyObserved(m.Update)
+		}
+		p.eng.HandlePushApplied(msg.From, m, pre)
+	case engine.KindPullResp, engine.KindSnapshot:
+		pre := make([]engine.Applied, len(m.Updates))
+		for i, u := range m.Updates {
+			pre[i].Res, pre[i].Branches = p.st.ApplyObserved(u)
+		}
+		p.eng.HandlePullRespApplied(msg.From, m, pre)
+	default:
 		p.eng.Handle(msg.From, m)
 	}
 }
@@ -421,13 +441,17 @@ func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 // push phase (the paper's round 0).
 func (p *Peer) Publish(env *simnet.Env, key string, value []byte) store.Update {
 	p.bind(env)
-	return p.eng.Publish(key, value)
+	u, branches := p.w.PutObserved(key, value)
+	p.eng.PublishApplied(u, branches)
+	return u
 }
 
 // PublishDelete creates a tombstone update and initiates its push phase.
 func (p *Peer) PublishDelete(env *simnet.Env, key string) store.Update {
 	p.bind(env)
-	return p.eng.PublishDelete(key)
+	u, branches := p.w.DeleteObserved(key)
+	p.eng.PublishApplied(u, branches)
+	return u
 }
 
 // pullGossipSample is the number of peer ids piggybacked on pull responses.

@@ -76,14 +76,24 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 		KeyTTL:             time.Millisecond,
 		Metrics:            rec,
 	}
+	// Every hop below crosses a sender goroutine, so the waits are bounded by
+	// generous deadlines, not by how fast a loaded machine schedules them.
 	hub, replicas := newCluster(t, 3, cfg)
+
+	// The coming-online pulls (two per replica) must be answered before
+	// anything is published: answers are rendered when they leave, one
+	// rendered after the publish would deliver k1 by pull, and an update
+	// learned by pull is never acked.
+	eventually(t, 10*time.Second, func() bool {
+		return rec.observed()[MetricPullServed] >= 6
+	}, "coming-online pulls not answered")
 
 	// Push + forwards: with fanout 3 over three replicas plus the ghost,
 	// forwarded copies bounce back as duplicates and every first copy is
 	// acked. The ghost never acks, so its entry must become a suspicion.
 	replicas[0].AddPeers("ghost")
 	replicas[0].Publish("k1", []byte("v1"))
-	eventually(t, 2*time.Second, func() bool {
+	eventually(t, 10*time.Second, func() bool {
 		for _, r := range replicas {
 			if _, ok := r.Get("k1"); !ok {
 				return false
@@ -113,7 +123,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	late.AddPeers("replica-0", "replica-1", "replica-2")
 	late.Start()
 	t.Cleanup(late.Stop)
-	eventually(t, 2*time.Second, func() bool {
+	eventually(t, 10*time.Second, func() bool {
 		_, ok := late.Get("k1")
 		return ok
 	}, "pull did not reconcile the late replica")
@@ -138,7 +148,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 			t.Fatalf("send: %v", err)
 		}
 	}
-	eventually(t, 2*time.Second, func() bool {
+	eventually(t, 10*time.Second, func() bool {
 		return replicas[0].HasUpdate(u1.ID())
 	}, "out-of-order push not processed")
 
@@ -148,7 +158,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	// compaction can drop the log entries the GC orphaned.
 	replicas[0].Delete("k1")
 	time.Sleep(5 * time.Millisecond) // let retention and TTL lapse
-	eventually(t, 4*time.Second, func() bool {
+	eventually(t, 10*time.Second, func() bool {
 		// Refresh the frontier: every peer re-pulls so replica-0 records
 		// caught-up clocks (the eager pulls at Start recorded empty ones,
 		// pinning the pointwise minimum at zero), and ext files replica-0's
@@ -179,7 +189,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	snap.AddPeers("replica-0")
 	snap.Start()
 	t.Cleanup(snap.Stop)
-	eventually(t, 2*time.Second, func() bool {
+	eventually(t, 10*time.Second, func() bool {
 		o := rec.observed()
 		return o[MetricSnapshotServed] > 0 && o[MetricSnapshotCatchups] > 0
 	}, "compacted replica did not serve a snapshot catch-up")

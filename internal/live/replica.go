@@ -141,14 +141,18 @@ func (c Config) Validate() error {
 }
 
 // Replica is a live protocol node. Create with NewReplica, then Start; Stop
-// releases the background puller. All methods are safe for concurrent use.
+// releases the background puller, the janitor and the per-peer senders — a
+// replica that was never Started still spawns senders once it has something
+// to send. All methods are safe for concurrent use.
 //
 // Replica is a thin adapter: the §4/§6 state machine lives in
 // internal/engine, shared verbatim with the simulator. This type serialises
-// engine access behind a mutex, converts engine messages to wire envelopes,
-// and — because transports deliver synchronously — queues outbound sends and
-// hook events during each engine call and flushes them after releasing the
-// lock, so no transport or user callback ever runs under the mutex.
+// engine access behind a mutex and queues the sends and hook events of each
+// engine call, handling them after releasing the lock: events go to the
+// user's hooks, sends into the destination's coalescing sender (sender.go),
+// which alone converts them to wire envelopes and touches the transport. No
+// transport or user callback ever runs under the mutex, and no caller of
+// Publish or of the inbound handler ever waits on a peer's link.
 type Replica struct {
 	cfg       Config
 	transport Transport
@@ -159,16 +163,9 @@ type Replica struct {
 	mu      sync.Mutex
 	eng     *engine.Engine[string]
 	rng     *rand.Rand
-	outbox  []outboundBatch
+	outbox  []outbound
 	pending []protoEvent
 
-	// coalesce selects the per-peer coalescing sender path (sender.go). It
-	// is on exactly when the transport can accept pre-encoded frames —
-	// i.e. on TCP — and off on the synchronous in-memory transports, whose
-	// direct delivery the cross-validation tests depend on. The engine's
-	// DeferPullRender follows it: with coalescing on, pull responses leave
-	// the engine as unrendered intents and are rendered at send time.
-	coalesce bool
 	// sendMu guards the sender registry. sendStopped mirrors the replica
 	// stopping so no sender goroutine can be registered after Stop begins
 	// waiting on bg.
@@ -185,13 +182,13 @@ type Replica struct {
 	once sync.Once
 }
 
-// outboundBatch is one queued transport send: one engine message bound for
-// one or more destinations, converted to wire form after the replica lock
-// is released. The engine's push fanout emits the same message to k peers
-// back to back; the endpoint coalesces those into a single batch so the
-// flush encodes the envelope once and reuses the bytes for every
-// destination (via FrameSender when the transport offers it).
-type outboundBatch struct {
+// outbound is one queued engine send: one message bound for one or more
+// destinations, deposited into their senders after the replica lock is
+// released. The engine's push fanout emits the same push to k peers back to
+// back; the endpoint folds those into one entry, because k copies of the
+// message per update in a freshly grown outbox cost saturate_publish a tenth
+// of its throughput in allocation alone (ten interleaved pairs, ISSUE 24).
+type outbound struct {
 	tos []string
 	msg engine.Message[string]
 }
@@ -228,27 +225,16 @@ func (ep liveEndpoint) Now() int64       { return time.Now().UnixNano() }
 func (ep liveEndpoint) Rand() *rand.Rand { return ep.r.rng }
 func (ep liveEndpoint) Send(to string, m engine.Message[string]) {
 	r := ep.r
-	if m.Kind == engine.KindPush && len(r.outbox) > 0 {
-		// The engine's sendPushes loop emits one identical message per
-		// target: same update, same round counter, and the same carried-list
-		// slice (compared by identity — the engine renders it once per
-		// batch). Fold consecutive targets into the previous batch.
-		last := &r.outbox[len(r.outbox)-1]
-		if last.msg.Kind == engine.KindPush && last.msg.T == m.T &&
-			last.msg.Update.Origin == m.Update.Origin &&
-			last.msg.Update.Seq == m.Update.Seq &&
-			sameSlice(last.msg.RF, m.RF) {
+	if n := len(r.outbox); n > 0 && m.Kind == engine.KindPush {
+		// Same update as the entry before it: the next target of one fanout.
+		// The carried list needs no comparing — senders render it when the
+		// push leaves (RenderPush), not from the deposit.
+		if last := &r.outbox[n-1]; last.msg.Kind == engine.KindPush && last.msg.Update.Ref() == m.Update.Ref() {
 			last.tos = append(last.tos, to)
 			return
 		}
 	}
-	r.outbox = append(r.outbox, outboundBatch{tos: []string{to}, msg: m})
-}
-
-// sameSlice reports whether two slices are the same view of the same
-// backing array (identity, not element comparison).
-func sameSlice(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	r.outbox = append(r.outbox, outbound{tos: []string{to}, msg: m})
 }
 
 // NewReplica builds a replica on the given transport. The transport's
@@ -268,14 +254,12 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	if retain == 0 {
 		retain = store.DefaultTombstoneRetention
 	}
-	_, framed := transport.(FrameSender)
 	r := &Replica{
 		cfg:       cfg,
 		transport: transport,
 		addr:      transport.Addr(),
 		st:        store.NewShardedWithRetention(cfg.Shards, retain),
 		rng:       rand.New(rand.NewSource(seed)),
-		coalesce:  framed,
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
 	}
@@ -299,7 +283,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		FrontierTTL:     cfg.frontierTTL().Nanoseconds(),
 		LazySweep:       true,
 		QueryLocalVoice: true,
-		DeferPullRender: r.coalesce,
+		DeferPullRender: true,
 		ValidID:         func(addr string) bool { return addr != "" },
 		Hooks: engine.Hooks[string]{
 			OnApply: func(u store.Update, res store.ApplyResult, src Source, branches int) {
@@ -344,7 +328,7 @@ func (r *Replica) run(f func(e *engine.Engine[string])) {
 	r.flush(events, out)
 }
 
-func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
+func (r *Replica) flush(events []protoEvent, out []outbound) {
 	for _, ev := range events {
 		switch ev.kind {
 		case evApply:
@@ -369,47 +353,8 @@ func (r *Replica) flush(events []protoEvent, out []outboundBatch) {
 			r.walAppendFrontier(ev.frontier)
 		}
 	}
-	if r.coalesce {
-		r.depositOut(out)
-		return
-	}
-	for i := range out {
-		b := &out[i]
-		env := envelopeFromEngine(r.addr, b.msg)
-		if r.cfg.Metrics != nil {
-			var name string
-			switch env.Kind {
-			case wire.KindPush:
-				name = MetricPushSent
-			case wire.KindPullReq:
-				name = MetricPullRequests
-			case wire.KindPullResp:
-				name = MetricPullServed
-			case wire.KindAck:
-				name = MetricAckSent
-			case wire.KindQuery:
-				name = MetricQuerySent
-			case wire.KindSnapshot:
-				if env.Last {
-					name = MetricSnapshotServed
-				}
-			}
-			if name != "" {
-				r.cfg.Metrics.Add(name, float64(len(b.tos)))
-			}
-		}
-		// Offline targets are the normal case; send errors are dropped.
-		for _, to := range b.tos {
-			_ = r.transport.Send(to, env)
-		}
-	}
-}
-
-// depositOut routes one flushed outbox into the per-peer coalescing senders,
-// whose engine.Pending merges each message by class. Metrics for these sends
-// fire at transmission time in the sender, not here — a coalesced-away push
-// was never sent.
-func (r *Replica) depositOut(out []outboundBatch) {
+	// Metrics for these sends fire at transmission time in the sender, not
+	// here — a coalesced-away push was never sent.
 	for i := range out {
 		for _, to := range out[i].tos {
 			r.depositTo(to, out[i].msg)

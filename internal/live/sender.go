@@ -173,8 +173,6 @@ func (s *peerSender) flush(p *engine.Pending[string]) {
 		case m.IsPullIntent():
 			intent = m
 			continue
-		case m.Kind == engine.KindPullResp:
-			r.inc(MetricPullServed)
 		case m.Kind == engine.KindQuery:
 			r.inc(MetricQuerySent)
 		}

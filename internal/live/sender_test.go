@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/wire"
 )
 
 // Tests for the coalescing per-peer senders: bounded sender memory behind a
@@ -124,6 +125,69 @@ func TestSlowConsumerBoundedPending(t *testing.T) {
 	if totalTraffic < 4*bound {
 		t.Fatalf("fixture too small: %dB published vs bound %dB — bound proves nothing", totalTraffic, bound)
 	}
+}
+
+// TestSlowHubPeerDoesNotBlockPublish is the same property on the in-memory
+// hub, whose delivery is a synchronous call into the receiver's handler: a
+// peer whose handler blocks parks only the publisher's sender for it. Publish
+// keeps returning, the pending delta stays O(keys) while a thousand
+// overwrites pile up behind the blocked delivery, and once the handler is
+// released the peer receives the newest version of every key.
+func TestSlowHubPeerDoesNotBlockPublish(t *testing.T) {
+	_, replicas := newCluster(t, 2, Config{Fanout: 1, PullAttempts: 0})
+	pub, slow := replicas[0], replicas[1]
+	blocked := make(chan struct{})
+	release := sync.OnceFunc(func() { close(blocked) })
+	slow.transport.SetHandler(func(env wire.Envelope) {
+		<-blocked
+		slow.handle(env)
+	})
+	// Cleanups run last in, first out: the handler is released before the
+	// cluster's Stops wait for the sender it parks.
+	t.Cleanup(release)
+
+	const keys, rounds = 4, 250
+	final := make([]store.Update, keys)
+	var totalTraffic int64
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for i := 0; i < rounds; i++ {
+			for k := 0; k < keys; k++ {
+				u, _ := pub.Publish(fmt.Sprintf("hot-%d", k), []byte(fmt.Sprintf("v%d", i)))
+				final[k] = u
+				totalTraffic += int64(u.SizeBytes())
+			}
+		}
+	}()
+	select {
+	case <-published:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Publish blocked behind a peer whose handler does not return")
+	}
+
+	var liveBytes int64
+	for _, u := range final {
+		liveBytes += int64(u.SizeBytes())
+	}
+	_, peak := pub.PendingSendBytes()
+	bound := 2*liveBytes + 4<<10
+	if peak > bound {
+		t.Fatalf("peak pending %dB exceeds live-state bound %dB (live %dB)", peak, bound, liveBytes)
+	}
+	if totalTraffic < 4*bound {
+		t.Fatalf("fixture too small: %dB published vs bound %dB — bound proves nothing", totalTraffic, bound)
+	}
+
+	release()
+	eventually(t, 10*time.Second, func() bool {
+		for k, u := range final {
+			if rev, ok := slow.Get(fmt.Sprintf("hot-%d", k)); !ok || string(rev.Value) != string(u.Value) {
+				return false
+			}
+		}
+		return true
+	}, "released peer did not receive the newest version of every key")
 }
 
 // TestPeerRestartReceivesMergedNewestState kills a peer, keeps publishing

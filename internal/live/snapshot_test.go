@@ -198,6 +198,7 @@ func TestTornSnapshotStreamIsNotAdopted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(r.Stop)
 		return r
 	}
 	rec := &recordingMetrics{}
@@ -233,11 +234,10 @@ func TestTornSnapshotStreamIsNotAdopted(t *testing.T) {
 	untouched("trailer after a lost chunk")
 
 	b.AddPeers("a")
-	b.PullNow() // the hub delivers synchronously: request, stream, adoption
-	if !caughtUp(a, b) {
-		t.Fatalf("next pull did not complete the catch-up: clock %v, want %v",
-			b.Store().Clock(), a.Store().Clock())
-	}
+	b.PullNow() // request, stream and adoption each cross a sender goroutine
+	eventually(t, 10*time.Second, func() bool {
+		return caughtUp(a, b) && rec.observed()[MetricSnapshotCatchups] >= 1
+	}, "next pull did not complete the catch-up")
 	if n := rec.observed()[MetricSnapshotCatchups]; n != 1 {
 		t.Fatalf("%v catch-ups counted, want 1", n)
 	}
@@ -254,9 +254,6 @@ func (f *failingBatchTransport) Addr() string                     { return "send
 func (f *failingBatchTransport) SetHandler(Handler)               {}
 func (f *failingBatchTransport) Close() error                     { return nil }
 func (f *failingBatchTransport) Send(string, wire.Envelope) error { return errors.New("unused") }
-func (f *failingBatchTransport) SendFrame(to string, fr *wire.Frame) error {
-	return f.SendFrames(to, []*wire.Frame{fr})
-}
 func (f *failingBatchTransport) SendFrames(_ string, frames []*wire.Frame) error {
 	if f.budget == 0 {
 		return errors.New("link down")

@@ -5,7 +5,9 @@
 // Two transports ship with the package: an in-memory hub for tests and
 // examples, and a TCP transport (length-prefixed binary framing, see
 // internal/wire) for actual deployments — the paper's position that the
-// physical layer is orthogonal (§1) made concrete.
+// physical layer is orthogonal (§1) made concrete. A replica reaches either
+// the same way, through its per-peer coalescing senders (sender.go): the
+// transport decides only how a rendered batch crosses the link.
 package live
 
 import (
@@ -28,7 +30,9 @@ type Transport interface {
 	// Addr returns the local address other replicas use to reach this one.
 	Addr() string
 	// Send delivers an envelope to the given address, best effort: sends to
-	// unknown or offline addresses report an error but must not block.
+	// unknown or offline addresses report an error. It is called from the
+	// destination's sender goroutine, so a Send that blocks on a slow peer
+	// delays only that peer's traffic.
 	Send(to string, env wire.Envelope) error
 	// SetHandler registers the inbound callback; must be called before the
 	// first Send to this transport.
@@ -37,11 +41,9 @@ type Transport interface {
 	Close() error
 }
 
-// FrameSender is implemented by transports that accept pre-encoded binary
-// frames. A push fanout encodes its envelope once (wire.NewFrame) and hands
-// the same frame to every destination; the transport retains the frame for
-// as long as its queues need it. Transports without this fast path receive
-// the envelope through Send once per destination instead.
+// FrameSender is implemented by transports that accept one pre-encoded
+// binary frame (wire.NewFrame). The replica does not select on it: it sends
+// through FrameBatchSender where offered and Send otherwise.
 type FrameSender interface {
 	SendFrame(to string, f *wire.Frame) error
 }
@@ -49,7 +51,8 @@ type FrameSender interface {
 // FrameBatchSender is implemented by transports that can deliver several
 // pre-encoded frames to one destination as a single write+flush. The
 // coalescing per-peer senders use it so that an entire merged delta — pushes,
-// a pull response, acks — costs one syscall on the wire. The frames are only
+// a pull response, acks — costs one syscall on the wire; on a transport
+// without it the batch goes out as one Send per envelope. The frames are only
 // borrowed for the duration of the call.
 type FrameBatchSender interface {
 	SendFrames(to string, fs []*wire.Frame) error
@@ -150,8 +153,9 @@ func (t *MemTransport) SetHandler(h Handler) {
 	t.handler = h
 }
 
-// Send implements Transport. Delivery is synchronous in the caller's
-// goroutine; the replica's handler dispatches to its own loop.
+// Send implements Transport. Delivery is a synchronous call into the
+// receiver's handler on the caller's goroutine — for a replica, the sender
+// goroutine of that one destination.
 func (t *MemTransport) Send(to string, env wire.Envelope) error {
 	t.mu.RLock()
 	closed := t.closed

@@ -94,23 +94,26 @@ func (l *originLog) insertOrigin(origin string) {
 	l.origins[idx] = origin
 }
 
-// compact drops log entries at or below the frontier that no longer back a
-// coexisting revision (retain reports whether an entry still does) and
-// advances the per-origin compacted watermark. The watermark never passes the
-// clock's contiguous prefix: a hole in the log is an in-flight update, not
-// history, and must stay pullable. Returns the number of entries dropped.
+// compact drops log entries at or below the frontier that retain rejects
+// (see retainsInLog) and advances the per-origin compacted watermark. The
+// watermark never passes the clock's contiguous prefix: a hole in the log is
+// an in-flight update, not history, and must stay pullable. Entries an
+// earlier pass retained below the watermark are judged again on every pass —
+// an origin gone quiet cannot advance its watermark, but what it wrote can
+// still be overwritten — and an origin with nothing resident at or below its
+// watermark costs O(1). Returns the number of entries dropped.
 func (l *originLog) compact(frontier version.Clock, retain func(Update) bool) int {
 	dropped := 0
 	for _, o := range l.origins {
-		limit := frontier.Get(o)
-		if c := l.clock.Get(o); c < limit {
-			limit = c
+		if limit := min(frontier.Get(o), l.clock.Get(o)); limit > l.compacted.Get(o) {
+			l.compacted[o] = limit
 		}
-		if limit <= l.compacted.Get(o) {
+		through := l.compacted.Get(o)
+		log := l.log[o]
+		if len(log) == 0 || log[0].Seq > through {
 			continue
 		}
-		log := l.log[o]
-		end := seqSearch(log, limit+1)
+		end := seqSearch(log, through+1)
 		kept := log[:0]
 		for _, u := range log[:end] {
 			if retain(u) {
@@ -125,7 +128,6 @@ func (l *originLog) compact(frontier version.Clock, retain func(Update) bool) in
 			log[i] = Update{}
 		}
 		l.log[o] = kept
-		l.compacted[o] = limit
 	}
 	return dropped
 }
@@ -264,11 +266,17 @@ func applyRevision(items map[string][]Revision, u Update) ApplyResult {
 	return Applied
 }
 
+// The two predicates below decide what is history. They are a pair, not
+// complements: between them lies an entry with no revision of its own and
+// none newer — either an update Sharded.apply has recorded in the log but
+// not merged yet (in flight), or one whose revision the tombstone GC
+// collected. Only the store knows which, so each caller states its side:
+// LiveCut, read-only and concurrent with applies, ships everything not
+// supersededBy; compaction keeps what retainsInLog says.
+
 // backsRevision reports whether u's version still heads a coexisting branch
-// of its key — the retention predicate of log compaction. Snapshots replay
-// the log, so entries backing current branches (live or tombstoned) must
-// survive compaction; everything else below the frontier is superseded
-// history nothing can ask for any more.
+// of its key. Snapshots replay the log, so entries backing current branches
+// (live or tombstoned) must survive compaction.
 func backsRevision(items map[string][]Revision, u Update) bool {
 	for _, r := range items[u.Key] {
 		if r.Version.Compare(u.Version) == version.Equal {
@@ -279,12 +287,9 @@ func backsRevision(items map[string][]Revision, u Update) bool {
 }
 
 // supersededBy reports whether a resident revision of u's key is strictly
-// newer than u — the drop predicate of the live cut (LiveCut). It is
-// deliberately not the complement of backsRevision: Sharded.apply records an
-// update in the log before it merges the revision, so "no revision has this
-// version" also describes an update still in flight, and dropping that one
-// behind a frontier that covers its sequence number would lose it for good.
-// An entry is history only once something resident has overwritten it.
+// newer than u: an entry is certainly history once something resident has
+// overwritten it. Revisions of one key are pairwise concurrent, so an entry
+// that backsRevision is never supersededBy.
 func supersededBy(items map[string][]Revision, u Update) bool {
 	for _, r := range items[u.Key] {
 		if r.Version.Compare(u.Version) == version.After {
@@ -292,6 +297,21 @@ func supersededBy(items map[string][]Revision, u Update) bool {
 		}
 	}
 	return false
+}
+
+// retainsInLog is the retention predicate of log compaction. With no apply
+// between its log record and its revision merge, an entry survives exactly
+// when it backsRevision: everything else below the frontier is superseded or
+// collected history nothing can ask for any more. While such an apply may be
+// in flight, an entry without a revision may be that apply's — dropping it
+// behind a frontier that covers its sequence number would lose it for good —
+// so only entries supersededBy something resident go; the rest are judged
+// again by the next pass.
+func retainsInLog(items map[string][]Revision, u Update, applyInFlight bool) bool {
+	if applyInFlight {
+		return !supersededBy(items, u)
+	}
+	return backsRevision(items, u)
 }
 
 // expireRevisions tombstones live revisions whose Stamp is at least ttl old

@@ -40,8 +40,10 @@ import (
 // reader can momentarily see an update in the log (clock, MissingFor) before
 // it reaches the revision map. For readers of the log alone — anti-entropy
 // deltas, disk snapshots — that is indistinguishable from the update having
-// been applied just before the read. LiveCut reads both halves, and treats
-// "no revision yet" as in flight, never as superseded (see supersededBy).
+// been applied just before the read. LiveCut and CompactLog read both halves
+// and treat "no revision yet" as in flight, never as history: LiveCut always
+// (supersededBy), CompactLog for the log shards whose inFlight count says an
+// apply is inside the window (retainsInLog).
 type Sharded struct {
 	logs  []logShard
 	items []itemShard
@@ -60,6 +62,10 @@ type Sharded struct {
 type logShard struct {
 	mu   sync.RWMutex
 	data originLog
+	// inFlight counts applies that recorded an update in this shard and have
+	// not merged its revision yet. Raised under mu, so a holder of mu reads
+	// zero only when every entry of the shard has had its merge.
+	inFlight atomic.Int32
 }
 
 // itemShard is one independently locked slice of the revision map.
@@ -169,6 +175,7 @@ func (s *Sharded) apply(u Update) (ApplyResult, int) {
 		return Duplicate, s.BranchCount(u.Key)
 	}
 	ls.data.record(u)
+	ls.inFlight.Add(1)
 	ls.mu.Unlock()
 
 	is := s.itemFor(u.Key)
@@ -176,6 +183,7 @@ func (s *Sharded) apply(u Update) (ApplyResult, int) {
 	res := applyRevision(is.items, u)
 	branches := len(is.items[u.Key])
 	is.mu.Unlock()
+	ls.inFlight.Add(-1)
 	return res, branches
 }
 
@@ -369,7 +377,9 @@ func (s *Sharded) LiveCut() ([]Update, version.Clock) {
 // a coexisting revision, advancing the compacted watermark. It takes the
 // whole-store lock order (all log shards ascending, then all item shards)
 // because the retention predicate reads the revision maps while the logs are
-// being rewritten.
+// being rewritten. Holding the log locks freezes each shard's inFlight count
+// from rising, so a shard read at zero is judged exactly and any other
+// conservatively (retainsInLog).
 func (s *Sharded) CompactLog(frontier version.Clock) int {
 	for i := range s.logs {
 		s.logs[i].mu.Lock()
@@ -377,12 +387,12 @@ func (s *Sharded) CompactLog(frontier version.Clock) int {
 	for i := range s.items {
 		s.items[i].mu.RLock()
 	}
-	retain := func(u Update) bool {
-		return backsRevision(s.items[pgrid.PathBits(u.Key)>>s.shift].items, u)
-	}
 	dropped := 0
 	for i := range s.logs {
-		dropped += s.logs[i].data.compact(frontier, retain)
+		inFlight := s.logs[i].inFlight.Load() != 0
+		dropped += s.logs[i].data.compact(frontier, func(u Update) bool {
+			return retainsInLog(s.itemFor(u.Key).items, u, inFlight)
+		})
 	}
 	for i := len(s.items) - 1; i >= 0; i-- {
 		s.items[i].mu.RUnlock()

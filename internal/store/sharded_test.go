@@ -345,6 +345,71 @@ func TestLiveCutKeepsInFlightUpdate(t *testing.T) {
 	}
 }
 
+// TestCompactLogKeepsInFlightUpdate pins compaction's retention rule on the
+// same mid-apply state: a frontier that already covers an update recorded in
+// the log but not yet merged must not drop it — the clock vouches for it and
+// no peer would accept a later copy — while an entry whose revision is gone
+// because its tombstone was collected is still history.
+func TestCompactLogKeepsInFlightUpdate(t *testing.T) {
+	w, err := NewWriter("origin", New(), nil, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := w.Put("k", []byte("v1"))
+	second := w.Put("k", []byte("v2")) // overwrites first
+	other := w.Put("j", []byte("w"))   // a key with no revision at all yet
+
+	src := NewSharded(4)
+	src.Apply(first)
+	inFlight := []Update{second, other}
+	for _, u := range inFlight {
+		ls := src.logFor(u.Origin)
+		ls.mu.Lock()
+		ls.data.record(u)
+		ls.inFlight.Add(1)
+		ls.mu.Unlock()
+	}
+	if n := src.CompactLog(src.Clock()); n != 0 {
+		t.Fatalf("compaction mid-apply dropped %d entries; none is superseded by anything resident", n)
+	}
+	if got, want := fmt.Sprint(refsOf(src.MissingFor(nil))), fmt.Sprint(refsOf([]Update{first, second, other})); got != want {
+		t.Fatalf("log mid-apply = %s, want %s", got, want)
+	}
+
+	// The applies complete; only now is the first write history.
+	for _, u := range inFlight {
+		is := src.itemFor(u.Key)
+		is.mu.Lock()
+		applyRevision(is.items, u)
+		is.mu.Unlock()
+		src.logFor(u.Origin).inFlight.Add(-1)
+	}
+	if n := src.CompactLog(src.Clock()); n != 1 {
+		t.Fatalf("compaction after the applies dropped %d entries, want 1 (the overwritten write)", n)
+	}
+	want := NewSharded(4)
+	for _, u := range []Update{first, second, other} {
+		want.Apply(u)
+	}
+	if !src.Equal(want) {
+		t.Fatal("state differs from a store that applied the same updates undisturbed")
+	}
+
+	// A collected tombstone has no revision either, and nothing in flight
+	// excuses it: both the delete and the write it covered are dropped.
+	del := w.Delete("j")
+	src.Apply(del)
+	if n := src.GCTombstones(del.Stamp.Add(2 * DefaultTombstoneRetention)); n != 1 {
+		t.Fatalf("GC collected %d tombstones, want 1", n)
+	}
+	if n := src.CompactLog(src.Clock()); n != 2 {
+		t.Fatalf("compaction after the GC dropped %d entries, want 2", n)
+	}
+	if got, want := fmt.Sprint(refsOf(src.MissingFor(nil))), fmt.Sprint(refsOf([]Update{second})); got != want {
+		t.Fatalf("resident log = %s, want %s", got, want)
+	}
+}
+
 // TestNormalizeShards pins the shard-count rounding rule.
 func TestNormalizeShards(t *testing.T) {
 	cases := map[int]int{

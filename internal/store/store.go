@@ -337,7 +337,7 @@ func (s *Store) CompactLog(frontier version.Clock) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.data.compact(frontier, func(u Update) bool {
-		return backsRevision(s.items, u)
+		return retainsInLog(s.items, u, false) // one lock: no apply is ever half done
 	})
 }
 

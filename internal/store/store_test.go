@@ -439,3 +439,39 @@ func TestClockGapSemantics(t *testing.T) {
 		t.Fatal("stores did not converge after gap repair")
 	}
 }
+
+// TestCompactLogRevisitsRetainedEntries: an entry compaction retained below
+// the watermark because it backed a revision is dropped by a later pass once
+// something overwrote it, even when its origin's watermark cannot advance —
+// the origin went quiet, so frontier and clock stay where the watermark is.
+func TestCompactLogRevisitsRetainedEntries(t *testing.T) {
+	for name, st := range map[string]Backend{"store": New(), "sharded": NewSharded(4)} {
+		t.Run(name, func(t *testing.T) {
+			quiet, err := NewWriter("quiet", st, nil, rand.New(rand.NewSource(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			busy, err := NewWriter("busy", st, nil, rand.New(rand.NewSource(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quiet.Put("k", []byte("v1"))
+			if n := st.CompactLog(st.Clock()); n != 0 || st.CompactedThrough().Get("quiet") != 1 {
+				t.Fatalf("first pass dropped %d, watermark %v; want the live write retained under quiet:1",
+					n, st.CompactedThrough())
+			}
+			busy.Put("k", []byte("v2")) // overwrites the retained entry
+			if n := st.CompactLog(st.Clock()); n != 1 {
+				t.Fatalf("second pass dropped %d entries, want the overwritten write below the stuck watermark", n)
+			}
+			if got := st.UpdateCount(); got != 1 {
+				t.Fatalf("%d entries resident, want 1", got)
+			}
+			// Nothing left at or below either watermark but live state: a
+			// further pass is a no-op.
+			if n := st.CompactLog(st.Clock()); n != 0 {
+				t.Fatalf("third pass dropped %d entries", n)
+			}
+		})
+	}
+}

@@ -143,9 +143,7 @@ type Envelope struct {
 	T int
 	// Clock is the requester's vector clock for KindPullReq and, on the Last
 	// chunk of a KindSnapshot stream, the responder's frontier. It is carried
-	// directly — the hot path pays no map copy (the old ClockToWire /
-	// ClockFromWire round trip survives only as the compat shim in
-	// convert.go).
+	// directly — the hot path pays no map copy.
 	Clock version.Clock
 	// Updates are the missing updates for KindPullResp and the records of
 	// one KindSnapshot chunk.

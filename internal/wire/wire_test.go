@@ -104,22 +104,3 @@ func TestKindString(t *testing.T) {
 		t.Fatalf("unknown kind = %q", got)
 	}
 }
-
-func TestClockConversions(t *testing.T) {
-	c := version.NewClock()
-	c["a"] = 3
-	c["b"] = 9
-	w := ClockToWire(c)
-	if len(w) != 2 || w["b"] != 9 {
-		t.Fatalf("ClockToWire = %v", w)
-	}
-	// Mutating the wire form must not touch the original.
-	w["a"] = 99
-	if c["a"] != 3 {
-		t.Fatal("ClockToWire aliases the clock")
-	}
-	back := ClockFromWire(w)
-	if back.Get("a") != 99 || back.Get("b") != 9 {
-		t.Fatalf("ClockFromWire = %v", back)
-	}
-}

@@ -117,8 +117,10 @@ func WithTCP(addr string) Option {
 }
 
 // WithHub attaches the node to an in-memory Hub under the given address —
-// the transport of choice for tests and single-process examples. Exactly one
-// of WithTCP, WithHub, or WithTransport must be given.
+// the transport of choice for tests and single-process examples. The node
+// sends through the same per-peer coalescing senders as on TCP, so delivery
+// is asynchronous: Publish returns before any peer has applied the update.
+// Exactly one of WithTCP, WithHub, or WithTransport must be given.
 func WithHub(hub *Hub, addr string) Option {
 	return func(o *nodeOptions) {
 		o.transports++
@@ -182,17 +184,6 @@ func WithListMax(n int) Option {
 		o.cfg.PartialList = true
 		o.cfg.ListMax = n
 	}
-}
-
-// WithShards sets the node's store shard count, the lock-striping unit of
-// the parallel ingest path: updates route to shards by the P-Grid trie hash
-// of their origin (log, duplicate detection, clock segment) and key (live
-// revisions), so more shards mean less contention between concurrent
-// connections. The count rounds up to a power of two; 0 (the default)
-// selects store.DefaultShards, and 1 degenerates to a single-lock store.
-// Snapshot bytes are independent of the shard count.
-func WithShards(n int) Option {
-	return func(o *nodeOptions) { o.cfg.Shards = n }
 }
 
 // WithSeed seeds the node's random source, making peer sampling and

@@ -1,6 +1,7 @@
 package pushpull_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,36 +12,35 @@ import (
 // through the facade only.
 func TestPublicAPIQuickstart(t *testing.T) {
 	hub := pushpull.NewHub()
+	ctx := context.Background()
 	const n = 5
-	replicas := make([]*pushpull.Replica, n)
 	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	for i := range addrs {
 		addrs[i] = string(rune('a' + i))
-		tr, err := hub.Attach(addrs[i])
+	}
+	nodes := make([]*pushpull.Node, n)
+	for i := range nodes {
+		node, err := pushpull.Open(
+			pushpull.WithHub(hub, addrs[i]),
+			pushpull.WithPeers(addrs...),
+			pushpull.WithPullInterval(5*time.Millisecond),
+			pushpull.WithSeed(int64(i)+1),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := pushpull.DefaultReplicaConfig()
-		cfg.PullInterval = 5 * time.Millisecond
-		cfg.Seed = int64(i) + 1
-		r, err := pushpull.NewReplica(cfg, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replicas[i] = r
+		defer node.Close(ctx)
+		nodes[i] = node
 	}
-	for _, r := range replicas {
-		r.AddPeers(addrs...)
-		r.Start()
-		defer r.Stop()
+	if _, err := nodes[0].Publish(ctx, "greeting", []byte("hello")); err != nil {
+		t.Fatal(err)
 	}
-	replicas[0].Publish("greeting", []byte("hello"))
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		done := true
-		for _, r := range replicas {
-			if rev, ok := r.Get("greeting"); !ok || string(rev.Value) != "hello" {
+		for _, node := range nodes {
+			if rev, ok := node.Get("greeting"); !ok || string(rev.Value) != "hello" {
 				done = false
 				break
 			}
