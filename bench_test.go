@@ -238,7 +238,7 @@ func BenchmarkPullAnalysis(b *testing.B) {
 // --- Micro-benchmarks of hot paths ---
 
 func BenchmarkStoreApply(b *testing.B) {
-	st := store.New()
+	st := store.NewSharded(1)
 	w, err := store.NewWriter("o", st, time.Now, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
@@ -247,7 +247,7 @@ func BenchmarkStoreApply(b *testing.B) {
 	for i := range updates {
 		updates[i] = w.Put(fmt.Sprintf("k%d", i%50), []byte("value"))
 	}
-	dst := store.New()
+	dst := store.NewSharded(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.Apply(updates[i%len(updates)])
@@ -255,7 +255,7 @@ func BenchmarkStoreApply(b *testing.B) {
 }
 
 func BenchmarkStoreMissingFor(b *testing.B) {
-	st := store.New()
+	st := store.NewSharded(1)
 	w, err := store.NewWriter("o", st, time.Now, rand.New(rand.NewSource(2)))
 	if err != nil {
 		b.Fatal(err)
@@ -315,7 +315,7 @@ func BenchmarkPGridRoute(b *testing.B) {
 }
 
 func BenchmarkWireEncodeDecode(b *testing.B) {
-	st := store.New()
+	st := store.NewSharded(1)
 	w, err := store.NewWriter("o", st, time.Now, rand.New(rand.NewSource(4)))
 	if err != nil {
 		b.Fatal(err)

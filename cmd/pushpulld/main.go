@@ -23,7 +23,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -40,7 +39,6 @@ import (
 	pushpull "github.com/p2pgossip/update"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/serve"
-	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wal"
 )
 
@@ -117,8 +115,11 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 	// path; otherwise restore a previous incarnation's snapshot, counting the
 	// restored updates so /v1/state can reconcile apply counters across the
 	// restart.
-	var walLog *pushpull.WAL
-	restored := 0
+	var (
+		walLog   *pushpull.WAL
+		snapshot pushpull.Option // restores the -snapshot file; nil when there is none
+		restored int
+	)
 	switch {
 	case *walDir != "":
 		if *snapshotPath != "" {
@@ -143,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		defer walLog.Close()
 		opts = append(opts, pushpull.WithWAL(walLog), pushpull.WithWALCheckpoint(*walCheckpoint))
 	case *snapshotPath != "":
-		raw, err := os.ReadFile(*snapshotPath)
+		f, err := os.Open(*snapshotPath)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			// First boot: nothing to restore.
@@ -151,24 +152,29 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 			fmt.Fprintf(stderr, "pushpulld: read snapshot %s: %v\n", *snapshotPath, err)
 			return 1
 		default:
-			st, err := store.ReadSnapshot(bytes.NewReader(raw), 0)
-			switch {
-			case err != nil && *strictRestore:
-				fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable: %v\n", *snapshotPath, err)
-				return 1
-			case err != nil:
-				fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable (%v); starting empty, anti-entropy will catch up\n", *snapshotPath, err)
-			default:
-				restored = st.UpdateCount()
-				opts = append(opts, pushpull.WithSnapshot(bytes.NewReader(raw)))
-			}
+			defer f.Close()
+			snapshot = pushpull.WithSnapshot(f)
 		}
 	}
 
-	node, err := pushpull.Open(opts...)
-	if err != nil {
+	// Open decodes the snapshot file, the one time it is read; an unusable
+	// one surfaces as ErrSnapshot, after which the node opens empty unless
+	// -strict-restore makes that fatal.
+	node, err := pushpull.Open(append(opts, snapshot)...)
+	if errors.Is(err, pushpull.ErrSnapshot) && !*strictRestore {
+		fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable (%v); starting empty, anti-entropy will catch up\n", *snapshotPath, err)
+		snapshot = nil
+		node, err = pushpull.Open(opts...)
+	}
+	switch {
+	case errors.Is(err, pushpull.ErrSnapshot):
+		fmt.Fprintf(stderr, "pushpulld: snapshot %s unusable: %v\n", *snapshotPath, err)
+		return 1
+	case err != nil:
 		fmt.Fprintf(stderr, "pushpulld: open: %v\n", err)
 		return 1
+	case snapshot != nil:
+		restored = node.Store().UpdateCount()
 	}
 	if rec, ok := node.WALRecovery(); ok {
 		restored = rec.Restored()

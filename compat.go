@@ -29,9 +29,8 @@ type (
 	Update = store.Update
 	// Revision is one coexisting version branch of an item.
 	Revision = store.Revision
-	// Store is a replica's local versioned store. It is the store.Backend
-	// contract: live nodes run the lock-striped sharded implementation, and
-	// the single-lock reference store satisfies it too.
+	// Store is a replica's local versioned store: the store.Backend
+	// contract, which live nodes run on the lock-striped sharded store.
 	Store = store.Backend
 	// Clock is a vector clock summarising received updates.
 	Clock = version.Clock

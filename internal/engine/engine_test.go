@@ -90,7 +90,7 @@ func publishDelete(e *Engine[int], key string) store.Update {
 func newTestEngine(t testing.TB, id int, cfg Config[int], net *testNet) (*Engine[int], *testEndpoint) {
 	t.Helper()
 	ep := &testEndpoint{id: id, rng: rand.New(rand.NewSource(int64(id) + 1)), net: net}
-	st := store.New()
+	st := store.NewSharded(1)
 	now := func() time.Time { return time.Unix(1_700_000_000+ep.now, 0) }
 	w, err := store.NewWriter(fmt.Sprintf("peer-%d", id), st, now,
 		rand.New(rand.NewSource(int64(id)+100)))
@@ -133,7 +133,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	st := store.New()
+	st := store.NewSharded(1)
 	w, err := store.NewWriter("x", st, nil, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // whose versions extend (same writer) or fork (different writers) each other.
 func pendingWriter(t testing.TB, origin string) *store.Writer {
 	t.Helper()
-	w, err := store.NewWriter(origin, store.New(), time.Now, rand.New(rand.NewSource(42)))
+	w, err := store.NewWriter(origin, store.NewSharded(1), time.Now, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 // binary codec frames the equivalent envelope in.
 func TestMessageBytesMatchWire(t *testing.T) {
 	const from = 7
-	w, err := store.NewWriter("peer-7", store.New(), nil, rand.New(rand.NewSource(1)))
+	w, err := store.NewWriter("peer-7", store.NewSharded(1), nil, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -385,26 +385,20 @@ func (p *Peer) Tick(env *simnet.Env) {
 	}
 }
 
-// runJanitor performs one maintenance pass: expire TTL'd keys into
-// tombstones, collect tombstones past retention, and compact the update log
-// up to the stable frontier (the pointwise-minimum clock across recently
-// pulling peers).
+// runJanitor performs one maintenance pass (store.RunJanitor) up to the
+// engine's stable frontier.
 func (p *Peer) runJanitor() {
+	expired, collected, compacted := store.RunJanitor(p.st, p.now(),
+		time.Duration(p.cfg.KeyTTL)*time.Second, p.eng.StableFrontier())
 	reg := p.env.Metrics()
-	now := p.now()
-	if p.cfg.KeyTTL > 0 {
-		ttl := time.Duration(p.cfg.KeyTTL) * time.Second
-		if n := p.st.ExpireTTL(now, ttl); n > 0 {
-			reg.Add(MetricKeysExpired, float64(n))
-		}
+	if expired > 0 {
+		reg.Add(MetricKeysExpired, float64(expired))
 	}
-	if n := p.st.GCTombstones(now); n > 0 {
-		reg.Add(MetricTombstonesGC, float64(n))
+	if collected > 0 {
+		reg.Add(MetricTombstonesGC, float64(collected))
 	}
-	if frontier := p.eng.StableFrontier(); frontier != nil {
-		if n := p.st.CompactLog(frontier); n > 0 {
-			reg.Add(MetricLogCompacted, float64(n))
-		}
+	if compacted > 0 {
+		reg.Add(MetricLogCompacted, float64(compacted))
 	}
 }
 

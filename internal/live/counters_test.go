@@ -134,7 +134,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := store.New()
+	scratch := store.NewSharded(1)
 	w, err := store.NewWriter("ext", scratch, time.Now, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close() // nothing listens here any more: dials are refused
 	sender := newPeerSender(trep, deadAddr)
-	cw, err := store.NewWriter("coal", store.New(), time.Now, rand.New(rand.NewSource(11)))
+	cw, err := store.NewWriter("coal", store.NewSharded(1), time.Now, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func (r *Replica) add(name string, n int) {
 }
 
 // fireApply reports one apply outcome to the metrics sink and the OnApply
-// hook. branches must come from the apply itself (Store.ApplyObserved), not
+// hook. branches must come from the apply itself (Backend.ApplyObserved), not
 // a later BranchCount, so concurrent applies to the key cannot skew it.
 // Called from the post-unlock flush, never with r.mu held.
 func (r *Replica) fireApply(u store.Update, res store.ApplyResult, src Source, branches int) {

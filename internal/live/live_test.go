@@ -264,7 +264,7 @@ func TestEmptyAddressNotLearned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := store.New()
+	src := store.NewSharded(1)
 	w, err := store.NewWriter("writer", src, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -72,10 +72,6 @@ type Config struct {
 	// Seed seeds the replica's random source; 0 draws a seed from
 	// crypto/rand so concurrently created replicas cannot collide.
 	Seed int64
-	// Shards is the lock-stripe count of the replica's sharded store; 0
-	// selects store.DefaultShards, other values round up to a power of two.
-	// More shards let more connection readers apply updates concurrently.
-	Shards int
 	// Hooks observes protocol events (applies, acks, suspicions). All
 	// callbacks are optional; see the Hooks type for the contract.
 	Hooks Hooks
@@ -131,8 +127,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: tombstone retention %v negative", c.TombstoneRetention)
 	case c.KeyTTL < 0:
 		return fmt.Errorf("live: key ttl %v negative", c.KeyTTL)
-	case c.Shards < 0:
-		return fmt.Errorf("live: shards %d negative", c.Shards)
 	case c.WALCheckpointBytes < 0:
 		return fmt.Errorf("live: wal checkpoint threshold %d negative", c.WALCheckpointBytes)
 	default:
@@ -258,7 +252,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		cfg:       cfg,
 		transport: transport,
 		addr:      transport.Addr(),
-		st:        store.NewShardedWithRetention(cfg.Shards, retain),
+		st:        store.NewShardedWithRetention(0, retain),
 		rng:       rand.New(rand.NewSource(seed)),
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
@@ -665,22 +659,18 @@ func (r *Replica) janitorLoop() {
 // pulling peers). The janitor ticker calls it on JanitorInterval; tests and
 // operators may call it directly.
 func (r *Replica) RunJanitor() {
-	now := time.Now()
-	if r.cfg.KeyTTL > 0 {
-		if n := r.st.ExpireTTL(now, r.cfg.KeyTTL); n > 0 {
-			r.add(MetricKeysExpired, n)
-		}
-	}
-	if n := r.st.GCTombstones(now); n > 0 {
-		r.add(MetricTombstonesGC, n)
-	}
 	r.mu.Lock()
 	frontier := r.eng.StableFrontier()
 	r.mu.Unlock()
-	if frontier != nil {
-		if n := r.st.CompactLog(frontier); n > 0 {
-			r.add(MetricLogCompacted, n)
-		}
+	expired, collected, compacted := store.RunJanitor(r.st, time.Now(), r.cfg.KeyTTL, frontier)
+	if expired > 0 {
+		r.add(MetricKeysExpired, expired)
+	}
+	if collected > 0 {
+		r.add(MetricTombstonesGC, collected)
+	}
+	if compacted > 0 {
+		r.add(MetricLogCompacted, compacted)
 	}
 	r.maybeCheckpointWAL()
 }

@@ -21,7 +21,7 @@ import (
 
 func testWriter(t *testing.T, origin string) *store.Writer {
 	t.Helper()
-	w, err := store.NewWriter(origin, store.New(), time.Now, rand.New(rand.NewSource(42)))
+	w, err := store.NewWriter(origin, store.NewSharded(1), time.Now, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatalf("NewWriter: %v", err)
 	}
@@ -65,18 +65,32 @@ func caughtUp(a, b *Replica) bool {
 // TestLiveCutUnderPublishBurst is the cut-safety race test: publishers hammer
 // a node — whose sharded store records an update in the log before it merges
 // the revision — while fresh peers that only ever learn by pull join one
-// after another, each served a live cut mid-burst and deltas from then on. The publishers are remote origins pushing on separate
-// connections, so their applies overlap the way connection readers' do.
-// Half the writes go to keys never written again: a cut that dropped one of
-// those for being "absent from items" would lose it behind the adopted
-// frontier for good (the watermark makes every later copy a duplicate), and
-// that peer could never end Equal. The other half overwrite a few hot keys,
-// which keeps every cut smaller than a newcomer's delta. Run with -race.
+// after another, each served a live cut mid-burst and deltas from then on.
+// The publishers are remote origins pushing on separate connections, so
+// their applies overlap the way connection readers' do. Half the writes go
+// to keys never written again: a cut that dropped one of those for being
+// "absent from items" would lose it behind the adopted frontier for good
+// (the watermark makes every later copy a duplicate), and that peer could
+// never end Equal. The other half overwrite a few hot keys, which keeps
+// every cut smaller than a newcomer's delta. The burst is paced against the
+// cuts: at each quarter of its rounds a publisher waits until one more cut
+// has been served, so at least three land mid-burst however few threads
+// the scheduler has — with one, the publishers would otherwise finish
+// before the first pull is read. Run with -race.
 func TestLiveCutUnderPublishBurst(t *testing.T) {
-	rec := &recordingMetrics{}
-	a := tcpReplica(t, Config{Fanout: 0, SnapshotCatchUp: 1, Seed: 1})
+	rec, served := &recordingMetrics{}, &recordingMetrics{}
+	a := tcpReplica(t, Config{Fanout: 0, SnapshotCatchUp: 1, Seed: 1, Metrics: served})
 
-	const publishers, hot, rounds, joiners = 4, 4, 400, 16
+	const publishers, hot, rounds, joiners, paced = 4, 4, 400, 16, 3
+	awaitCuts := func(n int) bool {
+		for deadline := time.Now().Add(10 * time.Second); served.observed()[MetricSnapshotServed] < float64(n); {
+			if time.Now().After(deadline) {
+				return false
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return true
+	}
 	var wg sync.WaitGroup
 	for p := 0; p < publishers; p++ {
 		w := testWriter(t, fmt.Sprintf("origin-%d", p))
@@ -87,6 +101,10 @@ func TestLiveCutUnderPublishBurst(t *testing.T) {
 				a.handle(wire.Envelope{Kind: wire.KindPush, Update: wire.FromStore(u)})
 			}
 			for i := 0; i < rounds; i++ {
+				if stage := rounds / (paced + 1); i > 0 && i%stage == 0 && !awaitCuts(i/stage) {
+					t.Errorf("publisher %d: cut %d never served", p, i/stage)
+					return
+				}
 				push(w.Put(fmt.Sprintf("once-%d-%d", p, i), []byte("kept")))
 				if key := fmt.Sprintf("hot-%d-%d", p, i%hot); i%97 == 0 {
 					push(w.Delete(key))

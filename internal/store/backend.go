@@ -1,19 +1,16 @@
 package store
 
 import (
-	"bytes"
 	"io"
 	"time"
 
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// Backend is the store contract the protocol layers program against: the
-// single-lock Store and the lock-striped Sharded both satisfy it. The
-// semantics are fixed by the reference Store — Sharded's property tests hold
-// it to Store outcome-for-outcome on random interleaved workloads — so
-// engines, writers, and the serving surface can swap implementations without
-// observable change.
+// Backend is the store contract the protocol layers program against. The
+// lock-striped Sharded is its one implementation; the property tests hold it,
+// at several shard counts, to an independent in-test model of the §3 data
+// model outcome-for-outcome on random interleaved workloads.
 type Backend interface {
 	// Apply ingests one update and returns the outcome. Updates may arrive
 	// in any order and repeatedly; Apply is idempotent per (origin, seq).
@@ -30,7 +27,7 @@ type Backend interface {
 	// BranchCount returns the number of coexisting revisions of key,
 	// including tombstoned branches.
 	BranchCount(key string) int
-	// Get returns the winning revision for key (see Store.Get).
+	// Get returns the winning revision for key (see Sharded.Get).
 	Get(key string) (Revision, bool)
 	// Versions returns copies of all coexisting revisions of key, sorted
 	// deterministically.
@@ -97,31 +94,18 @@ type Backend interface {
 	Reset()
 }
 
-// Interface conformance — keep both implementations honest.
-var (
-	_ Backend = (*Store)(nil)
-	_ Backend = (*Sharded)(nil)
-)
+var _ Backend = (*Sharded)(nil)
 
-// backendEqual is the shared Equal implementation: identical live key sets
-// with byte-equal winning values and Equal winning version histories.
-func backendEqual(a, b Backend) bool {
-	ak, bk := a.Keys(), b.Keys()
-	if len(ak) != len(bk) {
-		return false
+// RunJanitor performs one maintenance pass over st: expire live revisions at
+// least keyTTL old into tombstones (keyTTL <= 0 skips it), collect
+// tombstones past retention, then compact the update log up to frontier —
+// the pointwise-minimum clock across recently pulling peers; nil skips it.
+// It returns the three counts for the caller to report under its own names.
+func RunJanitor(st Backend, now time.Time, keyTTL time.Duration, frontier version.Clock) (expired, collected, compacted int) {
+	expired = st.ExpireTTL(now, keyTTL)
+	collected = st.GCTombstones(now)
+	if frontier != nil {
+		compacted = st.CompactLog(frontier)
 	}
-	for i := range ak {
-		if ak[i] != bk[i] {
-			return false
-		}
-	}
-	for _, k := range ak {
-		ra, okA := a.Get(k)
-		rb, okB := b.Get(k)
-		if okA != okB || !bytes.Equal(ra.Value, rb.Value) ||
-			ra.Version.Compare(rb.Version) != version.Equal {
-			return false
-		}
-	}
-	return true
+	return expired, collected, compacted
 }

@@ -12,9 +12,9 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-func benchStore(b *testing.B, origins, perOrigin int) *Store {
+func benchStore(b *testing.B, origins, perOrigin int) *Sharded {
 	b.Helper()
-	s := New()
+	s := NewSharded(0)
 	stamp := time.Unix(1_700_000_000, 0)
 	vid := version.NewID(stamp, "w", rand.New(rand.NewSource(1)))
 	for o := 0; o < origins; o++ {
@@ -69,7 +69,7 @@ func BenchmarkMissingForCurrent(b *testing.B) {
 // BenchmarkApplyFresh measures ingesting new updates on fresh keys — the
 // first-receipt push path's store half.
 func BenchmarkApplyFresh(b *testing.B) {
-	s := New()
+	s := NewSharded(0)
 	stamp := time.Unix(1_700_000_000, 0)
 	vid := version.NewID(stamp, "w", rand.New(rand.NewSource(1)))
 	b.ReportAllocs()
@@ -102,8 +102,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // updates over keys rewritten `depth` times each, with properly dominating
 // version chains (prefix-sharing, so setup stays cheap). It returns the
 // populated store and the update list in apply order.
-func catchUpHistory(origins, perOrigin, depth int) (*Store, []Update) {
-	s := New()
+func catchUpHistory(origins, perOrigin, depth int) (*Sharded, []Update) {
+	s := NewSharded(0)
 	stamp := time.Unix(1_700_000_000, 0)
 	rng := rand.New(rand.NewSource(1))
 	updates := make([]Update, 0, origins*perOrigin)

@@ -9,9 +9,8 @@ import (
 
 // originLog is the per-origin update log with its sorted origin index and
 // the vector-clock segment summarising it. It is the unit of state a
-// Sharded shard owns exclusively — and that the single-lock Store owns once
-// — so both implementations share the frontier, ordering, and clock-advance
-// semantics exactly. originLog does no locking; the owner serialises access.
+// Sharded log shard owns exclusively. originLog does no locking; the owning
+// shard serialises access.
 type originLog struct {
 	// log holds every applied update per origin, ordered by Seq, backing
 	// anti-entropy diffs. Logged updates are immutable once appended.
@@ -239,8 +238,7 @@ func seqSearch(log []Update, seq uint64) int {
 // applyRevision merges one update into a key → revisions map: branches the
 // update causally dominates are dropped, concurrent branches coexist, and an
 // update already covered by an existing branch is Obsolete. This is the
-// item-level half of an apply, shared between Store and Sharded so the
-// domination semantics cannot diverge.
+// item-level half of an apply, run under the key's item-shard lock.
 func applyRevision(items map[string][]Revision, u Update) ApplyResult {
 	revs := items[u.Key]
 	newRev := Revision{Version: u.Version, Value: u.Value, Deleted: u.Delete, Stamp: u.Stamp}

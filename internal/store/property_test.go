@@ -1,50 +1,28 @@
 package store
 
-// Property tests pinning the indexed anti-entropy diff against a naive
-// reference implementation, and the Ref round-trip.
+// Property tests pinning the indexed anti-entropy diff against the model's
+// brute-force one, compaction and the live cut against an uncompacted
+// store, and the Ref round-trip.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// naiveMissingFor is the pre-index reference implementation: re-sort the
-// origins and linearly scan every per-origin log.
-func naiveMissingFor(s *Store, remote version.Clock) []Update {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	origins := make([]string, 0, len(s.data.log))
-	for o := range s.data.log {
-		origins = append(origins, o)
-	}
-	sort.Strings(origins)
-	var out []Update
-	for _, o := range origins {
-		have := remote.Get(o)
-		for _, u := range s.data.log[o] {
-			if u.Seq > have {
-				out = append(out, u)
-			}
-		}
-	}
-	return out
-}
-
 // TestMissingForMatchesNaiveReference builds random logs — random origin
 // sets, random sequence subsets applied in random order, so the logs have
-// gaps — and compares the binary-searched MissingFor against the linear
-// reference for random remote clocks.
+// gaps — and compares the binary-searched MissingFor against the model's
+// linear scan for random remote clocks.
 func TestMissingForMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	stamp := time.Unix(1_700_000_000, 0)
 	vid := version.NewID(stamp, "w", rng)
 	for trial := 0; trial < 200; trial++ {
-		s := New()
+		s, m := NewSharded(4), newModel()
 		originCount := rng.Intn(6) // sometimes zero: the empty-store case
 		for o := 0; o < originCount; o++ {
 			origin := fmt.Sprintf("origin-%d", rng.Intn(8))
@@ -54,14 +32,16 @@ func TestMissingForMatchesNaiveReference(t *testing.T) {
 			seqs := rng.Perm(maxSeq)
 			keep := rng.Intn(len(seqs) + 1)
 			for _, seq := range seqs[:keep] {
-				s.Apply(Update{
+				u := Update{
 					Origin:  origin,
 					Seq:     uint64(seq + 1),
 					Key:     fmt.Sprintf("key-%d", rng.Intn(10)),
 					Value:   []byte{byte(seq)},
 					Version: version.History{vid},
 					Stamp:   stamp,
-				})
+				}
+				s.Apply(u)
+				m.apply(u)
 			}
 		}
 		for probe := 0; probe < 5; probe++ {
@@ -72,7 +52,7 @@ func TestMissingForMatchesNaiveReference(t *testing.T) {
 				}
 			}
 			got := s.MissingFor(remote)
-			want := naiveMissingFor(s, remote)
+			want := m.missingFor(remote)
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: %d updates, reference %d", trial, len(got), len(want))
 			}
@@ -87,11 +67,11 @@ func TestMissingForMatchesNaiveReference(t *testing.T) {
 }
 
 // TestDeltaForCompactionProperty pins the compaction contract on random
-// workloads and random compaction points, for both backends: a compacted
-// store asked for a delta either serves exactly what the uncompacted
-// reference would, or reports the gap as snapshot-only because an update the
-// remote needs is genuinely no longer resident. It must never hand out a
-// silent partial delta.
+// workloads and random compaction points, at one and four shards: a
+// compacted store asked for a delta either serves exactly what an
+// uncompacted one would, or reports the gap as snapshot-only because an
+// update the remote needs is genuinely no longer resident. It must never
+// hand out a silent partial delta.
 func TestDeltaForCompactionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 120; trial++ {
@@ -99,7 +79,7 @@ func TestDeltaForCompactionProperty(t *testing.T) {
 		// overwriting (and sometimes deleting) a small key space through a
 		// builder store, so domination and branch retention behave as in
 		// production.
-		builder := New()
+		builder := NewSharded(1)
 		writers := make([]*Writer, rng.Intn(4)+1)
 		for i := range writers {
 			w, err := NewWriter(fmt.Sprintf("origin-%d", i), builder,
@@ -121,14 +101,11 @@ func TestDeltaForCompactionProperty(t *testing.T) {
 			}
 		}
 
-		// Reference stays uncompacted; the subject (alternating backends)
-		// receives the same updates in a shuffled order, then compacts at a
-		// random frontier.
-		reference := New()
-		var subject Backend = New()
-		if trial%2 == 1 {
-			subject = NewSharded(4)
-		}
+		// Reference stays uncompacted; the subject (alternating shard
+		// counts) receives the same updates in a shuffled order, then
+		// compacts at a random frontier.
+		reference := NewSharded(1)
+		subject := NewSharded([]int{1, 4}[trial%2])
 		for _, u := range workload {
 			reference.Apply(u)
 		}
@@ -197,12 +174,12 @@ func refsOf(updates []Update) []Ref {
 // TestLiveCutProperty pins the snapshot catch-up payload on random
 // interleaved workloads — several writers in two groups that never see each
 // other's writes (so keys grow concurrent branches), deletes, updates lost
-// in flight (so clocks stop at holes), and a random earlier compaction — for
-// both backends as source and as receiver:
+// in flight (so clocks stop at holes), and a random earlier compaction — at
+// one and four shards as source and as receiver:
 //
 //   - cut + frontier restored into an empty store reproduce the source's
 //     clock, live state and branches;
-//   - both backends cut the same entries in the same canonical order;
+//   - both shard counts cut the same entries in the same canonical order;
 //   - quiescent and before any tombstone GC, the cut is exactly what
 //     CompactLog(Clock()) leaves resident on the source (a source compacted
 //     earlier may keep more: compaction does not revisit an origin whose
@@ -211,12 +188,12 @@ func refsOf(updates []Update) []Ref {
 //     state, and a second helping changes nothing.
 func TestLiveCutProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	backends := []func() Backend{
-		func() Backend { return New() },
+	shardings := []func() Backend{
+		func() Backend { return NewSharded(1) },
 		func() Backend { return NewSharded(4) },
 	}
 	for trial := 0; trial < 150; trial++ {
-		groups := []*Store{New(), New()}
+		groups := []*Sharded{NewSharded(1), NewSharded(1)}
 		writers := make([]*Writer, rng.Intn(4)+2)
 		for i := range writers {
 			w, err := NewWriter(fmt.Sprintf("origin-%d", i), groups[i%2],
@@ -245,7 +222,7 @@ func TestLiveCutProperty(t *testing.T) {
 			}
 		}
 
-		sources := []Backend{backends[0](), backends[1]()}
+		sources := []Backend{shardings[0](), shardings[1]()}
 		order := rng.Perm(len(arrived))
 		early := version.NewClock()
 		for _, w := range writers {
@@ -268,7 +245,7 @@ func TestLiveCutProperty(t *testing.T) {
 		shardedCut, shardedFrontier := sources[1].LiveCut()
 		if fmt.Sprint(refsOf(cut)) != fmt.Sprint(refsOf(shardedCut)) ||
 			frontier.Compare(shardedFrontier) != version.Equal {
-			t.Fatalf("trial %d: backends cut differently:\n store   %v %v\n sharded %v %v",
+			t.Fatalf("trial %d: shard counts cut differently:\n 1 shard  %v %v\n 4 shards %v %v",
 				trial, refsOf(cut), frontier, refsOf(shardedCut), shardedFrontier)
 		}
 
@@ -291,7 +268,7 @@ func TestLiveCutProperty(t *testing.T) {
 				}
 			}
 		}
-		for _, fresh := range backends {
+		for _, fresh := range shardings {
 			dst := fresh()
 			for _, u := range cut {
 				dst.Apply(u)

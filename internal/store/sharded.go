@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,8 +14,10 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-// Sharded is the lock-striped Backend for multi-core ingest. State is split
-// two ways, because the store's two halves have different natural keys:
+// Sharded is a replica's local state: the lock-striped Backend, safe for
+// concurrent use and built for multi-core ingest. One shard is the
+// single-lock layout. State is split two ways, because the store's two
+// halves have different natural keys:
 //
 //   - log shards, routed by hash of the update's Origin, each own their
 //     slice of the per-origin log, the frontier (origin) index, and the
@@ -205,7 +209,11 @@ func (s *Sharded) BranchCount(key string) int {
 	return len(is.items[key])
 }
 
-// Get returns the winning revision for key (see Store.Get).
+// Get returns the winning revision for key. When concurrent branches
+// coexist, the winner is the branch with the longest history, ties broken by
+// comparing head identifiers — a deterministic "most recent version" rule in
+// the spirit of §4.4. The boolean is false if the key is absent or its
+// winning branch is deleted.
 func (s *Sharded) Get(key string) (Revision, bool) {
 	is := s.itemFor(key)
 	is.mu.RLock()
@@ -322,9 +330,11 @@ func (s *Sharded) missingLocked(remote version.Clock) []Update {
 }
 
 // MissingFor returns every logged update the remote clock has not seen, in
-// the same canonical (origin asc, seq asc) order as the single-lock Store —
-// shard layout never leaks into the result. Taken under all log-shard read
-// locks for a consistent cut; callers must treat the result as read-only.
+// canonical (origin asc, seq asc) order — shard layout never leaks into the
+// result. It is the payload of a pull response. Logged updates are immutable,
+// so the result shares their Value and Version backing with the log; it is
+// taken under all log-shard read locks for a consistent cut, and callers
+// must treat it as read-only.
 func (s *Sharded) MissingFor(remote version.Clock) []Update {
 	s.rlockLogs()
 	defer s.runlockLogs()
@@ -474,18 +484,32 @@ func (s *Sharded) GCTombstones(now time.Time) int {
 	return collected
 }
 
-// Equal reports whether the two stores hold identical live state.
+// Equal reports whether the two stores hold identical live state: the same
+// live keys, each with a byte-equal winning value and an Equal winning
+// version history.
 func (s *Sharded) Equal(other Backend) bool {
-	return backendEqual(s, other)
+	keys := s.Keys()
+	if !slices.Equal(keys, other.Keys()) {
+		return false
+	}
+	for _, k := range keys {
+		a, okA := s.Get(k)
+		b, okB := other.Get(k)
+		if okA != okB || !bytes.Equal(a.Value, b.Value) || a.Version.Compare(b.Version) != version.Equal {
+			return false
+		}
+	}
+	return true
 }
 
 // WriteSnapshot serialises the resident update log and compacted watermark
-// to w. The stream is byte-identical to the one the single-lock Store
-// produces for the same logical contents, regardless of shard count: both
-// serialise MissingFor(nil) and the watermark, whose orders are canonical.
+// to w. The stream is byte-identical for the same logical contents whatever
+// the shard count: it serialises MissingFor(nil) and the watermark, whose
+// orders are canonical.
 func (s *Sharded) WriteSnapshot(w io.Writer) error {
 	// One consistent cut across all log shards for both the entries and the
-	// watermark, mirroring the single-lock Store's single read lock.
+	// watermark: a compaction between reading the two could otherwise pair
+	// fresh entries with a stale frontier.
 	s.rlockLogs()
 	updates, compacted := s.missingLocked(nil), s.compactedLocked()
 	s.runlockLogs()

@@ -12,16 +12,18 @@ import (
 )
 
 // genWorkload produces a realistic update stream: several writers extending
-// winning revisions on a scratch store (so version histories dominate and
-// branch the way real replicas produce them), plus malformed noise. The
-// returned slice is in creation order; callers shuffle it.
+// winning revisions (so version histories dominate and branch the way real
+// replicas produce them), plus malformed noise. Writers alternate between two
+// scratch stores, so a key both write grows concurrent branches; now and then
+// a write also reaches the other scratch store, so a later write there
+// dominates it. The returned slice is in creation order; callers shuffle it.
 func genWorkload(t *testing.T, rng *rand.Rand, writers, updates int) []Update {
 	t.Helper()
-	scratch := New()
+	scratch := []*Sharded{NewSharded(1), NewSharded(1)}
 	now := func() time.Time { return time.Unix(1_700_000_000+int64(rng.Intn(1000)), 0) }
 	ws := make([]*Writer, writers)
 	for i := range ws {
-		w, err := NewWriter(fmt.Sprintf("origin-%d", i), scratch, now,
+		w, err := NewWriter(fmt.Sprintf("origin-%d", i), scratch[i%2], now,
 			rand.New(rand.NewSource(int64(i)+100)))
 		if err != nil {
 			t.Fatalf("writer: %v", err)
@@ -30,96 +32,35 @@ func genWorkload(t *testing.T, rng *rand.Rand, writers, updates int) []Update {
 	}
 	out := make([]Update, 0, updates)
 	for len(out) < updates {
-		w := ws[rng.Intn(len(ws))]
+		i := rng.Intn(len(ws))
 		key := fmt.Sprintf("key-%d", rng.Intn(12))
 		switch rng.Intn(10) {
 		case 0:
-			out = append(out, w.Delete(key))
+			out = append(out, ws[i].Delete(key))
 		case 1:
-			// Malformed noise: both implementations must ignore it.
+			// Malformed noise: the store must ignore it.
 			out = append(out, Update{Origin: "", Seq: 9, Key: key})
 		case 2:
 			out = append(out, Update{Origin: "origin-0", Seq: 0, Key: key})
 		default:
-			out = append(out, w.Put(key, []byte(fmt.Sprintf("v-%d", rng.Int()))))
+			u := ws[i].Put(key, []byte(fmt.Sprintf("v-%d", rng.Int())))
+			if rng.Intn(3) == 0 {
+				scratch[(i+1)%2].Apply(u)
+			}
+			out = append(out, u)
 		}
 	}
 	return out
 }
 
-// TestShardedMatchesReference holds Sharded to the single-lock Store on
-// random interleaved workloads: identical per-apply outcomes (including
-// duplicates from re-applied updates), clocks, logs, live state, and
-// derived queries, across shard counts.
-func TestShardedMatchesReference(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) + 41))
-		workload := genWorkload(t, rng, 1+rng.Intn(5), 80)
-		// Interleave re-deliveries so Duplicate outcomes are exercised.
-		stream := append([]Update(nil), workload...)
-		for i := 0; i < len(workload)/3; i++ {
-			stream = append(stream, workload[rng.Intn(len(workload))])
-		}
-		rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
-
-		ref := New()
-		shards := []int{1, 4, 16}[trial%3]
-		sh := NewSharded(shards)
-		for i, u := range stream {
-			wantRes, wantBranches := ref.ApplyObserved(u)
-			gotRes, gotBranches := sh.ApplyObserved(u)
-			if gotRes != wantRes || gotBranches != wantBranches {
-				t.Fatalf("trial %d shards %d: apply %d (%s): sharded (%v,%d), reference (%v,%d)",
-					trial, shards, i, u.ID(), gotRes, gotBranches, wantRes, wantBranches)
-			}
-		}
-		if !sh.Equal(ref) || !ref.Equal(sh) {
-			t.Fatalf("trial %d: live state diverged", trial)
-		}
-		if got, want := sh.UpdateCount(), ref.UpdateCount(); got != want {
-			t.Fatalf("trial %d: update count %d, want %d", trial, got, want)
-		}
-		if got, want := sh.Clock(), ref.Clock(); got.Compare(want) != version.Equal {
-			t.Fatalf("trial %d: clock %v, want %v", trial, got, want)
-		}
-		// MissingFor must agree for arbitrary remote clocks, including the
-		// full-log nil clock, in exact canonical order.
-		for probe := 0; probe < 10; probe++ {
-			var remote version.Clock
-			if probe > 0 {
-				remote = version.NewClock()
-				for o, seq := range ref.Clock() {
-					remote[o] = uint64(rng.Int63n(int64(seq) + 1))
-				}
-			}
-			got, want := sh.MissingFor(remote), ref.MissingFor(remote)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: missing len %d, want %d", trial, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Ref() != want[i].Ref() {
-					t.Fatalf("trial %d: missing[%d] = %s, want %s (canonical order broken)",
-						trial, i, got[i].ID(), want[i].ID())
-				}
-			}
-		}
-		for _, k := range ref.Keys() {
-			if got, want := sh.BranchCount(k), ref.BranchCount(k); got != want {
-				t.Fatalf("trial %d: branch count of %q: %d, want %d", trial, k, got, want)
-			}
-		}
-	}
-}
-
-// TestShardedSnapshotByteIdentical asserts the satellite contract: the same
-// logical contents snapshot to identical bytes regardless of shard count
-// (including the single-lock reference), and the snapshot round-trips into
-// any shard count.
+// TestShardedSnapshotByteIdentical asserts that the same logical contents
+// snapshot to identical bytes regardless of shard count and arrival order,
+// and that the snapshot round-trips into any shard count.
 func TestShardedSnapshotByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	workload := genWorkload(t, rng, 4, 120)
 
-	ref := New()
+	ref := NewSharded(1)
 	for _, u := range workload {
 		ref.Apply(u)
 	}
@@ -280,13 +221,13 @@ func TestShardedConcurrentStress(t *testing.T) {
 			t.Fatalf("writer-%d clock %d, want %d", w, got, perWriter)
 		}
 	}
-	// The full log must replay into an identical reference store.
-	ref := New()
+	// The full log must replay into an identical one-shard store.
+	ref := NewSharded(1)
 	for _, u := range sh.MissingFor(nil) {
 		ref.Apply(u)
 	}
 	if !sh.Equal(ref) {
-		t.Fatal("concurrent state does not replay into the reference store")
+		t.Fatal("concurrent state does not replay into a one-shard store")
 	}
 }
 
@@ -297,7 +238,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 // beside it covers its sequence number and a receiver would never accept a
 // later copy.
 func TestLiveCutKeepsInFlightUpdate(t *testing.T) {
-	w, err := NewWriter("origin", New(), nil, rand.New(rand.NewSource(5)))
+	w, err := NewWriter("origin", NewSharded(1), nil, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +292,7 @@ func TestLiveCutKeepsInFlightUpdate(t *testing.T) {
 // no peer would accept a later copy — while an entry whose revision is gone
 // because its tombstone was collected is still history.
 func TestCompactLogKeepsInFlightUpdate(t *testing.T) {
-	w, err := NewWriter("origin", New(), nil, rand.New(rand.NewSource(5)))
+	w, err := NewWriter("origin", NewSharded(1), nil, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

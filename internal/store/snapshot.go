@@ -47,10 +47,10 @@ type snapshot struct {
 const snapshotFormatVersion = 1
 
 // encodeSnapshot serialises a complete, canonically ordered update log to w.
-// Store and Sharded both feed it MissingFor(nil) and their compacted
-// watermark, whose (origin asc) order is independent of internal layout — so
-// the bytes a snapshot produces depend only on the logical contents, never
-// on shard count.
+// Sharded feeds it MissingFor(nil) and its compacted watermark, whose
+// (origin asc) order is independent of internal layout — so the bytes a
+// snapshot produces depend only on the logical contents, never on shard
+// count.
 func encodeSnapshot(w io.Writer, updates []Update, compacted version.Clock) error {
 	snap := snapshot{
 		FormatVersion: snapshotFormatVersion,
@@ -122,93 +122,4 @@ func decodeSnapshot(r io.Reader) ([]Update, version.Clock, error) {
 		}
 	}
 	return updates, compacted, nil
-}
-
-// WriteSnapshot serialises the store's resident update log and compacted
-// watermark to w.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	// One read lock for both halves: a compaction between reading the log
-	// and the watermark could otherwise pair fresh entries with a stale
-	// frontier.
-	s.mu.RLock()
-	var updates []Update
-	if total := s.data.missingCount(nil); total > 0 {
-		updates = s.data.appendMissing(make([]Update, 0, total), nil)
-	}
-	compacted := s.data.compacted.Clone()
-	s.mu.RUnlock()
-	return encodeSnapshot(w, updates, compacted)
-}
-
-// ReadSnapshot reconstructs a store from a snapshot written by
-// WriteSnapshot, with the given tombstone retention.
-func ReadSnapshot(r io.Reader, retain time.Duration) (*Store, error) {
-	updates, compacted, err := decodeSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	st := NewWithRetention(retain)
-	for _, u := range updates {
-		st.Apply(u)
-	}
-	st.AdoptFrontier(compacted)
-	return st, nil
-}
-
-// RestoreSnapshot replaces the store's contents with a snapshot previously
-// produced by WriteSnapshot, keeping the store pointer — and any registered
-// apply hook — stable for the engines and writers wired to it. The store's
-// current tombstone retention is kept. It is the restart path: a recovering
-// replica restores its durable log here, then resyncs its Writer so new
-// updates never reuse sequence numbers.
-func (s *Store) RestoreSnapshot(r io.Reader) error {
-	s.mu.RLock()
-	retain := s.tombRetain
-	s.mu.RUnlock()
-	restored, err := ReadSnapshot(r, retain)
-	if err != nil {
-		return err
-	}
-	s.Replace(restored)
-	return nil
-}
-
-// Replace swaps the store's contents for those of other. It backs restores
-// into an already-wired store (the live runtime hands its store to the
-// writer and transport handlers at construction time, so the pointer must
-// remain stable).
-func (s *Store) Replace(other *Store) {
-	other.mu.RLock()
-	items := make(map[string][]Revision, len(other.items))
-	for k, revs := range other.items {
-		copied := make([]Revision, len(revs))
-		for i, r := range revs {
-			copied[i] = cloneRevision(r)
-		}
-		items[k] = copied
-	}
-	log := make(map[string][]Update, len(other.data.log))
-	for origin, updates := range other.data.log {
-		copied := make([]Update, len(updates))
-		for i, u := range updates {
-			copied[i] = cloneUpdate(u)
-		}
-		log[origin] = copied
-	}
-	clock := other.data.clock.Clone()
-	compacted := other.data.compacted.Clone()
-	retain := other.tombRetain
-	other.mu.RUnlock()
-
-	origins := make([]string, 0, len(log))
-	for origin := range log {
-		origins = append(origins, origin)
-	}
-	sort.Strings(origins)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.items = items
-	s.data = originLog{log: log, origins: origins, clock: clock, compacted: compacted}
-	s.tombRetain = retain
 }

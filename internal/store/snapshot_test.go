@@ -8,7 +8,7 @@ import (
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 40)
 	w.Put("x", []byte("1"))
 	w.Put("y", []byte("2"))
@@ -19,9 +19,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	restored, err := ReadSnapshot(&buf, DefaultTombstoneRetention)
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
+	restored := NewSharded(4)
+	if err := restored.RestoreSnapshot(&buf); err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
 	}
 	if !st.Equal(restored) {
 		t.Fatal("restored store differs")
@@ -43,11 +43,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotEmptyStore(t *testing.T) {
 	var buf bytes.Buffer
-	if err := New().WriteSnapshot(&buf); err != nil {
+	if err := NewSharded(4).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(&buf, time.Hour)
-	if err != nil {
+	restored := NewSharded(4)
+	if err := restored.RestoreSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if restored.UpdateCount() != 0 || len(restored.Keys()) != 0 {
@@ -55,39 +55,8 @@ func TestSnapshotEmptyStore(t *testing.T) {
 	}
 }
 
-func TestReadSnapshotGarbage(t *testing.T) {
-	if _, err := ReadSnapshot(strings.NewReader("not a snapshot"), time.Hour); err == nil {
-		t.Fatal("garbage snapshot accepted")
-	}
-}
-
-func TestReplaceSwapsState(t *testing.T) {
-	a := New()
-	wa := testWriter(t, "a", a, 41)
-	wa.Put("old", []byte("x"))
-
-	b := New()
-	wb := testWriter(t, "b", b, 42)
-	wb.Put("new", []byte("y"))
-
-	a.Replace(b)
-	if _, ok := a.Get("old"); ok {
-		t.Fatal("Replace kept old state")
-	}
-	rev, ok := a.Get("new")
-	if !ok || string(rev.Value) != "y" {
-		t.Fatal("Replace did not adopt new state")
-	}
-	// Deep copy: mutating b afterwards must not affect a.
-	wb.Put("new", []byte("z"))
-	rev, _ = a.Get("new")
-	if string(rev.Value) != "y" {
-		t.Fatal("Replace aliases the source store")
-	}
-}
-
 func TestWriterResyncAfterRestore(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 43)
 	w.Put("k", []byte("1"))
 	w.Put("k", []byte("2"))
@@ -96,14 +65,12 @@ func TestWriterResyncAfterRestore(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := ReadSnapshot(&buf, DefaultTombstoneRetention)
-	if err != nil {
+	// A writer wired to a fresh store before the restore lands.
+	fresh := NewSharded(4)
+	w2 := testWriter(t, "a", fresh, 44)
+	if err := fresh.RestoreSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh writer over a fresh store pointed at restored state.
-	fresh := New()
-	fresh.Replace(restored)
-	w2 := testWriter(t, "a", fresh, 44)
 	w2.Resync()
 	u := w2.Put("k", []byte("3"))
 	if u.Seq != 3 {
@@ -115,7 +82,7 @@ func TestWriterResyncAfterRestore(t *testing.T) {
 // the contents of an already-wired store (pointer and apply hook stable) and
 // keeps the store's own tombstone retention.
 func TestRestoreSnapshotInPlace(t *testing.T) {
-	src := New()
+	src := NewSharded(4)
 	w := testWriter(t, "a", src, 41)
 	w.Put("x", []byte("1"))
 	w.Delete("x")
@@ -124,7 +91,7 @@ func TestRestoreSnapshotInPlace(t *testing.T) {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 
-	dst := NewWithRetention(time.Hour)
+	dst := NewShardedWithRetention(4, time.Hour)
 	hooked := 0
 	dst.SetApplyHook(func(Update, ApplyResult, int) { hooked++ })
 	testWriter(t, "b", dst, 42).Put("old", []byte("gone"))
@@ -153,8 +120,13 @@ func TestRestoreSnapshotInPlace(t *testing.T) {
 	}
 }
 
+// TestRestoreSnapshotGarbage: an unreadable snapshot is an error — into an
+// empty store as into a populated one — and leaves the store untouched.
 func TestRestoreSnapshotGarbage(t *testing.T) {
-	st := New()
+	if err := NewSharded(4).RestoreSnapshot(strings.NewReader("not a snapshot")); err == nil {
+		t.Fatal("garbage snapshot accepted by an empty store")
+	}
+	st := NewSharded(4)
 	testWriter(t, "a", st, 44).Put("x", []byte("1"))
 	if err := st.RestoreSnapshot(strings.NewReader("junk")); err == nil {
 		t.Fatal("garbage snapshot accepted")

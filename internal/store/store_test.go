@@ -12,7 +12,7 @@ import (
 	"github.com/p2pgossip/update/internal/version"
 )
 
-func testWriter(t *testing.T, origin string, st *Store, seed int64) *Writer {
+func testWriter(t *testing.T, origin string, st Backend, seed int64) *Writer {
 	t.Helper()
 	clock := time.Unix(1_000_000, 0)
 	now := func() time.Time {
@@ -27,7 +27,7 @@ func testWriter(t *testing.T, origin string, st *Store, seed int64) *Writer {
 }
 
 func TestPutGet(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 1)
 	w.Put("k", []byte("v1"))
 	rev, ok := st.Get("k")
@@ -45,7 +45,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestDeleteAndResurrect(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 2)
 	w.Put("k", []byte("v1"))
 	w.Delete("k")
@@ -71,7 +71,7 @@ func TestDeleteAndResurrect(t *testing.T) {
 }
 
 func TestApplyIdempotent(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 3)
 	u := w.Put("k", []byte("v"))
 	if got := st.Apply(u); got != Duplicate {
@@ -83,7 +83,7 @@ func TestApplyIdempotent(t *testing.T) {
 }
 
 func TestApplyMalformed(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	if got := st.Apply(Update{Origin: "", Seq: 1, Key: "k"}); got != Obsolete {
 		t.Fatalf("empty origin = %v", got)
 	}
@@ -96,13 +96,13 @@ func TestApplyMalformed(t *testing.T) {
 }
 
 func TestApplyObsolete(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 4)
 	u1 := w.Put("k", []byte("v1"))
-	w.Put("k", []byte("v2"))
+	u2 := w.Put("k", []byte("v2"))
 
-	other := New()
-	other.Apply(st.data.log["a"][1]) // apply v2 first
+	other := NewSharded(4)
+	other.Apply(u2) // apply v2 first
 	if got := other.Apply(u1); got != Obsolete {
 		t.Fatalf("ancestor update = %v, want Obsolete", got)
 	}
@@ -113,7 +113,7 @@ func TestApplyObsolete(t *testing.T) {
 }
 
 func TestConcurrentBranchesCoexist(t *testing.T) {
-	stA, stB := New(), New()
+	stA, stB := NewSharded(4), NewSharded(4)
 	wA := testWriter(t, "a", stA, 5)
 	wB := testWriter(t, "b", stB, 6)
 	uA := wA.Put("k", []byte("from-a"))
@@ -140,7 +140,7 @@ func TestConcurrentBranchesCoexist(t *testing.T) {
 }
 
 func TestConflictResolutionByLongerHistory(t *testing.T) {
-	stA, stB := New(), New()
+	stA, stB := NewSharded(4), NewSharded(4)
 	wA := testWriter(t, "a", stA, 7)
 	wB := testWriter(t, "b", stB, 8)
 	wA.Put("k", []byte("a1"))
@@ -160,7 +160,7 @@ func TestConflictResolutionByLongerHistory(t *testing.T) {
 }
 
 func TestClockAndMissingFor(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 9)
 	u1 := w.Put("x", []byte("1"))
 	u2 := w.Put("y", []byte("2"))
@@ -189,7 +189,7 @@ func TestClockAndMissingFor(t *testing.T) {
 func TestAntiEntropyConvergence(t *testing.T) {
 	// Two replicas with disjoint writes converge by exchanging
 	// MissingFor(other.Clock()) both ways — the pull-phase core.
-	stA, stB := New(), New()
+	stA, stB := NewSharded(4), NewSharded(4)
 	wA := testWriter(t, "a", stA, 10)
 	wB := testWriter(t, "b", stB, 11)
 	for i := 0; i < 10; i++ {
@@ -227,7 +227,7 @@ func TestAntiEntropyConvergencePropertyRandomSchedules(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const replicas = 4
-		stores := make([]*Store, replicas)
+		stores := make([]*Sharded, replicas)
 		writers := make([]*Writer, replicas)
 		clock := time.Unix(2_000_000, 0)
 		now := func() time.Time {
@@ -236,7 +236,7 @@ func TestAntiEntropyConvergencePropertyRandomSchedules(t *testing.T) {
 		}
 		var all []Update
 		for i := range stores {
-			stores[i] = New()
+			stores[i] = NewSharded(4)
 			w, err := NewWriter(fmt.Sprintf("r%d", i), stores[i], now,
 				rand.New(rand.NewSource(seed+int64(i))))
 			if err != nil {
@@ -274,7 +274,7 @@ func TestAntiEntropyConvergencePropertyRandomSchedules(t *testing.T) {
 }
 
 func TestGCTombstones(t *testing.T) {
-	st := NewWithRetention(time.Hour)
+	st := NewShardedWithRetention(4, time.Hour)
 	w := testWriter(t, "a", st, 12)
 	w.Put("k", []byte("v"))
 	del := w.Delete("k")
@@ -295,7 +295,7 @@ func TestGCTombstones(t *testing.T) {
 }
 
 func TestUpdateSizeBytes(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "origin", st, 13)
 	u := w.Put("key", []byte("value"))
 	want := 24 + len("key") + len("value") + 1*version.IDSize
@@ -305,7 +305,7 @@ func TestUpdateSizeBytes(t *testing.T) {
 }
 
 func TestWriterValidation(t *testing.T) {
-	if _, err := NewWriter("", New(), nil, nil); err == nil {
+	if _, err := NewWriter("", NewSharded(4), nil, nil); err == nil {
 		t.Fatal("empty origin should error")
 	}
 	if _, err := NewWriter("a", nil, nil, nil); err == nil {
@@ -314,7 +314,7 @@ func TestWriterValidation(t *testing.T) {
 }
 
 func TestWriterResumesSequence(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w1 := testWriter(t, "a", st, 14)
 	w1.Put("k", []byte("1"))
 	w1.Put("k", []byte("2"))
@@ -328,7 +328,7 @@ func TestWriterResumesSequence(t *testing.T) {
 }
 
 func TestGetCopiesState(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 16)
 	w.Put("k", []byte("abc"))
 	rev, _ := st.Get("k")
@@ -340,7 +340,7 @@ func TestGetCopiesState(t *testing.T) {
 }
 
 func TestEqualDetectsDifferences(t *testing.T) {
-	a, b := New(), New()
+	a, b := NewSharded(4), NewSharded(4)
 	wa := testWriter(t, "a", a, 17)
 	if !a.Equal(b) {
 		t.Fatal("two empty stores should be equal")
@@ -374,7 +374,7 @@ func TestApplyResultString(t *testing.T) {
 }
 
 func TestOutOfOrderDelivery(t *testing.T) {
-	st := New()
+	st := NewSharded(4)
 	w := testWriter(t, "a", st, 19)
 	var updates []Update
 	for i := 0; i < 5; i++ {
@@ -382,7 +382,7 @@ func TestOutOfOrderDelivery(t *testing.T) {
 	}
 	// Deliver to a fresh store in reverse: the newest (longest-history)
 	// revision must win and obsolete ancestors must not branch.
-	fresh := New()
+	fresh := NewSharded(4)
 	for i := len(updates) - 1; i >= 0; i-- {
 		fresh.Apply(updates[i])
 	}
@@ -411,13 +411,13 @@ func quickValues(fill func(args []interface{}, r *rand.Rand)) func([]reflect.Val
 func TestClockGapSemantics(t *testing.T) {
 	// A lost update (sequence gap) must keep the clock low so that a later
 	// pull re-fetches the hole.
-	src := New()
+	src := NewSharded(4)
 	w := testWriter(t, "a", src, 20)
 	u1 := w.Put("x", []byte("1"))
 	u2 := w.Put("y", []byte("2"))
 	u3 := w.Put("z", []byte("3"))
 
-	dst := New()
+	dst := NewSharded(4)
 	dst.Apply(u1)
 	dst.Apply(u3) // u2 lost in flight
 	if got := dst.Clock().Get("a"); got != 1 {
@@ -445,7 +445,7 @@ func TestClockGapSemantics(t *testing.T) {
 // something overwrote it, even when its origin's watermark cannot advance —
 // the origin went quiet, so frontier and clock stay where the watermark is.
 func TestCompactLogRevisitsRetainedEntries(t *testing.T) {
-	for name, st := range map[string]Backend{"store": New(), "sharded": NewSharded(4)} {
+	for name, st := range map[string]Backend{"single-shard": NewSharded(1), "sharded": NewSharded(4)} {
 		t.Run(name, func(t *testing.T) {
 			quiet, err := NewWriter("quiet", st, nil, rand.New(rand.NewSource(1)))
 			if err != nil {

@@ -82,7 +82,7 @@ func (w *Writer) Delete(key string) Update {
 }
 
 // PutObserved is Put returning also the key's revision count, counted
-// atomically with the apply (see Store.ApplyObserved).
+// atomically with the apply (see Backend.ApplyObserved).
 func (w *Writer) PutObserved(key string, value []byte) (Update, int) {
 	return w.mutate(key, value, false)
 }

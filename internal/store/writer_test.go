@@ -25,11 +25,11 @@ func TestCryptoSeedDistinct(t *testing.T) {
 // must still draw distinct version-ID streams.
 func TestNewWriterNilRNGDistinctStreams(t *testing.T) {
 	now := func() time.Time { return time.Unix(1_700_000_000, 0) }
-	w1, err := NewWriter("same-origin", New(), now, nil)
+	w1, err := NewWriter("same-origin", NewSharded(1), now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := NewWriter("same-origin", New(), now, nil)
+	w2, err := NewWriter("same-origin", NewSharded(1), now, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func sampleUpdate(t *testing.T) store.Update {
 	t.Helper()
-	st := store.New()
+	st := store.NewSharded(1)
 	w, err := store.NewWriter("origin-1", st,
 		func() time.Time { return time.Unix(1234, 5678) },
 		rand.New(rand.NewSource(1)))
