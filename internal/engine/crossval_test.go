@@ -3,12 +3,14 @@ package engine_test
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/live"
 	"github.com/p2pgossip/update/internal/simnet"
+	"github.com/p2pgossip/update/internal/store"
 )
 
 // These tests drive the same seeded workload through both engine adapters —
@@ -26,7 +28,11 @@ import (
 // runtime seeds one per replica. It is also independent of delivery order —
 // every node hears each update exactly once from every node that forwards it
 // — because the live runtime delivers through per-peer sender goroutines: the
-// live outcome is read at quiescence, not after a synchronous cascade.
+// live outcome is read at quiescence, not after a synchronous cascade. For the
+// same reason live duplicates are counted as the replica's hooks report them:
+// two copies of an update racing in on two connections may enter the engine
+// duplicate first, and a duplicate of an update the engine does not track yet
+// is reported but never counted by Engine.Duplicates.
 
 // crossPopulation is the cluster size; addresses/origins are "peer-<i>" on
 // both sides so store contents are directly comparable.
@@ -124,17 +130,28 @@ func runLiveWorkload(t *testing.T, partialList bool, want *dissemination) *disse
 	hub := live.NewHub()
 	replicas := make([]*live.Replica, crossPopulation)
 	addrs := make([]string, crossPopulation)
+	var mu sync.Mutex
+	dupes := make([]map[string]int, crossPopulation) // guarded by mu
 	for i := range replicas {
+		i := i
 		addrs[i] = fmt.Sprintf("peer-%d", i)
 		tr, err := hub.Attach(addrs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
+		dupes[i] = make(map[string]int)
 		r, err := live.NewReplica(live.Config{
 			Fanout:       crossPopulation - 1, // full fanout
 			PartialList:  partialList,
 			PullAttempts: 0,
 			Seed:         int64(i) + 1,
+			Hooks: live.Hooks{OnApply: func(u store.Update, res store.ApplyResult, _ live.Source, _ int) {
+				if res == store.Duplicate {
+					mu.Lock()
+					dupes[i][u.ID()]++
+					mu.Unlock()
+				}
+			}},
 		}, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +170,12 @@ func runLiveWorkload(t *testing.T, partialList bool, want *dissemination) *disse
 	snapshot := func() *dissemination {
 		out := newDissemination()
 		for i, r := range replicas {
-			r := r
-			out.record(i, ids, r.HasUpdate, r.Duplicates,
+			i, r := i, r
+			out.record(i, ids, r.HasUpdate, func(id string) int {
+				mu.Lock()
+				defer mu.Unlock()
+				return dupes[i][id]
+			},
 				func(key string) (string, bool) {
 					rev, ok := r.Get(key)
 					return string(rev.Value), ok

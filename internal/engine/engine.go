@@ -223,38 +223,50 @@ type pullClock struct {
 
 // deadline is one entry of a deadline queue: a peer and the tick the entry
 // was created. Both the ack-await and the suspect bookkeeping push entries
-// with monotone ticks, so each queue is processed strictly front to back.
+// with monotone ticks, so each queue is processed strictly front to back: a
+// sweep costs O(expired entries), in insertion order, not O(map size).
 type deadline[ID comparable] struct {
 	peer ID
 	at   int64
 }
 
-// deadlineQueue is a FIFO of (peer, tick) entries with amortised O(1) pop.
-// It makes timeout sweeps proportional to the number of expired entries —
-// not to the map size — and deterministic in order (insertion order, rather
-// than map iteration luck).
-type deadlineQueue[ID comparable] struct {
-	items []deadline[ID]
+// queue is a FIFO with amortised O(1) pop that keeps its backing array
+// across drains, so a queue refilled at a steady rate stops allocating.
+type queue[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *deadlineQueue[ID]) push(peer ID, at int64) {
-	q.items = append(q.items, deadline[ID]{peer: peer, at: at})
-}
+func (q *queue[T]) push(v T) { q.items = append(q.items, v) }
 
-func (q *deadlineQueue[ID]) peek() (deadline[ID], bool) {
+// len returns the number of entries not yet popped.
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+
+func (q *queue[T]) peek() (T, bool) {
 	if q.head >= len(q.items) {
-		return deadline[ID]{}, false
+		var zero T
+		return zero, false
 	}
 	return q.items[q.head], true
 }
 
-func (q *deadlineQueue[ID]) pop() {
+// filter drops the entries keep rejects, preserving the order of the rest.
+func (q *queue[T]) filter(keep func(T) bool) {
+	kept := q.items[:0]
+	for _, v := range q.items[q.head:] {
+		if keep(v) {
+			kept = append(kept, v)
+		}
+	}
+	q.items, q.head = kept, 0
+}
+
+func (q *queue[T]) reset() { q.items, q.head = q.items[:0], 0 }
+
+func (q *queue[T]) pop() {
 	q.head++
 	if q.head == len(q.items) {
-		// Fully drained: recycle the backing array.
-		q.items = q.items[:0]
-		q.head = 0
+		q.reset() // fully drained: recycle the backing array
 		return
 	}
 	// Reclaim the consumed prefix once it dominates the backing array, so a
@@ -277,8 +289,9 @@ type Engine[ID comparable] struct {
 	st   store.Backend
 	w    *store.Writer
 
-	view   *peerView[ID] // known replicas, never containing self
-	states map[store.Ref]*updateState[ID]
+	view *peerView[ID] // known replicas, never containing self
+	// cur and old are the two generations of flooding state (see track).
+	cur, old map[store.Ref]*updateState[ID]
 
 	// scratch is the reusable peer-sampling buffer; sample takes it and
 	// releaseScratch returns it, so the steady path allocates nothing.
@@ -308,12 +321,12 @@ type Engine[ID comparable] struct {
 	// §6 ack optimisation state (only used when cfg.Acks). The maps are the
 	// source of truth; the queues order the timeout sweeps and the acked
 	// insertion list gives Acked a stable order.
-	ackedBy     map[ID]int64      // peer → tick of their last ack to us
-	ackedOrder  []ID              // peers in first-ack order
-	suspects    map[ID]int64      // peer → tick we began suspecting them
-	suspectQ    deadlineQueue[ID] // suspicion entries in creation order
-	awaitingAck map[ID]int64      // peer → tick we first pushed to them unacked
-	ackWaitQ    deadlineQueue[ID] // await entries in creation order
+	ackedBy     map[ID]int64        // peer → tick of their last ack to us
+	ackedOrder  []ID                // peers in first-ack order
+	suspects    map[ID]int64        // peer → tick we began suspecting them
+	suspectQ    queue[deadline[ID]] // suspicion entries in creation order
+	awaitingAck map[ID]int64        // peer → tick we first pushed to them unacked
+	ackWaitQ    queue[deadline[ID]] // await entries in creation order
 
 	// §4.4 query state.
 	queries      map[int64]*queryState
@@ -346,7 +359,8 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 		st:          st,
 		w:           w,
 		view:        newPeerView[ID](16),
-		states:      make(map[store.Ref]*updateState[ID]),
+		cur:         make(map[store.Ref]*updateState[ID]),
+		old:         make(map[store.Ref]*updateState[ID]),
 		pullClocks:  make(map[ID]pullClock),
 		streams:     make(map[ID]snapshotStream),
 		scratch:     make([]ID, 0, 16),
@@ -372,31 +386,29 @@ func (e *Engine[ID]) Self() ID { return e.self }
 // Restart resets the engine to what a freshly exec'd process attached to the
 // same (restored) store would hold: membership view, per-update flooding
 // lists and PF state, ack/suspect bookkeeping, and pending queries are all
-// wiped; the store and writer — the durable state — are kept. Every update
-// already in the store is re-registered so re-pushed copies count as
-// duplicates instead of initiating a second flood, and the bootstrap peers
-// are re-learned (the seed list a restarting replica reads from its config).
+// wiped; the store and writer — the durable state — are kept, and the
+// bootstrap peers are re-learned (the seed list a restarting replica reads
+// from its config). Re-pushed copies of stored updates are duplicates because
+// the store has seen them (HandlePushApplied), not because the engine
+// remembers them.
 //
 // Adapters restore the store from its snapshot *before* calling Restart, and
-// resync their writer afterwards, so the re-registration sees the recovered
-// log.
+// resync their writer afterwards.
 func (e *Engine[ID]) Restart(bootstrap []ID) {
 	e.view = newPeerView[ID](16)
-	e.states = make(map[store.Ref]*updateState[ID])
+	clear(e.cur)
+	clear(e.old)
 	e.ackedBy = make(map[ID]int64)
 	e.ackedOrder = nil
 	e.suspects = make(map[ID]int64)
-	e.suspectQ = deadlineQueue[ID]{}
+	e.suspectQ = queue[deadline[ID]]{}
 	e.awaitingAck = make(map[ID]int64)
-	e.ackWaitQ = deadlineQueue[ID]{}
+	e.ackWaitQ = queue[deadline[ID]]{}
 	e.queries = make(map[int64]*queryState)
 	e.pullClocks = make(map[ID]pullClock)
 	e.streams = make(map[ID]snapshotStream)
 	e.notConfident = false
 	e.lastReceived = e.ep.Now()
-	for _, u := range e.st.MissingFor(nil) {
-		e.states[u.Ref()] = e.newState()
-	}
 	for _, id := range bootstrap {
 		e.Learn(id)
 	}
@@ -456,44 +468,29 @@ func (e *Engine[ID]) KnownCount() int { return e.view.Len() }
 
 // --- Update bookkeeping ----------------------------------------------
 
-// HasUpdate reports whether the engine has processed the update with the
-// given ID (store.Update.ID()). Internally per-update state is keyed by the
-// comparable store.Ref; the string form exists only on this public surface.
-func (e *Engine[ID]) HasUpdate(updateID string) bool {
-	ref, err := store.ParseRef(updateID)
-	if err != nil {
-		return false
-	}
-	return e.HasRef(ref)
-}
+// stateWindow is the number of updates one generation of flooding state
+// holds. R_f and the duplicate count matter only during an update's push
+// phase (§4.2, §6) — forwarding is decided once, at first receipt — and
+// "have I seen it" is the store's answer, so the engine keeps no more.
+const stateWindow = 4096
 
-// HasRef reports whether the engine has processed the update with the given
-// reference.
-func (e *Engine[ID]) HasRef(ref store.Ref) bool {
-	_, ok := e.states[ref]
-	return ok
-}
-
-// Duplicates returns the duplicate-push count observed for an update.
+// Duplicates returns the duplicate-push count observed for an update while
+// its flooding state is in the window; 0 once it has left, and for updates
+// never tracked (learned by pull or snapshot, or stored before a restart).
 func (e *Engine[ID]) Duplicates(updateID string) int {
 	ref, err := store.ParseRef(updateID)
-	if err != nil {
-		return 0
-	}
-	if s, ok := e.states[ref]; ok {
+	if s, ok := e.state(ref); ok && err == nil {
 		return s.dupes
 	}
 	return 0
 }
 
 // FloodingList returns the accumulated flooding list for an update, in
-// insertion order, or nil if the update is unknown.
+// insertion order, or nil once its flooding state has left the window (and
+// for updates never tracked).
 func (e *Engine[ID]) FloodingList(updateID string) []ID {
 	ref, err := store.ParseRef(updateID)
-	if err != nil {
-		return nil
-	}
-	if s, ok := e.states[ref]; ok {
+	if s, ok := e.state(ref); ok && err == nil {
 		return s.rf.Slice()
 	}
 	return nil
@@ -503,13 +500,31 @@ func (e *Engine[ID]) FloodingList(updateID string) []ID {
 // after a lazy wake-up (§6).
 func (e *Engine[ID]) NotConfident() bool { return e.notConfident }
 
-func (e *Engine[ID]) newState() *updateState[ID] {
+// state returns the flooding state of ref, if it is still in the window.
+func (e *Engine[ID]) state(ref store.Ref) (*updateState[ID], bool) {
+	if s, ok := e.cur[ref]; ok {
+		return s, true
+	}
+	s, ok := e.old[ref]
+	return s, ok
+}
+
+// track starts the flooding state of an update published here or first
+// received by push. A full current generation swaps with the older one,
+// emptied first (buckets kept), so at most 2·stateWindow entries are
+// resident; counting updates, not time, keeps the simulator deterministic.
+func (e *Engine[ID]) track(ref store.Ref) *updateState[ID] {
+	if len(e.cur) >= stateWindow {
+		clear(e.old)
+		e.cur, e.old = e.old, e.cur
+	}
 	s := &updateState[ID]{rf: newOrderedSet[ID](8)}
 	if e.cfg.NewPF != nil {
 		s.pfn = e.cfg.NewPF()
 	} else {
 		s.pfn = pf.Always()
 	}
+	e.cur[ref] = s
 	return s
 }
 
@@ -572,8 +587,7 @@ func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 // protocol bookkeeping.
 func (e *Engine[ID]) PublishApplied(u store.Update, branches int) {
 	e.fireApply(u, store.Applied, SourceLocal, branches)
-	state := e.newState()
-	e.states[u.Ref()] = state
+	state := e.track(u.Ref())
 	e.lastReceived = e.ep.Now()
 
 	targets := e.sample(e.fanout())
@@ -601,17 +615,21 @@ type Applied struct {
 // protocol bookkeeping: membership, duplicate tuning, ack, and the forwarding
 // decision.
 //
-// When the engine already tracks the update (HasRef) — a duplicate push, or a
-// racing twin that entered first — pre is ignored, so an adapter that can
-// check HasRef under its engine serialisation may skip the store for
-// duplicates.
+// The store decides what is new. A push whose flooding state is in the window
+// is a duplicate whatever pre says (its first copy entered already), and so
+// is one the engine does not track whose pre.Res is store.Duplicate: an
+// update evicted from the window, learned by pull or snapshot, stored before
+// a restart, or a racing twin entering ahead of the copy that applied it. An
+// adapter may therefore skip the store for an update it has Seen and pass
+// Applied{Res: store.Duplicate}.
 func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// Name-dropper: every push teaches us replicas we did not know.
 	e.learnAll(m.RF)
 	e.Learn(from)
 
 	ref := m.Update.Ref()
-	if state, ok := e.states[ref]; ok {
+	state, tracked := e.state(ref)
+	if tracked {
 		// Duplicate: feed the local tuning metrics (§6) and merge the
 		// incoming list — "it can use the list of 'updated replicas' in
 		// each of those messages" (§4.2).
@@ -621,6 +639,8 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 			ad.ObserveDuplicate()
 			ad.ObserveListFraction(e.listFraction(state))
 		}
+	}
+	if tracked || pre.Res == store.Duplicate {
 		if e.cfg.Hooks.OnDuplicate != nil {
 			e.cfg.Hooks.OnDuplicate(m.Update, e.st.BranchCount(m.Update.Key))
 		}
@@ -630,10 +650,9 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// First receipt: process the update.
 	e.lastReceived = e.ep.Now()
 	e.notConfident = false
-	state := e.newState()
+	state = e.track(ref)
 	state.rf.AddAll(m.RF)
 	state.rf.Add(e.self)
-	e.states[ref] = state
 
 	if e.cfg.Acks && e.validID(from) {
 		e.ep.Send(from, Message[ID]{Kind: KindAck, UpdateRef: ref})
@@ -681,7 +700,7 @@ func (e *Engine[ID]) sendPushes(u store.Update, targets []ID, state *updateState
 		if e.cfg.Acks {
 			if _, pending := e.awaitingAck[target]; !pending {
 				e.awaitingAck[target] = now
-				e.ackWaitQ.push(target, now)
+				e.ackWaitQ.push(deadline[ID]{peer: target, at: now})
 			}
 		}
 		e.ep.Send(target, Message[ID]{Kind: KindPush, Update: u, RF: carried, T: t})
@@ -822,11 +841,31 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 // It reads only the store and immutable configuration, so a live adapter may
 // call it without holding its engine lock.
 func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update, frontier version.Clock) {
+	var cut []store.Update
+	if e.cfg.SnapshotCatchUp > 0 {
+		// A complete delta holds every sequence between the requester's clock
+		// and ours, so that gap bounds it from below: a gap above both the
+		// threshold and the cut decides for the cut without materialising a
+		// delta only to discard it.
+		gap := 0
+		for origin, have := range e.st.Clock() {
+			if c := clock.Get(origin); have > c {
+				gap += int(have - c)
+			}
+		}
+		if gap > e.cfg.SnapshotCatchUp {
+			if cut, frontier = e.st.LiveCut(); len(cut) < gap {
+				return cut, frontier
+			}
+		}
+	}
 	missing, complete := e.st.DeltaFor(clock)
 	if complete && (e.cfg.SnapshotCatchUp == 0 || len(missing) <= e.cfg.SnapshotCatchUp) {
 		return missing, nil
 	}
-	cut, frontier := e.st.LiveCut()
+	if frontier == nil {
+		cut, frontier = e.st.LiveCut()
+	}
 	if complete && len(cut) >= len(missing) {
 		return missing, nil
 	}
@@ -895,12 +934,12 @@ func (e *Engine[ID]) StreamSnapshot(cut []store.Update, frontier version.Clock, 
 // to the moment of transmission (every duplicate heard in between merged
 // in), not the copy frozen when the forward was decided, so slow links
 // propagate strictly better dedup information. ok is false when the engine
-// no longer tracks the update (a restart wiped volatile state); such a push
-// still travels, with an empty list. Must be called under the adapter's
-// engine serialisation: it reads per-update state and may draw randomness
-// for the ListMax truncation.
+// no longer tracks the update (its state left the window, or a restart wiped
+// it); such a push still travels, with an empty list. Must be called under
+// the adapter's engine serialisation: it reads per-update state and may draw
+// randomness for the ListMax truncation.
 func (e *Engine[ID]) RenderPush(ref store.Ref) (rf []ID, ok bool) {
-	state, ok := e.states[ref]
+	state, ok := e.state(ref)
 	if !ok {
 		return nil, false
 	}
@@ -955,7 +994,10 @@ func (e *Engine[ID]) StableFrontier() version.Clock {
 // are the responder's live state, not the receiver's gap — so store
 // duplicates among them are neither news nor a push-tuning signal and are not
 // offered to the hooks — followed by one position check that, at the end of
-// an unbroken stream, adopts the frontier.
+// an unbroken stream, adopts the frontier. Updates learned by pull are not
+// re-pushed and get no flooding state: the push phase has already saturated
+// the online population (§4.3's optimism), and a later push of one is a store
+// duplicate.
 func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
@@ -964,11 +1006,6 @@ func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied
 		applied := pre[i].Res
 		if applied == store.Applied {
 			gotNew = true
-		}
-		if _, ok := e.states[u.Ref()]; !ok {
-			// Updates learned by pull are not re-pushed: the push phase has
-			// already saturated the online population (§4.3's optimism).
-			e.states[u.Ref()] = e.newState()
 		}
 		if m.Kind == KindSnapshot && applied == store.Duplicate {
 			continue
@@ -1034,7 +1071,7 @@ func (e *Engine[ID]) handleAck(from ID) {
 // it without scanning.
 func (e *Engine[ID]) suspect(peer ID, now int64) {
 	e.suspects[peer] = now
-	e.suspectQ.push(peer, now)
+	e.suspectQ.push(deadline[ID]{peer: peer, at: now})
 	e.view.suspend(peer)
 	if e.cfg.Hooks.OnSuspect != nil {
 		e.cfg.Hooks.OnSuspect(peer)
@@ -1112,7 +1149,7 @@ func (e *Engine[ID]) AwaitingAck() []ID {
 // matters when an entry is resolved and recreated within the same tick
 // (synchronous adapters, coarse clocks): both queue entries then match the
 // map, but the peer has only one live expectation.
-func liveQueueEntries[ID comparable](q *deadlineQueue[ID], live map[ID]int64) []ID {
+func liveQueueEntries[ID comparable](q *queue[deadline[ID]], live map[ID]int64) []ID {
 	out := make([]ID, 0, len(live))
 	seen := make(map[ID]struct{}, len(live))
 	for _, entry := range q.items[q.head:] {

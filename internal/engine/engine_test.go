@@ -51,13 +51,13 @@ func (ep *testEndpoint) Send(to int, m Message[int]) {
 }
 
 // deliver enters m into e the way both adapters do: updates are offered to
-// the store first — a push only when the engine does not track it yet — and
-// the engine receives the outcomes.
+// the store first — a push only when the store has not seen it, otherwise it
+// enters as a store duplicate — and the engine receives the outcomes.
 func deliver(e *Engine[int], from int, m Message[int]) {
 	switch m.Kind {
 	case KindPush:
-		var pre Applied
-		if !e.HasRef(m.Update.Ref()) {
+		pre := Applied{Res: store.Duplicate}
+		if !e.st.Seen(m.Update.Ref()) {
 			pre.Res, pre.Branches = e.st.ApplyObserved(m.Update)
 		}
 		e.HandlePushApplied(from, m, pre)
@@ -84,6 +84,12 @@ func publishDelete(e *Engine[int], key string) store.Update {
 	u, branches := e.w.DeleteObserved(key)
 	e.PublishApplied(u, branches)
 	return u
+}
+
+// seen reports whether e's store has the update with the given ID.
+func seen(e *Engine[int], updateID string) bool {
+	ref, err := store.ParseRef(updateID)
+	return err == nil && e.Store().Seen(ref)
 }
 
 // newTestEngine builds an engine with a deterministic writer clock and RNG.
@@ -225,7 +231,7 @@ func TestValidIDFiltersLearnedIdentities(t *testing.T) {
 	}
 	u := testUpdate(t, "peer-9", 1, "k", "v")
 	deliver(e, -1, Message[int]{Kind: KindPush, Update: u, RF: []int{-2, 3}, T: 0})
-	if !e.HasUpdate(u.ID()) {
+	if !seen(e, u.ID()) {
 		t.Fatal("push from rejected identity dropped entirely")
 	}
 	if got := e.KnownPeers(); len(got) != 1 || got[0] != 3 {
@@ -242,7 +248,7 @@ func TestPushForwardsToSampledPeersOutsideList(t *testing.T) {
 	u := testUpdate(t, "peer-1", 1, "k", "v")
 	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3}, T: 0})
 
-	if !e.HasUpdate(u.ID()) {
+	if !seen(e, u.ID()) {
 		t.Fatal("first receipt not recorded")
 	}
 	targets := map[int]bool{}
@@ -266,6 +272,56 @@ func TestPushForwardsToSampledPeersOutsideList(t *testing.T) {
 		if targets[listed] {
 			t.Fatalf("peer %d on R_f was pushed to", listed)
 		}
+	}
+}
+
+// TestEngineStateBounded pins the flooding-state window: an engine that
+// publishes and receives 3·stateWindow updates holds the state of at most
+// 2·stateWindow, and a late push of an evicted update is a store duplicate —
+// not forwarded, not applied, one OnDuplicate.
+func TestEngineStateBounded(t *testing.T) {
+	applies, dups := 0, 0
+	e, ep := newTestEngine(t, 0, Config[int]{
+		Fanout: 2,
+		Hooks: Hooks[int]{
+			OnApply:     func(store.Update, store.ApplyResult, Source, int) { applies++ },
+			OnDuplicate: func(store.Update, int) { dups++ },
+		},
+	}, nil)
+	ep.discard = true
+	for id := 1; id <= 5; id++ {
+		e.Learn(id)
+	}
+	var evicted store.Update
+	for i := 0; i < 3*stateWindow; i++ {
+		if i%2 == 0 {
+			publish(e, fmt.Sprintf("own-%d", i), []byte("v"))
+		} else {
+			u := testUpdate(t, "peer-9", uint64(i/2+1), fmt.Sprintf("in-%d", i), "v")
+			deliver(e, 1, Message[int]{Kind: KindPush, Update: u, T: 1})
+			if evicted.Seq == 0 {
+				evicted = u
+			}
+		}
+		if n := len(e.cur) + len(e.old); n > 2*stateWindow {
+			t.Fatalf("after %d updates the engine holds %d flooding states, want <= %d", i+1, n, 2*stateWindow)
+		}
+	}
+	if _, ok := e.state(evicted.Ref()); ok {
+		t.Fatal("the first received update is still in the window")
+	}
+
+	ep.discard, ep.sent = false, nil
+	applies, dups = 0, 0
+	deliver(e, 2, Message[int]{Kind: KindPush, Update: evicted, T: 2})
+	if len(ep.sent) != 0 {
+		t.Fatalf("late duplicate of an evicted update forwarded %d messages", len(ep.sent))
+	}
+	if applies != 0 || dups != 1 {
+		t.Fatalf("late duplicate fired %d applies and %d duplicates, want 0 and 1", applies, dups)
+	}
+	if _, ok := e.state(evicted.Ref()); ok {
+		t.Fatal("late duplicate of an evicted update is tracked again")
 	}
 }
 
@@ -413,7 +469,7 @@ func TestPullReconciliation(t *testing.T) {
 	b.Learn(0)
 	b.PullNow()
 
-	if !b.HasUpdate("peer-0/1") || !b.HasUpdate("peer-0/2") || !b.HasUpdate("peer-0/3") {
+	if !seen(b, "peer-0/1") || !seen(b, "peer-0/2") || !seen(b, "peer-0/3") {
 		t.Fatal("pull did not reconcile all updates")
 	}
 	if _, ok := b.Store().Get("x"); ok {
@@ -443,7 +499,7 @@ func TestPullReqFromStalePeerTriggersCounterPull(t *testing.T) {
 	// must make it synchronise itself (§3: received_pull ∧ ¬confident).
 	epA.now = 10
 	b.PullNow()
-	if !a.HasUpdate("peer-1/1") {
+	if !seen(a, "peer-1/1") {
 		t.Fatal("stale peer did not counter-pull on pull request")
 	}
 }
@@ -461,12 +517,12 @@ func TestLazyPullSyncsOnQuery(t *testing.T) {
 	if !a.NotConfident() {
 		t.Fatal("lazy wake-up did not mark the peer unconfident")
 	}
-	if a.HasUpdate("peer-1/1") {
+	if seen(a, "peer-1/1") {
 		t.Fatal("lazy peer pulled eagerly")
 	}
 	// An incoming query forces the sync; the answer is flagged unconfident.
 	deliver(a, 1, Message[int]{Kind: KindQuery, QID: 9, Key: "k"})
-	if !a.HasUpdate("peer-1/1") {
+	if !seen(a, "peer-1/1") {
 		t.Fatal("query did not trigger the lazy peer's pull")
 	}
 	if a.NotConfident() {

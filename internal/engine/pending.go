@@ -66,7 +66,7 @@ type Pending[ID comparable] struct {
 	// stay in it until Pop skips them or Add compacts it.
 	pushes map[store.Ref]pushEntry
 	byKey  map[string][]store.Ref
-	order  []store.Ref
+	order  queue[store.Ref]
 
 	acks   []store.Ref
 	ackSet map[store.Ref]struct{}
@@ -104,7 +104,22 @@ func (p *Pending[ID]) Len() int {
 // Bytes estimates the memory the pending state holds, the push order index
 // included.
 func (p *Pending[ID]) Bytes() int {
-	return p.bytes + len(p.order)*pendingRefBytes
+	return p.bytes + p.order.len()*pendingRefBytes
+}
+
+// Reset empties p for reuse. The memory its maps and push order index grew
+// is kept, so a sender that alternates two Pendings stops regrowing them for
+// every batch.
+func (p *Pending[ID]) Reset() {
+	clear(p.pushes)
+	clear(p.byKey)
+	p.order.reset()
+	p.acks = p.acks[:0]
+	clear(p.ackSet)
+	p.pullReq, p.pullResp, p.pullClock, p.pullPeers = false, false, nil, nil
+	clear(p.aux)
+	p.aux = p.aux[:0]
+	p.bytes = 0
 }
 
 // Add merges one outbound message. coalesced counts deposits absorbed into —
@@ -190,17 +205,14 @@ func (p *Pending[ID]) addPush(u store.Update, t int) (coalesced int) {
 	p.pushes[ref] = pushEntry{u: u, t: t}
 	p.byKey[u.Key] = append(kept, ref)
 	p.bytes += u.SizeBytes()
-	p.order = append(p.order, ref)
-	if len(p.order) > 2*len(p.pushes)+pendingOrderSlack {
+	p.order.push(ref)
+	if p.order.len() > 2*len(p.pushes)+pendingOrderSlack {
 		// Behind a stalled link a hot key leaves one displaced ref per
 		// overwrite; keep the index proportional to the live pushes.
-		live := p.order[:0]
-		for _, r := range p.order {
-			if _, ok := p.pushes[r]; ok {
-				live = append(live, r)
-			}
-		}
-		p.order = live
+		p.order.filter(func(r store.Ref) bool {
+			_, ok := p.pushes[r]
+			return ok
+		})
 	}
 	return coalesced
 }
@@ -236,9 +248,8 @@ func (p *Pending[ID]) addPullIntent(clock version.Clock, peers []ID) (coalesced 
 // send budget stops calling when the budget is spent; the rest stays pending
 // and keeps merging.
 func (p *Pending[ID]) Pop() (Message[ID], bool) {
-	for len(p.order) > 0 {
-		ref := p.order[0]
-		p.order = p.order[1:]
+	for ref, ok := p.order.peek(); ok; ref, ok = p.order.peek() {
+		p.order.pop()
 		e, ok := p.pushes[ref]
 		if !ok {
 			continue // displaced while pending

@@ -195,7 +195,7 @@ func TestPendingOrderIndexBounded(t *testing.T) {
 		if sum != p.Bytes() {
 			t.Fatalf("n=%d: deltas sum to %dB, Bytes reports %dB", n, sum, p.Bytes())
 		}
-		if got, bound := len(p.order), 2+pendingOrderSlack; got > bound {
+		if got, bound := p.order.len(), 2+pendingOrderSlack; got > bound {
 			t.Fatalf("n=%d: order index holds %d refs for one live push, want at most %d", n, got, bound)
 		}
 		if bound := last.SizeBytes() + (2+pendingOrderSlack)*pendingRefBytes; p.Bytes() > bound {
@@ -357,8 +357,8 @@ func testPendingProperty(t *testing.T, seed int64) {
 		if got := p.Len() - len(p.pushes); got != want {
 			t.Fatalf("seed %d step %d: Len counts %d non-push items, the model owes %d", seed, step, got, want)
 		}
-		if len(p.order) > 2*len(p.pushes)+pendingOrderSlack {
-			t.Fatalf("seed %d: order index %d for %d live pushes", seed, len(p.order), len(p.pushes))
+		if p.order.len() > 2*len(p.pushes)+pendingOrderSlack {
+			t.Fatalf("seed %d: order index %d for %d live pushes", seed, p.order.len(), len(p.pushes))
 		}
 	}
 	for pop() {

@@ -349,9 +349,12 @@ func (p *Peer) KnownPeers() []int { return p.eng.KnownPeers() }
 // KnownCount returns the number of known replicas.
 func (p *Peer) KnownCount() int { return p.eng.KnownCount() }
 
-// HasUpdate reports whether the peer has applied the update with the given
-// ID (store.Update.ID()).
-func (p *Peer) HasUpdate(updateID string) bool { return p.eng.HasUpdate(updateID) }
+// HasUpdate reports whether the peer's store has seen the update with the
+// given ID (store.Update.ID()).
+func (p *Peer) HasUpdate(updateID string) bool {
+	ref, err := store.ParseRef(updateID)
+	return err == nil && p.st.Seen(ref)
+}
 
 // Duplicates returns the duplicate-push count observed for an update.
 func (p *Peer) Duplicates(updateID string) int { return p.eng.Duplicates(updateID) }
@@ -405,8 +408,8 @@ func (p *Peer) runJanitor() {
 // HandleMessage implements simnet.Node. Payloads that are not engine
 // messages are ignored. Update-carrying messages follow the engine's one
 // ingest contract, as live.Replica does: the peer offers the updates to its
-// store, then enters the engine with the outcomes. A push the engine already
-// tracks is a protocol duplicate and never reaches the store.
+// store, then enters the engine with the outcomes. A push of an update the
+// store has seen is a duplicate and never reaches the store's apply.
 func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 	p.bind(env)
 	m, ok := msg.Payload.(engine.Message[int])
@@ -415,8 +418,8 @@ func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 	}
 	switch m.Kind {
 	case engine.KindPush:
-		var pre engine.Applied
-		if !p.eng.HasRef(m.Update.Ref()) {
+		pre := engine.Applied{Res: store.Duplicate}
+		if !p.st.Seen(m.Update.Ref()) {
 			pre.Res, pre.Branches = p.st.ApplyObserved(m.Update)
 		}
 		p.eng.HandlePushApplied(msg.From, m, pre)

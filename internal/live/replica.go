@@ -577,19 +577,11 @@ func (r *Replica) PeerCount() int {
 	return r.eng.KnownCount()
 }
 
-// HasUpdate reports whether the replica has processed the update with the
-// given ID (store.Update.ID()).
+// HasUpdate reports whether the replica's store has seen the update with the
+// given ID (store.Update.ID()). It reads only the origin's log shard.
 func (r *Replica) HasUpdate(updateID string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eng.HasUpdate(updateID)
-}
-
-// Duplicates returns the duplicate-push count observed for an update.
-func (r *Replica) Duplicates(updateID string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.eng.Duplicates(updateID)
+	ref, err := store.ParseRef(updateID)
+	return err == nil && r.st.Seen(ref)
 }
 
 // Start launches the background puller and janitor and performs the

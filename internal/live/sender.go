@@ -40,8 +40,13 @@ type peerSender struct {
 	// never block and redundant nudges collapse.
 	wake chan struct{}
 
+	// bufs double-buffers the pending delta: deposits merge into bufs[cur]
+	// while the run loop flushes the other one, which it Resets for reuse, so
+	// neither regrows its maps per batch. cur and bufs[cur] are guarded by mu;
+	// the other buffer belongs to the run loop.
 	mu      sync.Mutex
-	p       engine.Pending[string]
+	bufs    [2]engine.Pending[string]
+	cur     int
 	closing bool
 }
 
@@ -60,7 +65,7 @@ func (s *peerSender) deposit(m engine.Message[string]) bool {
 		s.mu.Unlock()
 		return false
 	}
-	coalesced, dropped, delta := s.p.Add(m)
+	coalesced, dropped, delta := s.bufs[s.cur].Add(m)
 	s.mu.Unlock()
 	if coalesced > 0 {
 		s.r.add(MetricSendCoalesced, coalesced)
@@ -107,29 +112,26 @@ func (s *peerSender) run() {
 	}
 }
 
-// take swaps the pending delta out under the lock, leaving an empty one for
-// concurrent deposits.
-func (s *peerSender) take() (engine.Pending[string], bool) {
+// take hands the pending delta to the run loop under the lock, leaving the
+// other, empty buffer for concurrent deposits.
+func (s *peerSender) take() *engine.Pending[string] {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.p.Len() == 0 {
-		return engine.Pending[string]{}, false
+	p := &s.bufs[s.cur]
+	if p.Len() == 0 {
+		return nil
 	}
-	p := s.p
-	s.p = engine.Pending[string]{}
-	return p, true
+	s.cur ^= 1
+	return p
 }
 
 // deliver renders and transmits pending deltas until none remain. Deposits
 // made while a batch is on the wire merge into the next one.
 func (s *peerSender) deliver() {
-	for {
-		p, ok := s.take()
-		if !ok {
-			return
-		}
+	for p := s.take(); p != nil; p = s.take() {
 		s.r.notePendingBytes(int64(-p.Bytes()))
-		s.flush(&p)
+		s.flush(p)
+		p.Reset()
 	}
 }
 
@@ -249,7 +251,7 @@ func (s *peerSender) tryRetire() bool {
 	r := s.r
 	r.sendMu.Lock()
 	s.mu.Lock()
-	if s.p.Len() > 0 {
+	if s.bufs[s.cur].Len() > 0 {
 		s.mu.Unlock()
 		r.sendMu.Unlock()
 		return false
@@ -267,8 +269,8 @@ func (s *peerSender) tryRetire() bool {
 func (s *peerSender) discard() {
 	s.mu.Lock()
 	s.closing = true
-	n := s.p.Bytes()
-	s.p = engine.Pending[string]{}
+	n := s.bufs[s.cur].Bytes()
+	s.bufs[s.cur].Reset()
 	s.mu.Unlock()
 	if n != 0 {
 		s.r.notePendingBytes(int64(-n))

@@ -71,7 +71,13 @@ func (l *originLog) record(u Update) {
 	if idx < len(log) && log[idx].Seq == u.Seq {
 		return
 	}
-	log = append(log, Update{})
+	if len(log) == cap(log) {
+		// Double: append grows a large slice by about 1.25×, which makes an
+		// origin's log cost several times its final size in allocation while
+		// it fills (recovery replay, catch-up).
+		log = append(make([]Update, 0, max(2*cap(log), 8)), log...)
+	}
+	log = log[:len(log)+1]
 	copy(log[idx+1:], log[idx:])
 	log[idx] = u
 	l.log[u.Origin] = log
