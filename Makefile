@@ -12,12 +12,12 @@ build:
 test:
 	go test ./...
 
-# The sharded store's stress/property tests and the live ingest pipeline are
-# the main race surfaces; run them with real scheduler parallelism even on
-# constrained runners.
+# The sharded store's stress/property tests, the live ingest pipeline and the
+# write-ahead log's concurrent appends are the main race surfaces; run them
+# with real scheduler parallelism even on constrained runners.
 race:
 	GOMAXPROCS=4 go test -race . ./internal/live/... ./internal/gossip/... \
-		./internal/engine/... ./internal/store/...
+		./internal/engine/... ./internal/store/... ./internal/wal/...
 
 # bench-smoke is the CI guard: every hot-path benchmark compiles and runs
 # once, race-enabled. Timing is judged only by the repo benchmark, on
@@ -64,7 +64,7 @@ loc:
 # exceeds LOC_CEILING, the total of the last PR that lowered it. A PR that
 # deletes code lowers the ceiling to its own total; one that must add code
 # raises it in the open, in the same diff.
-LOC_CEILING := 18735
+LOC_CEILING := 18884
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -114,6 +114,26 @@ func TestDuplicatePushAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTrackAllocations pins the flooding state of a newly tracked update at
+// two objects for a list of up to listMapThreshold peers: the state itself,
+// whose inline array holds the first eight, and one growth of the list.
+func TestTrackAllocations(t *testing.T) {
+	e, _ := newBenchEngine(t, 64, Config[int]{Fanout: 3})
+	peers := benchRF(listMapThreshold)
+	seq := uint64(0)
+	step := func() {
+		seq++
+		e.track(store.Ref{Origin: "w", Seq: seq}).rf.AddAll(peers)
+	}
+	// Fill both generations first, so the window maps have their buckets.
+	for i := 0; i < 2*stateWindow; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(200, step); n > 2 {
+		t.Fatalf("track plus a %d-peer list allocates %v objects, want ≤ 2", len(peers), n)
+	}
+}
+
 func BenchmarkPullReconciliation(b *testing.B) {
 	// A replica holding updateCount updates serves a pull request from a
 	// peer missing the newest `missing` of them.

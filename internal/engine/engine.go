@@ -200,11 +200,12 @@ func (c Config[ID]) Validate() error {
 
 // updateState is the per-update bookkeeping: the accumulated flooding list,
 // the duplicate count (the §6 local tuning metric), and the PF instance that
-// decides forwarding.
+// decides forwarding. The list starts on the inline array.
 type updateState[ID comparable] struct {
-	rf    *orderedSet[ID]
-	dupes int
-	pfn   pf.Func
+	rf     orderedSet[ID]
+	inline [8]ID
+	dupes  int
+	pfn    pf.Func
 }
 
 // snapshotStream is the receive position in one peer's snapshot stream: the
@@ -518,7 +519,8 @@ func (e *Engine[ID]) track(ref store.Ref) *updateState[ID] {
 		clear(e.old)
 		e.cur, e.old = e.old, e.cur
 	}
-	s := &updateState[ID]{rf: newOrderedSet[ID](8)}
+	s := &updateState[ID]{}
+	s.rf.order = s.inline[:0]
 	if e.cfg.NewPF != nil {
 		s.pfn = e.cfg.NewPF()
 	} else {
@@ -694,7 +696,7 @@ func (e *Engine[ID]) sendPushes(u store.Update, targets []ID, state *updateState
 	}
 	// Render the carried list once per push batch; every target gets the
 	// same copy.
-	carried := e.carried(state.rf)
+	carried := e.Carried(state.rf.View())
 	now := e.ep.Now()
 	for _, target := range targets {
 		if e.cfg.Acks {
@@ -707,25 +709,11 @@ func (e *Engine[ID]) sendPushes(u store.Update, targets []ID, state *updateState
 	}
 }
 
-// carried renders a flooding list for the wire, applying the ListMax
-// truncation (§4.2). The local accumulated list is never truncated — only
-// the transmitted copy. When no truncation applies the backing slice is
-// shared rather than copied: an orderedSet only ever appends, so an aliased
-// prefix stays valid even as the set keeps growing.
-func (e *Engine[ID]) carried(rf *orderedSet[ID]) []ID {
-	if !e.cfg.PartialList {
-		return nil
-	}
-	if e.cfg.ListMax > 0 && rf.Len() > e.cfg.ListMax {
-		return rf.Truncated(e.cfg.ListMax, e.cfg.TruncatePolicy, e.ep.Rand())
-	}
-	return rf.View()
-}
-
-// Carried renders an arbitrary accumulated list for the wire per the
-// engine's partial-list configuration, for tests and benchmarks. The input
-// stands in for an accumulated flooding list, so it is assumed free of
-// duplicates.
+// Carried renders an accumulated flooding list (free of duplicates) for the
+// wire, applying the ListMax truncation (§4.2). The local list is never
+// truncated — only the transmitted copy. When no truncation applies the list
+// itself is returned: an orderedSet's View only ever grows behind an aliased
+// prefix, so sharing it stays valid.
 func (e *Engine[ID]) Carried(list []ID) []ID {
 	if !e.cfg.PartialList {
 		return nil
@@ -943,7 +931,7 @@ func (e *Engine[ID]) RenderPush(ref store.Ref) (rf []ID, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.carried(state.rf), true
+	return e.Carried(state.rf.View()), true
 }
 
 // recordPullClock files the requester's clock into the stable-frontier

@@ -1,41 +1,47 @@
 package engine
 
-import (
-	"math/rand"
+// listMapThreshold is the length past which an orderedSet indexes its entries
+// in a map; shorter lists scan linearly and allocate nothing but the slice.
+const listMapThreshold = 16
 
-	"github.com/p2pgossip/update/internal/replicalist"
-)
-
-// orderedSet is an insertion-ordered set of peer IDs. It backs both the
-// per-update flooding list R_f and the engine's membership view, generic
-// over the adapter's peer identity (int indices in the simulator, string
-// addresses in the live runtime).
+// orderedSet is an insertion-ordered set of peer IDs backing the per-update
+// flooding list R_f, generic over the adapter's peer identity (int indices in
+// the simulator, string addresses in the live runtime). The zero value is an
+// empty set.
 type orderedSet[ID comparable] struct {
 	order []ID
-	seen  map[ID]struct{}
-}
-
-func newOrderedSet[ID comparable](capacity int) *orderedSet[ID] {
-	return &orderedSet[ID]{
-		order: make([]ID, 0, capacity),
-		seen:  make(map[ID]struct{}, capacity),
-	}
+	seen  map[ID]struct{} // nil until the set outgrows listMapThreshold
 }
 
 func (s *orderedSet[ID]) Len() int { return len(s.order) }
 
 func (s *orderedSet[ID]) Contains(id ID) bool {
-	_, ok := s.seen[id]
-	return ok
+	if s.seen != nil {
+		_, ok := s.seen[id]
+		return ok
+	}
+	for _, have := range s.order {
+		if have == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Add inserts id if absent and reports whether it was inserted.
 func (s *orderedSet[ID]) Add(id ID) bool {
-	if _, ok := s.seen[id]; ok {
+	if s.Contains(id) {
 		return false
 	}
-	s.seen[id] = struct{}{}
 	s.order = append(s.order, id)
+	if s.seen != nil {
+		s.seen[id] = struct{}{}
+	} else if len(s.order) > listMapThreshold {
+		s.seen = make(map[ID]struct{}, 2*len(s.order))
+		for _, have := range s.order {
+			s.seen[have] = struct{}{}
+		}
+	}
 	return true
 }
 
@@ -61,14 +67,4 @@ func (s *orderedSet[ID]) Slice() []ID {
 // its length) while the set keeps growing. Callers must not mutate it.
 func (s *orderedSet[ID]) View() []ID {
 	return s.order[:len(s.order):len(s.order)]
-}
-
-// Truncated returns a copy of at most maxLen entries, dropping the excess
-// per the given policy (§4.2: "discarding either random entries or the head
-// or tail of the partial list"). The set itself is never modified — only the
-// transmitted copy is truncated, so "the nodes which push the update in the
-// next round pay the penalty". The policy semantics live in replicalist so
-// simulator lists and engine lists cannot drift.
-func (s *orderedSet[ID]) Truncated(maxLen int, policy replicalist.TruncatePolicy, rng *rand.Rand) []ID {
-	return replicalist.TruncatedCopy(s.order, maxLen, policy, rng)
 }

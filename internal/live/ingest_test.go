@@ -49,11 +49,11 @@ func TestRacingTwinPushesApplyOnce(t *testing.T) {
 	r.AddPeers("a", "b", "c")
 	u, _ := testWriter(t, "origin").PutObserved("k", []byte("v"))
 
-	preA := r.preApply(u)
+	preA := r.applyPushes([]store.Update{u})[0]
 	if preA.Res != store.Applied {
 		t.Fatalf("copy A's apply = %v, want applied", preA.Res)
 	}
-	r.handle(wire.Envelope{Kind: wire.KindPush, From: "b", Update: wire.FromStore(u)})
+	r.ingestPushes([]wire.Envelope{{Kind: wire.KindPush, From: "b", Update: wire.FromStore(u)}})
 	r.run(func(e *engine.Engine[string]) {
 		e.HandlePushApplied("a", engine.Message[string]{Kind: engine.KindPush, Update: u}, preA)
 	})

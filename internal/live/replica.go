@@ -154,11 +154,11 @@ type Replica struct {
 	st        store.Backend
 	writer    *store.Writer
 
-	mu      sync.Mutex
-	eng     *engine.Engine[string]
-	rng     *rand.Rand
-	outbox  []outbound
-	pending []protoEvent
+	mu     sync.Mutex
+	eng    *engine.Engine[string]
+	rng    *rand.Rand
+	queued *runQueue // filled by the engine call in progress
+	spare  sync.Pool // of flushed, cleared *runQueue (see run)
 
 	// sendMu guards the sender registry. sendStopped mirrors the replica
 	// stopping so no sender goroutine can be registered after Stop begins
@@ -185,6 +185,19 @@ type Replica struct {
 type outbound struct {
 	tos []string
 	msg engine.Message[string]
+}
+
+// runQueue is what one engine call queues for after the lock: its sends and
+// its hook events. reset clears it for reuse, keeping its backing arrays.
+type runQueue struct {
+	out    []outbound
+	events []protoEvent
+}
+
+func (q *runQueue) reset() {
+	clear(q.out)
+	clear(q.events)
+	q.out, q.events = q.out[:0], q.events[:0]
 }
 
 // protoEvent is one queued observability event, fired after the engine call
@@ -218,17 +231,17 @@ func (ep liveEndpoint) Self() string     { return ep.r.addr }
 func (ep liveEndpoint) Now() int64       { return time.Now().UnixNano() }
 func (ep liveEndpoint) Rand() *rand.Rand { return ep.r.rng }
 func (ep liveEndpoint) Send(to string, m engine.Message[string]) {
-	r := ep.r
-	if n := len(r.outbox); n > 0 && m.Kind == engine.KindPush {
+	q := ep.r.queued
+	if n := len(q.out); n > 0 && m.Kind == engine.KindPush {
 		// Same update as the entry before it: the next target of one fanout.
 		// The carried list needs no comparing — senders render it when the
 		// push leaves (RenderPush), not from the deposit.
-		if last := &r.outbox[n-1]; last.msg.Kind == engine.KindPush && last.msg.Update.Ref() == m.Update.Ref() {
+		if last := &q.out[n-1]; last.msg.Kind == engine.KindPush && last.msg.Update.Ref() == m.Update.Ref() {
 			last.tos = append(last.tos, to)
 			return
 		}
 	}
-	r.outbox = append(r.outbox, outbound{tos: []string{to}, msg: m})
+	q.out = append(q.out, outbound{tos: []string{to}, msg: m})
 }
 
 // NewReplica builds a replica on the given transport. The transport's
@@ -254,9 +267,11 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		addr:      transport.Addr(),
 		st:        store.NewShardedWithRetention(0, retain),
 		rng:       rand.New(rand.NewSource(seed)),
+		queued:    new(runQueue),
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
 	}
+	r.spare.New = func() any { return new(runQueue) }
 	w, err := store.NewWriter(r.addr, r.st, time.Now,
 		rand.New(rand.NewSource(seed+1)))
 	if err != nil {
@@ -281,23 +296,19 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		ValidID:         func(addr string) bool { return addr != "" },
 		Hooks: engine.Hooks[string]{
 			OnApply: func(u store.Update, res store.ApplyResult, src Source, branches int) {
-				r.pending = append(r.pending, protoEvent{
-					kind: evApply, u: u, res: res, src: src, branches: branches,
-				})
+				r.queue(protoEvent{kind: evApply, u: u, res: res, src: src, branches: branches})
 			},
 			OnDuplicate: func(u store.Update, branches int) {
-				r.pending = append(r.pending, protoEvent{
-					kind: evDuplicate, u: u, branches: branches,
-				})
+				r.queue(protoEvent{kind: evDuplicate, u: u, branches: branches})
 			},
 			OnAck: func(peer string) {
-				r.pending = append(r.pending, protoEvent{kind: evAck, peer: peer})
+				r.queue(protoEvent{kind: evAck, peer: peer})
 			},
 			OnSuspect: func(peer string) {
-				r.pending = append(r.pending, protoEvent{kind: evSuspect, peer: peer})
+				r.queue(protoEvent{kind: evSuspect, peer: peer})
 			},
 			OnCatchUp: func(frontier version.Clock) {
-				r.pending = append(r.pending, protoEvent{kind: evCatchUp, frontier: frontier})
+				r.queue(protoEvent{kind: evCatchUp, frontier: frontier})
 			},
 		},
 	}, liveEndpoint{r}, r.st, w)
@@ -306,20 +317,32 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	}
 	r.eng = eng
 	transport.SetHandler(r.handle)
+	if br, ok := transport.(BatchReceiver); ok {
+		br.SetBatchHandler(r.ingestPushes)
+	}
 	return r, nil
 }
 
+// queue records one hook event of the engine call in progress.
+func (r *Replica) queue(ev protoEvent) {
+	r.queued.events = append(r.queued.events, ev)
+}
+
 // run serialises one engine call and then flushes the sends and events it
-// queued, outside the lock.
+// queued, outside the lock, from a queue swapped out for a spare.
 func (r *Replica) run(f func(e *engine.Engine[string])) {
 	r.mu.Lock()
 	f(r.eng)
-	events := r.pending
-	r.pending = nil
-	out := r.outbox
-	r.outbox = nil
+	q := r.queued
+	if len(q.out) == 0 && len(q.events) == 0 {
+		r.mu.Unlock()
+		return
+	}
+	r.queued = r.spare.Get().(*runQueue)
 	r.mu.Unlock()
-	r.flush(events, out)
+	r.flush(q.events, q.out)
+	q.reset()
+	r.spare.Put(q)
 }
 
 func (r *Replica) flush(events []protoEvent, out []outbound) {
@@ -426,14 +449,7 @@ func (r *Replica) PendingSendBytes() (current, peak int64) {
 func (r *Replica) handle(env wire.Envelope) {
 	switch env.Kind {
 	case wire.KindPush:
-		u := env.Update.ToStore()
-		r.inc(MetricPushReceived)
-		pre := r.preApply(u)
-		r.run(func(e *engine.Engine[string]) {
-			e.HandlePushApplied(env.From, engine.Message[string]{
-				Kind: engine.KindPush, Update: u, RF: env.RF, T: env.T,
-			}, pre)
-		})
+		r.ingestPushes([]wire.Envelope{env})
 	case wire.KindPullReq:
 		r.run(func(e *engine.Engine[string]) {
 			e.Handle(env.From, engine.Message[string]{
@@ -450,10 +466,8 @@ func (r *Replica) handle(env wire.Envelope) {
 			updates[i] = env.Updates[i].ToStore()
 			res, branches := r.st.ApplyObserved(updates[i])
 			pre[i] = engine.Applied{Res: res, Branches: branches}
-			if res != store.Duplicate {
-				_ = r.walAppend(updates[i])
-			}
 		}
+		r.walAppendApplied(updates, pre)
 		msg := engine.Message[string]{Kind: engine.KindPullResp, Updates: updates, Peers: env.KnownPeers}
 		if env.Kind == wire.KindSnapshot {
 			msg.Kind, msg.Stream, msg.Chunk = engine.KindSnapshot, env.Stream, env.Chunk
@@ -527,23 +541,41 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 	return env
 }
 
-// preApply offers one pushed update to the store on the calling (connection
-// reader) goroutine, before the engine's critical section. Updates the store
-// has already logged skip the write entirely — the same short-circuit the
-// engine's duplicate path provides, done here against the origin's log shard
-// so duplicate floods never contend on item shards.
-func (r *Replica) preApply(u store.Update) engine.Applied {
-	if r.st.Seen(u.Ref()) {
-		return engine.Applied{Res: store.Duplicate, Branches: r.st.BranchCount(u.Key)}
+// ingestPushes is the one push-ingest body, for a run of pushes from one
+// connection (BatchReceiver; a run of one from handle): every store apply,
+// then one WAL call for every record, then one engine section. Each apply
+// precedes its record, so a later checkpoint covers every sealed segment,
+// and the run's records reach the kernel before the engine acts on any push.
+func (r *Replica) ingestPushes(envs []wire.Envelope) {
+	us := make([]store.Update, len(envs))
+	for i := range envs {
+		us[i] = envs[i].Update.ToStore()
 	}
-	res, branches := r.st.ApplyObserved(u)
-	if res != store.Duplicate {
-		// Log before the engine acknowledges the push. The store apply
-		// precedes the log record, so a checkpoint snapshot taken later
-		// always covers every record already in sealed segments.
-		_ = r.walAppend(u)
+	pre := r.applyPushes(us)
+	r.walAppendApplied(us, pre)
+	r.add(MetricPushReceived, len(envs))
+	r.run(func(e *engine.Engine[string]) {
+		for i := range envs {
+			e.HandlePushApplied(envs[i].From, engine.Message[string]{
+				Kind: engine.KindPush, Update: us[i], RF: envs[i].RF, T: envs[i].T,
+			}, pre[i])
+		}
+	})
+}
+
+// applyPushes offers pushed updates to the store, in order, outside the
+// engine lock. Updates the store has Seen skip the write: that reads only the
+// origin's log shard, so duplicate floods never contend on item shards.
+func (r *Replica) applyPushes(us []store.Update) []engine.Applied {
+	pre := make([]engine.Applied, len(us))
+	for i, u := range us {
+		if r.st.Seen(u.Ref()) {
+			pre[i] = engine.Applied{Res: store.Duplicate, Branches: r.st.BranchCount(u.Key)}
+		} else {
+			pre[i].Res, pre[i].Branches = r.st.ApplyObserved(u)
+		}
 	}
-	return engine.Applied{Res: res, Branches: branches}
+	return pre
 }
 
 // Addr returns the replica's address.

@@ -48,7 +48,13 @@ type peerSender struct {
 	bufs    [2]engine.Pending[string]
 	cur     int
 	closing bool
+
+	envs   []wire.Envelope // the run loop's render scratch, cleared per batch
+	frames []*wire.Frame
 }
+
+// maxSenderScratch caps the batch size whose scratch a sender keeps.
+const maxSenderScratch = 1024
 
 func newPeerSender(r *Replica, to string) *peerSender {
 	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1)}
@@ -147,7 +153,7 @@ func (s *peerSender) deliver() {
 // counters fire here — at actual transmission — not at deposit.
 func (s *peerSender) flush(p *engine.Pending[string]) {
 	r := s.r
-	envs := make([]wire.Envelope, 0, p.Len())
+	envs := s.envs[:0]
 	var intent engine.Message[string]
 	m, ok := p.Pop()
 	if ok && m.Kind == engine.KindPush {
@@ -185,23 +191,34 @@ func (s *peerSender) flush(p *engine.Pending[string]) {
 	}
 	if !intent.IsPullIntent() {
 		s.send(envs)
-		return
+	} else {
+		// AnswerPull reads only the store and immutable config, so it runs
+		// without the replica lock — cutting the live state for a far-behind
+		// peer never stalls the protocol.
+		r.eng.AnswerPull(intent.Clock, intent.Peers, func(m engine.Message[string]) bool {
+			envs = append(envs, envelopeFromEngine(r.addr, m))
+			sent := s.send(envs)
+			envs = envs[:0]
+			switch {
+			case m.Kind == engine.KindPullResp:
+				r.inc(MetricPullServed)
+			case m.Last && sent:
+				// A catch-up counts as served once its last chunk went out.
+				r.inc(MetricSnapshotServed)
+			}
+			return sent
+		})
 	}
-	// AnswerPull reads only the store and immutable config, so it runs
-	// without the replica lock — cutting the live state for a far-behind peer
-	// never stalls the protocol.
-	r.eng.AnswerPull(intent.Clock, intent.Peers, func(m engine.Message[string]) bool {
-		sent := s.send(append(envs, envelopeFromEngine(r.addr, m)))
-		envs = envs[:0]
-		switch {
-		case m.Kind == engine.KindPullResp:
-			r.inc(MetricPullServed)
-		case m.Last && sent:
-			// A catch-up counts as served once its last chunk went out.
-			r.inc(MetricSnapshotServed)
-		}
-		return sent
-	})
+	s.envs = recycle(envs)
+}
+
+// recycle clears a scratch slice for reuse, or drops an outsized one.
+func recycle[T any](s []T) []T {
+	if cap(s) > maxSenderScratch {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // send transmits one rendered batch: encoded once into frames and flushed
@@ -213,7 +230,7 @@ func (s *peerSender) send(envs []wire.Envelope) bool {
 	r := s.r
 	failed := 0
 	if fbs, ok := r.transport.(FrameBatchSender); ok {
-		frames := make([]*wire.Frame, 0, len(envs))
+		frames := s.frames[:0]
 		for i := range envs {
 			f, err := wire.NewFrame(&envs[i])
 			if err != nil {
@@ -230,6 +247,7 @@ func (s *peerSender) send(envs []wire.Envelope) bool {
 				f.Release()
 			}
 		}
+		s.frames = recycle(frames)
 	} else {
 		for i := range envs {
 			if err := r.transport.Send(s.to, envs[i]); err != nil {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -54,11 +55,9 @@ const connBufBytes = 32 << 10
 type TCPTransport struct {
 	listener net.Listener
 
-	mu      sync.RWMutex
-	handler Handler
-	// handlerAtomic mirrors handler for the per-frame fast path in
-	// serveConn (no read lock per inbound message).
-	handlerAtomic atomic.Value // of Handler
+	mu            sync.RWMutex
+	handlerAtomic atomic.Value // of Handler, read per inbound frame
+	batchAtomic   atomic.Value // of func([]wire.Envelope), read per run
 	closed        bool
 	closedAtomic  atomic.Bool
 	wg            sync.WaitGroup
@@ -79,7 +78,11 @@ var (
 	_ Transport        = (*TCPTransport)(nil)
 	_ FrameSender      = (*TCPTransport)(nil)
 	_ FrameBatchSender = (*TCPTransport)(nil)
+	_ BatchReceiver    = (*TCPTransport)(nil)
 )
+
+// maxIngestRun caps the pushes one inbound run hands the batch handler.
+const maxIngestRun = 256
 
 // pooledConn is one outbound connection. Writers serialise on wmu and write
 // their frames synchronously — the socket itself is the queue, and a slow
@@ -215,12 +218,10 @@ func ListenTCP(addr string) (*TCPTransport, error) {
 func (t *TCPTransport) Addr() string { return t.listener.Addr().String() }
 
 // SetHandler implements Transport.
-func (t *TCPTransport) SetHandler(h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
-	t.handlerAtomic.Store(h)
-}
+func (t *TCPTransport) SetHandler(h Handler) { t.handlerAtomic.Store(h) }
+
+// SetBatchHandler implements BatchReceiver.
+func (t *TCPTransport) SetBatchHandler(h func([]wire.Envelope)) { t.batchAtomic.Store(h) }
 
 // Send implements Transport: encode once, write on the destination's
 // connection.
@@ -424,24 +425,65 @@ func (t *TCPTransport) acceptLoop() {
 }
 
 // serveConn decodes a stream of binary envelope frames from one inbound
-// connection, dispatching each to the handler, until the peer closes or an
-// error — a truncated frame, a bad length, a malformed body — makes the
-// stream unsafe to continue. The envelope is decoded once into a reusable
-// struct outside any replica lock; per the Handler contract its containers
-// are valid only for the duration of the call.
+// connection into a reusable struct, dispatching them to the handlers, until
+// the peer closes or an error — a truncated frame, a bad length, a malformed
+// body — makes the stream unsafe to continue. With a batch handler,
+// consecutive pushes form a run that grows only while a complete next frame
+// is buffered; their RFs are copied into an arena, as the decoder reuses its
+// containers.
 func (t *TCPTransport) serveConn(conn net.Conn) {
 	defer conn.Close()
-	fr := wire.NewFrameReader(bufio.NewReaderSize(conn, connBufBytes))
+	br := bufio.NewReaderSize(conn, connBufBytes)
+	fr := wire.NewFrameReader(br)
 	var env wire.Envelope
+	var run []wire.Envelope
+	var arena []string
+	var batch func([]wire.Envelope) // handler of the run in progress
 	for {
-		if err := fr.ReadEnvelope(&env); err != nil {
-			return // EOF, peer reset, or a corrupt stream: drop the connection
-		}
+		err := fr.ReadEnvelope(&env)
 		if t.closedAtomic.Load() {
 			return
+		}
+		if err == nil && env.Kind == wire.KindPush {
+			if batch == nil {
+				batch, _ = t.batchAtomic.Load().(func([]wire.Envelope))
+			}
+			if batch != nil {
+				push, start := env, len(arena)
+				arena = append(arena, env.RF...)
+				push.RF = arena[start:len(arena):len(arena)]
+				run = append(run, push)
+				if len(run) < maxIngestRun && frameBuffered(br) {
+					continue
+				}
+			}
+		}
+		if len(run) > 0 {
+			batch(run)
+			clear(run) // drop the run's updates; the backing is kept
+			run, batch = run[:0], nil
+			// An arena past sixteen addresses a push is one outsized run's.
+			if arena = arena[:0]; cap(arena) > 16*maxIngestRun {
+				arena = nil
+			}
+			if err == nil && env.Kind == wire.KindPush {
+				continue
+			}
+		}
+		if err != nil {
+			return // EOF, peer reset, or a corrupt stream: drop the connection
 		}
 		if handler, _ := t.handlerAtomic.Load().(Handler); handler != nil {
 			handler(env)
 		}
 	}
+}
+
+// frameBuffered reports whether reading br's next frame cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
 }

@@ -58,6 +58,16 @@ type FrameBatchSender interface {
 	SendFrames(to string, fs []*wire.Frame) error
 }
 
+// BatchReceiver is implemented by transports that can hand over inbound
+// pushes a run at a time: pushes one connection delivered back to back, in
+// order. Pushes only — any other kind ends a run and reaches the Handler
+// after it — and a run never waits for more input. As with Handler, the
+// slice and each RF are reused for the next run; strings, values and
+// histories may be retained. Without a batch handler, pushes go to Handler.
+type BatchReceiver interface {
+	SetBatchHandler(h func([]wire.Envelope))
+}
+
 // Hub is an in-memory message fabric connecting MemTransports. It supports
 // taking endpoints "offline" — sends to them fail, mirroring the paper's
 // unreliable peers — and is safe for concurrent use.

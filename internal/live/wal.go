@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
@@ -37,15 +38,30 @@ func (rec WALRecovery) Restored() int {
 	return rec.CheckpointRestored + rec.Replayed
 }
 
-// walAppend logs one applied update to the write-ahead log, if one is
+// walAppend logs applied updates to the write-ahead log, if one is
 // configured. Local writes propagate the error to the caller (the write is
 // not durable); ingest paths proceed — the apply already happened and the
 // failure is latched and counted by the log itself.
-func (r *Replica) walAppend(u store.Update) error {
-	if r.cfg.WAL == nil {
+func (r *Replica) walAppend(us ...store.Update) error {
+	if r.cfg.WAL == nil || len(us) == 0 {
 		return nil
 	}
-	return r.cfg.WAL.Append(u)
+	return r.cfg.WAL.Append(us...)
+}
+
+// walAppendApplied logs, in one WAL call, every ingested update us[i] whose
+// apply pre[i] was not a duplicate. Like every ingest path it ignores errors.
+func (r *Replica) walAppendApplied(us []store.Update, pre []engine.Applied) {
+	if r.cfg.WAL == nil {
+		return
+	}
+	fresh := make([]store.Update, 0, len(us))
+	for i := range us {
+		if pre[i].Res != store.Duplicate {
+			fresh = append(fresh, us[i])
+		}
+	}
+	_ = r.walAppend(fresh...)
 }
 
 // walAppendFrontier logs a wholesale frontier adoption (snapshot catch-up).

@@ -40,8 +40,11 @@ func (c Constant) P(int) float64 { return clamp01(c.C) }
 // String implements Func.
 func (c Constant) String() string { return fmt.Sprintf("PF=%g", c.C) }
 
-// Always is PF(t) = 1 — pure constrained flooding.
-func Always() Func { return Constant{C: 1} }
+// Always is PF(t) = 1 — pure constrained flooding. The value is shared: a
+// Constant has no state, so handing out one boxed copy allocates nothing.
+func Always() Func { return always }
+
+var always Func = Constant{C: 1}
 
 // Linear is the paper's "PF(t) = 1 − 0.1·t assuming t < 10" (Fig. 4),
 // generalised to PF(t) = Start − Slope·t, clamped to [0, 1].

@@ -29,6 +29,9 @@ type Backend interface {
 	BranchCount(key string) int
 	// Get returns the winning revision for key (see Sharded.Get).
 	Get(key string) (Revision, bool)
+	// WinnerVersion returns the shared, read-only version history of key's
+	// winning branch, tombstoned or not (nil for an unknown key).
+	WinnerVersion(key string) version.History
 	// Versions returns copies of all coexisting revisions of key, sorted
 	// deterministically.
 	Versions(key string) []Revision

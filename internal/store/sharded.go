@@ -225,6 +225,15 @@ func (s *Sharded) Get(key string) (Revision, bool) {
 	return cloneRevision(best), true
 }
 
+// WinnerVersion implements Backend, under the item shard's read lock.
+func (s *Sharded) WinnerVersion(key string) version.History {
+	is := s.itemFor(key)
+	is.mu.RLock()
+	defer is.mu.RUnlock()
+	best, _ := winner(is.items[key])
+	return best.Version
+}
+
 // Versions returns copies of all coexisting revisions of key, including
 // tombstoned branches, sorted deterministically.
 func (s *Sharded) Versions(key string) []Revision {

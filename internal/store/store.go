@@ -142,33 +142,39 @@ type ApplyHook func(u Update, res ApplyResult, branches int)
 // conventional choice that comfortably exceeds expected offline periods.
 const DefaultTombstoneRetention = 30 * 24 * time.Hour
 
+// winner returns the best-ranked branch by one scan, sharing its backing.
 func winner(revs []Revision) (Revision, bool) {
 	if len(revs) == 0 {
 		return Revision{}, false
 	}
-	sorted := make([]Revision, len(revs))
-	copy(sorted, revs)
-	sortRevisions(sorted)
-	return sorted[0], true
+	best := 0
+	for i := 1; i < len(revs); i++ {
+		if outranks(&revs[i], &revs[best]) {
+			best = i
+		}
+	}
+	return revs[best], true
 }
 
-// sortRevisions orders branches best-first: longer history wins, then the
+// sortRevisions orders branches best-first.
+func sortRevisions(revs []Revision) {
+	sort.Slice(revs, func(i, j int) bool { return outranks(&revs[i], &revs[j]) })
+}
+
+// outranks is the branch order: longer history wins, then the
 // lexicographically larger head id (arbitrary but deterministic across
 // replicas), so every replica picks the same winner among concurrent
 // branches.
-func sortRevisions(revs []Revision) {
-	sort.Slice(revs, func(i, j int) bool {
-		a, b := revs[i], revs[j]
-		if len(a.Version) != len(b.Version) {
-			return len(a.Version) > len(b.Version)
-		}
-		ah, errA := a.Version.Head()
-		bh, errB := b.Version.Head()
-		if errA != nil || errB != nil {
-			return errA == nil
-		}
-		return bytes.Compare(ah[:], bh[:]) > 0
-	})
+func outranks(a, b *Revision) bool {
+	if len(a.Version) != len(b.Version) {
+		return len(a.Version) > len(b.Version)
+	}
+	ah, errA := a.Version.Head()
+	bh, errB := b.Version.Head()
+	if errA != nil || errB != nil {
+		return errA == nil
+	}
+	return bytes.Compare(ah[:], bh[:]) > 0
 }
 
 func cloneRevision(r Revision) Revision {

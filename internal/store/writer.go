@@ -97,14 +97,9 @@ func (w *Writer) mutate(key string, value []byte, del bool) (Update, int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	now := w.now()
-	parent := version.History(nil)
-	if rev, ok := w.store.Get(key); ok {
-		parent = rev.Version
-	} else if revs := w.store.Versions(key); len(revs) > 0 {
-		// All branches deleted: extend the winning tombstone so the write
-		// supersedes the deletion.
-		parent = revs[0].Version
-	}
+	// The winning branch is the parent even when it is a tombstone, so the
+	// write supersedes the deletion. Append copies it.
+	parent := w.store.WinnerVersion(key)
 	w.seq++
 	u := Update{
 		Origin:  w.origin,

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -45,5 +46,21 @@ func TestNewWriterNilRNGDistinctStreams(t *testing.T) {
 	}
 	if h1 == h2 {
 		t.Fatal("writers with nil RNGs drew identical version ids")
+	}
+}
+
+// TestPutExistingKeyCopiesNoValue pins the local write path: overwriting a
+// key reads the winning history in place, so the update's own value copy is
+// the only one. Three objects in all; reading the parent through a sorted,
+// cloned winner cost seven.
+func TestPutExistingKeyCopiesNoValue(t *testing.T) {
+	w, err := NewWriter("w", NewSharded(1), time.Now, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := make([]byte, 100)
+	w.PutObserved("k", value)
+	if n := testing.AllocsPerRun(1000, func() { w.PutObserved("k", value) }); n > 3 {
+		t.Fatalf("PutObserved on an existing key allocates %v objects, want ≤ 3", n)
 	}
 }

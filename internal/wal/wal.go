@@ -427,29 +427,33 @@ func (l *Log) recoverSegments(idxs []uint64, strict bool) error {
 	return nil
 }
 
-// Append logs one store update. The record is written to the kernel before
-// Append returns; under SyncAlways it is also fsynced (group-committed with
-// concurrent appenders) first. An I/O error wedges the log: the error is
-// latched and every subsequent append returns it.
-func (l *Log) Append(u store.Update) error {
-	return l.appendRecord(func(dst []byte) []byte {
+// maxRetainedScratch caps the framing buffer kept between appends.
+const maxRetainedScratch = 1 << 20
+
+// Append logs store updates in order, one record each, written to the kernel
+// with one write per segment the call touches before it returns; under
+// SyncAlways also fsynced (group-committed) first. MetricAppends counts
+// records. A record over MaxRecordBytes is refused alone, its error returned.
+// An I/O error wedges the log: every later append returns it.
+func (l *Log) Append(us ...store.Update) error {
+	return l.appendRecords(len(us), func(dst []byte, i int) []byte {
 		dst = append(dst, byte(RecordUpdate))
-		return wire.AppendStoreUpdate(dst, u)
+		return wire.AppendStoreUpdate(dst, us[i])
 	})
 }
 
 // AppendFrontier logs a wholesale frontier adoption (snapshot catch-up), so
 // recovery can restore the compaction watermark a snapshot installed.
 func (l *Log) AppendFrontier(c version.Clock) error {
-	return l.appendRecord(func(dst []byte) []byte {
+	return l.appendRecords(1, func(dst []byte, _ int) []byte {
 		dst = append(dst, byte(RecordFrontier))
 		return wire.AppendClock(dst, c)
 	})
 }
 
-// appendRecord frames, writes, and (policy permitting) syncs one record
-// whose body mk appends to dst.
-func (l *Log) appendRecord(mk func(dst []byte) []byte) error {
+// appendRecords frames n records, record i's body appended to dst by mk,
+// writes them, and (policy permitting) syncs once for all of them.
+func (l *Log) appendRecords(n int, mk func(dst []byte, i int) []byte) error {
 	if err := l.loadFailed(); err != nil {
 		l.inc(MetricAppendErrors)
 		return err
@@ -459,42 +463,72 @@ func (l *Log) appendRecord(mk func(dst []byte) []byte) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	b := append(l.scratch[:0], 0, 0, 0, 0, 0, 0, 0, 0)
-	b = mk(b)
-	body := b[recordHeaderSize:]
-	l.scratch = b
-	if len(body) > MaxRecordBytes {
-		l.mu.Unlock()
+	records, size, refused, err := l.writeRecordsLocked(n, mk)
+	l.seq += uint64(records)
+	seq := l.seq
+	l.mu.Unlock()
+	if err != nil {
+		l.fail(err)
 		l.inc(MetricAppendErrors)
-		return fmt.Errorf("wal: record body %d bytes exceeds MaxRecordBytes", len(body))
+		return err
 	}
-	putU32(b[0:4], uint32(len(body)))
-	putU32(b[4:8], crc32.Checksum(body, crcTable))
-	if l.segSize+int64(len(b)) > l.segBytes && l.segSize > headerSize {
-		if err := l.sealLocked(); err != nil {
-			l.mu.Unlock()
-			l.fail(err)
-			l.inc(MetricAppendErrors)
+	l.count(MetricAppends, float64(records))
+	l.count(MetricAppendBytes, float64(size))
+	if records > 0 && l.policy == SyncAlways {
+		if err := l.waitSynced(seq); err != nil {
 			return err
 		}
 	}
-	if _, err := l.f.Write(b); err != nil {
-		l.mu.Unlock()
-		l.fail(err)
+	if refused != nil {
 		l.inc(MetricAppendErrors)
+	}
+	return refused
+}
+
+// writeRecordsLocked frames records into the scratch buffer and writes them,
+// one write per segment: a record that would overflow a segment already
+// holding one opens the successor once what precedes it is written.
+func (l *Log) writeRecordsLocked(n int, mk func(dst []byte, i int) []byte) (records, size int, refused, err error) {
+	b := l.scratch[:0]
+	defer func() {
+		if l.scratch = b[:0]; cap(b) > maxRetainedScratch {
+			l.scratch = nil
+		}
+	}()
+	for i := 0; i < n; i++ {
+		start := len(b)
+		b = mk(append(b, 0, 0, 0, 0, 0, 0, 0, 0), i)
+		body := b[start+recordHeaderSize:]
+		if len(body) > MaxRecordBytes {
+			refused = fmt.Errorf("wal: record body %d bytes exceeds MaxRecordBytes", len(body))
+			b = b[:start]
+			continue
+		}
+		putU32(b[start:start+4], uint32(len(body)))
+		putU32(b[start+4:start+8], crc32.Checksum(body, crcTable))
+		framed := len(b) - start
+		if l.segSize+int64(len(b)) > l.segBytes && l.segSize+int64(start) > headerSize {
+			if err = l.writeLocked(b[:start]); err == nil {
+				err = l.sealLocked()
+			}
+			if err != nil {
+				return records, size, refused, err
+			}
+			b = b[:copy(b, b[start:])]
+		}
+		records++
+		size += framed
+	}
+	return records, size, refused, l.writeLocked(b)
+}
+
+// writeLocked writes framed records to the active segment. Callers hold l.mu.
+func (l *Log) writeLocked(b []byte) error {
+	if _, err := l.f.Write(b); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	n := int64(len(b))
-	l.segSize += n
-	l.total += n
-	l.seq++
-	seq := l.seq
-	l.mu.Unlock()
-	l.inc(MetricAppends)
-	l.count(MetricAppendBytes, float64(n))
-	if l.policy == SyncAlways {
-		return l.waitSynced(seq)
-	}
+	l.segSize += int64(len(b))
+	l.total += int64(len(b))
 	return nil
 }
 

@@ -356,16 +356,22 @@ func (r *binReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (r *binReader) str() (string, error) {
+// strBytes returns a length-prefixed string field as a view of the frame.
+func (r *binReader) strBytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(r.remaining()) {
-		return "", errShort
+		return nil, errShort
 	}
 	b, _ := r.take(int(n))
-	return string(b), nil
+	return b, nil
+}
+
+func (r *binReader) str() (string, error) {
+	b, err := r.strBytes()
+	return string(b), err
 }
 
 // strCached is str with a single-entry cache: when the bytes match prev the
@@ -373,14 +379,10 @@ func (r *binReader) str() (string, error) {
 // repeat the same sender address, so the From field hits this on every
 // frame after the first.
 func (r *binReader) strCached(prev string) (string, error) {
-	n, err := r.uvarint()
+	b, err := r.strBytes()
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.remaining()) {
-		return "", errShort
-	}
-	b, _ := r.take(int(n))
 	if string(b) == prev { // comparison, no conversion allocation
 		return prev, nil
 	}
@@ -559,7 +561,14 @@ func (r *binReader) updates(dst []Update) ([]Update, error) {
 	return dst, nil
 }
 
+// maxInternedList bounds the previous entries strs searches (O(n²) compares).
+const maxInternedList = 64
+
 // strs decodes a length-prefixed string list, reusing dst's backing array.
+// dst's entries — the stream's previous list, which a flooding list mostly
+// repeats, reordered and grown — are reused for equal entries at any
+// position; a match swaps places with the entry at the decode position, so
+// unmatched ones stay ahead of it.
 func (r *binReader) strs(dst []string) ([]string, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -569,20 +578,33 @@ func (r *binReader) strs(dst []string) ([]string, error) {
 	if n > uint64(r.remaining()) {
 		return nil, errShort
 	}
+	prev := min(len(dst), maxInternedList)
 	if uint64(cap(dst)) < n {
 		alloc := n
 		if alloc > maxPreallocEntries {
 			alloc = maxPreallocEntries
 		}
-		dst = make([]string, 0, alloc)
+		grown := make([]string, prev, alloc)
+		copy(grown, dst)
+		dst = grown
 	}
+	old := dst[:prev]
 	dst = dst[:0]
-	for i := uint64(0); i < n; i++ {
-		s, err := r.str()
+	for i := 0; uint64(i) < n; i++ {
+		b, err := r.strBytes()
 		if err != nil {
 			return nil, err
 		}
-		dst = append(dst, s)
+		j := i
+		for j < prev && old[j] != string(b) {
+			j++
+		}
+		if j < prev {
+			old[i], old[j] = old[j], old[i]
+			dst = append(dst, old[i])
+		} else {
+			dst = append(dst, string(b))
+		}
 	}
 	return dst, nil
 }

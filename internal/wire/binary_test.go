@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -166,6 +167,40 @@ func TestBinaryDecodeReuseIsolation(t *testing.T) {
 	}
 	if string(env.Updates[0].Value) != "second" {
 		t.Fatalf("second decode = %q", env.Updates[0].Value)
+	}
+}
+
+// TestPermutedListAllocatesNoString: a push whose flooding list reorders and
+// grows the previous push's reuses the previous strings, at any position.
+// Value and history are empty, so the list is the only thing a decode could
+// allocate.
+func TestPermutedListAllocatesNoString(t *testing.T) {
+	mk := func(rf ...string) []byte {
+		body, err := EncodeBinary(&Envelope{
+			Kind: KindPush, From: "a", Update: Update{Origin: "o", Seq: 1, Key: "k"}, RF: rf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	a, b := mk("p1", "p2", "p3"), mk("p3", "p1", "p2")
+	var env Envelope
+	if err := DecodeBody(a, &env); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(body []byte) {
+		if err := DecodeBody(body, &env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { decode(b); decode(a) }); n != 0 {
+		t.Fatalf("decoding permuted lists allocates %v times, want 0", n)
+	}
+	decode(b)
+	decode(mk("p2", "p4", "p3", "p1"))
+	if got := fmt.Sprint(env.RF); got != "[p2 p4 p3 p1]" {
+		t.Fatalf("decoded RF = %s", got)
 	}
 }
 

@@ -76,34 +76,9 @@ func (f *Frame) Release() {
 	framePool.Put(f)
 }
 
-// FrameWriter renders envelopes as length-prefixed binary frames on one
-// stream — the synchronous single-stream shape, used by tests and tools;
-// the TCP transport drives per-connection writer goroutines over Frames
-// instead. It is not safe for concurrent use; callers serialise.
-type FrameWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewFrameWriter starts a frame stream on w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w}
-}
-
-// WriteEnvelope writes env as exactly one frame in one Write call.
-func (f *FrameWriter) WriteEnvelope(env *Envelope) error {
-	buf, err := AppendFrame(f.buf[:0], env)
-	if err != nil {
-		return err
-	}
-	f.buf = buf
-	_, err = f.w.Write(f.buf)
-	return err
-}
-
-// FrameReader decodes the frame stream produced by a FrameWriter or by
-// Frame writes, enforcing the per-frame size bound and the
-// one-envelope-per-frame alignment. It is not safe for concurrent use.
+// FrameReader decodes a stream of frames (AppendFrame, Frame.Bytes),
+// enforcing the per-frame size bound and the one-envelope-per-frame
+// alignment. It is not safe for concurrent use.
 type FrameReader struct {
 	r       io.Reader
 	buf     []byte

@@ -15,20 +15,20 @@ import (
 // decoded back in order into a reused envelope.
 func TestFrameStreamRoundTrip(t *testing.T) {
 	var stream bytes.Buffer
-	fw := NewFrameWriter(&stream)
 	envs := []Envelope{
 		{Kind: KindPush, From: "a:1", Update: Update{Origin: "a:1", Seq: 1, Key: "k", Value: []byte("v")}, RF: []string{"b:2"}, T: 1},
 		{Kind: KindAck, From: "b:2", UpdateRef: store.Ref{Origin: "a:1", Seq: 1}},
 		{Kind: KindPullReq, From: "c:3", Clock: version.Clock{"a:1": 1}},
 	}
 	for i := range envs {
-		before := stream.Len()
-		if err := fw.WriteEnvelope(&envs[i]); err != nil {
+		frame, err := AppendFrame(nil, &envs[i])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := stream.Len()-before, EncodedSize(&envs[i]); got != want {
-			t.Fatalf("frame %d wrote %dB, EncodedSize says %dB", i, got, want)
+		if got, want := len(frame), EncodedSize(&envs[i]); got != want {
+			t.Fatalf("frame %d is %dB, EncodedSize says %dB", i, got, want)
 		}
+		stream.Write(frame)
 	}
 
 	fr := NewFrameReader(&stream)
