@@ -64,7 +64,7 @@ loc:
 # exceeds LOC_CEILING, the total of the last PR that lowered it. A PR that
 # deletes code lowers the ceiling to its own total; one that must add code
 # raises it in the open, in the same diff.
-LOC_CEILING := 18884
+LOC_CEILING := 19033
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

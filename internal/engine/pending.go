@@ -65,8 +65,9 @@ type Pending[ID comparable] struct {
 	// deposit. order is the drain order, first deposit first; displaced refs
 	// stay in it until Pop skips them or Add compacts it.
 	pushes map[store.Ref]pushEntry
-	byKey  map[string][]store.Ref
+	byKey  map[string]keyRefs
 	order  queue[store.Ref]
+	refs   []store.Ref // addPush's scratch
 
 	acks   []store.Ref
 	ackSet map[store.Ref]struct{}
@@ -86,6 +87,13 @@ type Pending[ID comparable] struct {
 
 	// bytes estimates the footprint of everything above except order.
 	bytes int
+}
+
+// keyRefs lists one key's pending refs, the first inline: a key with one
+// pending version — nearly every key — costs no slice of its own.
+type keyRefs struct {
+	first store.Ref
+	more  []store.Ref
 }
 
 // Len returns the number of distinct pending items: coalesced pushes, acks,
@@ -178,7 +186,12 @@ func (p *Pending[ID]) addPush(u store.Update, t int) (coalesced int) {
 		p.pushes[ref] = e
 		return 1
 	}
-	refs := p.byKey[u.Key]
+	refs := p.refs[:0]
+	held, ok := p.byKey[u.Key]
+	if ok {
+		refs = append(append(refs, held.first), held.more...)
+		p.refs = refs
+	}
 	for _, other := range refs {
 		if e, ok := p.pushes[other]; ok && e.u.Version.Dominates(u.Version) {
 			return 1
@@ -200,10 +213,12 @@ func (p *Pending[ID]) addPush(u store.Update, t int) (coalesced int) {
 	}
 	if p.pushes == nil {
 		p.pushes = make(map[store.Ref]pushEntry)
-		p.byKey = make(map[string][]store.Ref)
+		p.byKey = make(map[string]keyRefs)
 	}
 	p.pushes[ref] = pushEntry{u: u, t: t}
-	p.byKey[u.Key] = append(kept, ref)
+	kept = append(kept, ref)
+	p.byKey[u.Key] = keyRefs{first: kept[0], more: append(held.more[:0], kept[1:]...)}
+	p.refs = kept
 	p.bytes += u.SizeBytes()
 	p.order.push(ref)
 	if p.order.len() > 2*len(p.pushes)+pendingOrderSlack {

@@ -211,13 +211,20 @@ func TestPendingOrderIndexBounded(t *testing.T) {
 }
 
 // TestPendingRedepositAllocatesNothing gates the steady state of a busy
-// link: a push that is already pending merges without touching the heap.
+// link: a push that is already pending merges without touching the heap, and
+// so does a first deposit into a Pending that was Reset after a batch.
 func TestPendingRedepositAllocatesNothing(t *testing.T) {
 	var p Pending[string]
 	m := pushOf[string](pendingWriter(t, "w").Put("k", []byte("v")), 1)
 	p.Add(m)
 	if n := testing.AllocsPerRun(200, func() { p.Add(m) }); n != 0 {
 		t.Fatalf("re-depositing a pending ref allocates %v times, want 0", n)
+	}
+	if raceEnabled {
+		return // allocation counts differ under -race
+	}
+	if n := testing.AllocsPerRun(200, func() { p.Reset(); p.Add(m) }); n != 0 {
+		t.Fatalf("a first deposit after Reset allocates %v times, want 0", n)
 	}
 }
 

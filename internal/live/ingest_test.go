@@ -49,7 +49,9 @@ func TestRacingTwinPushesApplyOnce(t *testing.T) {
 	r.AddPeers("a", "b", "c")
 	u, _ := testWriter(t, "origin").PutObserved("k", []byte("v"))
 
-	preA := r.applyPushes([]store.Update{u})[0]
+	pre := make([]engine.Applied, 1)
+	r.applyPushes([]store.Update{u}, pre)
+	preA := pre[0]
 	if preA.Res != store.Applied {
 		t.Fatalf("copy A's apply = %v, want applied", preA.Res)
 	}

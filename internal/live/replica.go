@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,6 +160,7 @@ type Replica struct {
 	rng    *rand.Rand
 	queued *runQueue // filled by the engine call in progress
 	spare  sync.Pool // of flushed, cleared *runQueue (see run)
+	ingest sync.Pool // of cleared *ingestScratch (see borrowScratch)
 
 	// sendMu guards the sender registry. sendStopped mirrors the replica
 	// stopping so no sender goroutine can be registered after Stop begins
@@ -188,14 +190,18 @@ type outbound struct {
 }
 
 // runQueue is what one engine call queues for after the lock: its sends and
-// its hook events. reset clears it for reuse, keeping its backing arrays.
+// its hook events. reset clears it for reuse, keeping its backing arrays —
+// each outbound's destination list included, so a deposit allocates nothing.
 type runQueue struct {
 	out    []outbound
 	events []protoEvent
 }
 
 func (q *runQueue) reset() {
-	clear(q.out)
+	for i := range q.out {
+		clear(q.out[i].tos)
+		q.out[i] = outbound{tos: q.out[i].tos[:0]}
+	}
 	clear(q.events)
 	q.out, q.events = q.out[:0], q.events[:0]
 }
@@ -241,7 +247,9 @@ func (ep liveEndpoint) Send(to string, m engine.Message[string]) {
 			return
 		}
 	}
-	q.out = append(q.out, outbound{tos: []string{to}, msg: m})
+	q.out = slices.Grow(q.out, 1)[:len(q.out)+1] // the new last keeps its tos backing
+	last := &q.out[len(q.out)-1]
+	last.tos, last.msg = append(last.tos, to), m
 }
 
 // NewReplica builds a replica on the given transport. The transport's
@@ -272,6 +280,7 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		stop:      make(chan struct{}),
 	}
 	r.spare.New = func() any { return new(runQueue) }
+	r.ingest.New = func() any { return new(ingestScratch) }
 	w, err := store.NewWriter(r.addr, r.st, time.Now,
 		rand.New(rand.NewSource(seed+1)))
 	if err != nil {
@@ -460,20 +469,19 @@ func (r *Replica) handle(env wire.Envelope) {
 		// A snapshot chunk is a pull response with a stream position: the
 		// applies run here like any other, and the engine adopts the frontier
 		// once the stream's last chunk arrives behind all the others.
-		updates := make([]store.Update, len(env.Updates))
-		pre := make([]engine.Applied, len(env.Updates))
+		sc := r.borrowScratch(len(env.Updates))
+		defer r.returnScratch(sc)
 		for i := range env.Updates {
-			updates[i] = env.Updates[i].ToStore()
-			res, branches := r.st.ApplyObserved(updates[i])
-			pre[i] = engine.Applied{Res: res, Branches: branches}
+			sc.us[i] = env.Updates[i].ToStore()
+			sc.pre[i].Res, sc.pre[i].Branches = r.st.ApplyObserved(sc.us[i])
 		}
-		r.walAppendApplied(updates, pre)
-		msg := engine.Message[string]{Kind: engine.KindPullResp, Updates: updates, Peers: env.KnownPeers}
+		r.walAppendApplied(sc)
+		msg := engine.Message[string]{Kind: engine.KindPullResp, Updates: sc.us, Peers: env.KnownPeers}
 		if env.Kind == wire.KindSnapshot {
 			msg.Kind, msg.Stream, msg.Chunk = engine.KindSnapshot, env.Stream, env.Chunk
 			msg.Last, msg.Clock = env.Last, env.Clock
 		}
-		r.run(func(e *engine.Engine[string]) { e.HandlePullRespApplied(env.From, msg, pre) })
+		r.run(func(e *engine.Engine[string]) { e.HandlePullRespApplied(env.From, msg, sc.pre) })
 	case wire.KindAck:
 		r.inc(MetricAckReceived)
 		r.run(func(e *engine.Engine[string]) {
@@ -547,27 +555,28 @@ func envelopeFromEngine(from string, m engine.Message[string]) wire.Envelope {
 // precedes its record, so a later checkpoint covers every sealed segment,
 // and the run's records reach the kernel before the engine acts on any push.
 func (r *Replica) ingestPushes(envs []wire.Envelope) {
-	us := make([]store.Update, len(envs))
+	sc := r.borrowScratch(len(envs))
+	defer r.returnScratch(sc)
 	for i := range envs {
-		us[i] = envs[i].Update.ToStore()
+		sc.us[i] = envs[i].Update.ToStore()
 	}
-	pre := r.applyPushes(us)
-	r.walAppendApplied(us, pre)
+	r.applyPushes(sc.us, sc.pre)
+	r.walAppendApplied(sc)
 	r.add(MetricPushReceived, len(envs))
 	r.run(func(e *engine.Engine[string]) {
 		for i := range envs {
 			e.HandlePushApplied(envs[i].From, engine.Message[string]{
-				Kind: engine.KindPush, Update: us[i], RF: envs[i].RF, T: envs[i].T,
-			}, pre[i])
+				Kind: engine.KindPush, Update: sc.us[i], RF: envs[i].RF, T: envs[i].T,
+			}, sc.pre[i])
 		}
 	})
 }
 
 // applyPushes offers pushed updates to the store, in order, outside the
-// engine lock. Updates the store has Seen skip the write: that reads only the
-// origin's log shard, so duplicate floods never contend on item shards.
-func (r *Replica) applyPushes(us []store.Update) []engine.Applied {
-	pre := make([]engine.Applied, len(us))
+// engine lock, writing each outcome to pre. Updates the store has Seen skip
+// the write: that reads only the origin's log shard, so duplicate floods
+// never contend on item shards.
+func (r *Replica) applyPushes(us []store.Update, pre []engine.Applied) {
 	for i, u := range us {
 		if r.st.Seen(u.Ref()) {
 			pre[i] = engine.Applied{Res: store.Duplicate, Branches: r.st.BranchCount(u.Key)}
@@ -575,7 +584,39 @@ func (r *Replica) applyPushes(us []store.Update) []engine.Applied {
 			pre[i].Res, pre[i].Branches = r.st.ApplyObserved(u)
 		}
 	}
-	return pre
+}
+
+// ingestScratch is the working memory of one ingested run — a run of pushes,
+// a pull response or a snapshot chunk: its updates, their apply outcomes and
+// the WAL's fresh records. Nothing in it outlives the run (the engine copies
+// what it keeps), so runs borrow it from a pool instead of allocating it.
+type ingestScratch struct {
+	us    []store.Update
+	pre   []engine.Applied
+	fresh []store.Update
+}
+
+// maxIngestScratch caps the run length whose scratch goes back to the pool;
+// an outsized delta's is left to the collector.
+const maxIngestScratch = 4096
+
+// borrowScratch returns a scratch sized for a run of n.
+func (r *Replica) borrowScratch(n int) *ingestScratch {
+	sc := r.ingest.Get().(*ingestScratch)
+	sc.us, sc.pre = slices.Grow(sc.us, n)[:n], slices.Grow(sc.pre, n)[:n]
+	return sc
+}
+
+// returnScratch clears a run's scratch, so the pool pins none of its values,
+// and pools it.
+func (r *Replica) returnScratch(sc *ingestScratch) {
+	if cap(sc.us) > maxIngestScratch {
+		return
+	}
+	clear(sc.us)
+	clear(sc.fresh)
+	sc.us, sc.pre, sc.fresh = sc.us[:0], sc.pre[:0], sc.fresh[:0]
+	r.ingest.Put(sc)
 }
 
 // Addr returns the replica's address.

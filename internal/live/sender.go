@@ -154,6 +154,7 @@ func (s *peerSender) deliver() {
 func (s *peerSender) flush(p *engine.Pending[string]) {
 	r := s.r
 	envs := s.envs[:0]
+	used := 0 // envs' high-water mark: the answer below restarts it per chunk
 	var intent engine.Message[string]
 	m, ok := p.Pop()
 	if ok && m.Kind == engine.KindPush {
@@ -198,7 +199,7 @@ func (s *peerSender) flush(p *engine.Pending[string]) {
 		r.eng.AnswerPull(intent.Clock, intent.Peers, func(m engine.Message[string]) bool {
 			envs = append(envs, envelopeFromEngine(r.addr, m))
 			sent := s.send(envs)
-			envs = envs[:0]
+			used, envs = max(used, len(envs)), envs[:0]
 			switch {
 			case m.Kind == engine.KindPullResp:
 				r.inc(MetricPullServed)
@@ -209,15 +210,16 @@ func (s *peerSender) flush(p *engine.Pending[string]) {
 			return sent
 		})
 	}
-	s.envs = recycle(envs)
+	s.envs = recycle(envs, max(used, len(envs)))
 }
 
-// recycle clears a scratch slice for reuse, or drops an outsized one.
-func recycle[T any](s []T) []T {
+// recycle clears the first used entries of a scratch slice — all a batch
+// wrote — for reuse, or drops an outsized one.
+func recycle[T any](s []T, used int) []T {
 	if cap(s) > maxSenderScratch {
 		return nil
 	}
-	clear(s[:cap(s)])
+	clear(s[:used])
 	return s[:0]
 }
 
@@ -247,7 +249,7 @@ func (s *peerSender) send(envs []wire.Envelope) bool {
 				f.Release()
 			}
 		}
-		s.frames = recycle(frames)
+		s.frames = recycle(frames, len(frames))
 	} else {
 		for i := range envs {
 			if err := r.transport.Send(s.to, envs[i]); err != nil {

@@ -11,6 +11,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -32,7 +33,9 @@ type Transport interface {
 	// Send delivers an envelope to the given address, best effort: sends to
 	// unknown or offline addresses report an error. It is called from the
 	// destination's sender goroutine, so a Send that blocks on a slow peer
-	// delays only that peer's traffic.
+	// delays only that peer's traffic. The envelope's values alias the
+	// sender's store and are read-only: a transport that hands the envelope
+	// to a Handler without encoding it copies them first, as the Hub does.
 	Send(to string, env wire.Envelope) error
 	// SetHandler registers the inbound callback; must be called before the
 	// first Send to this transport.
@@ -130,8 +133,23 @@ func (h *Hub) deliver(to string, env wire.Envelope) error {
 	if closed || handler == nil {
 		return fmt.Errorf("live: address %q not receiving", to)
 	}
-	handler(env)
+	handler(ownValues(env))
 	return nil
+}
+
+// ownValues gives env fresh copies of the values it carries, which alias the
+// sender's store (wire.FromStore): other transports copy them by decoding, so
+// the Handler contract holds on every transport.
+func ownValues(env wire.Envelope) wire.Envelope {
+	env.Update.Value, env.Value = bytes.Clone(env.Update.Value), bytes.Clone(env.Value)
+	if ups := env.Updates; len(ups) > 0 {
+		env.Updates = make([]wire.Update, len(ups))
+		for i, u := range ups {
+			u.Value = bytes.Clone(u.Value)
+			env.Updates[i] = u
+		}
+	}
+	return env
 }
 
 func (h *Hub) detach(addr string) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
@@ -49,19 +48,20 @@ func (r *Replica) walAppend(us ...store.Update) error {
 	return r.cfg.WAL.Append(us...)
 }
 
-// walAppendApplied logs, in one WAL call, every ingested update us[i] whose
-// apply pre[i] was not a duplicate. Like every ingest path it ignores errors.
-func (r *Replica) walAppendApplied(us []store.Update, pre []engine.Applied) {
+// walAppendApplied logs, in one WAL call, every update sc.us[i] of an
+// ingested run whose apply sc.pre[i] was not a duplicate, gathered in
+// sc.fresh. Like every ingest path it ignores errors.
+func (r *Replica) walAppendApplied(sc *ingestScratch) {
 	if r.cfg.WAL == nil {
 		return
 	}
-	fresh := make([]store.Update, 0, len(us))
-	for i := range us {
-		if pre[i].Res != store.Duplicate {
-			fresh = append(fresh, us[i])
+	sc.fresh = sc.fresh[:0]
+	for i := range sc.us {
+		if sc.pre[i].Res != store.Duplicate {
+			sc.fresh = append(sc.fresh, sc.us[i])
 		}
 	}
-	_ = r.walAppend(fresh...)
+	_ = r.walAppend(sc.fresh...)
 }
 
 // walAppendFrontier logs a wholesale frontier adoption (snapshot catch-up).

@@ -14,7 +14,7 @@ import (
 type originLog struct {
 	// log holds every applied update per origin, ordered by Seq, backing
 	// anti-entropy diffs. Logged updates are immutable once appended.
-	log map[string][]Update
+	log map[string]seqLog
 	// origins is the sorted list of log keys, maintained incrementally so
 	// missingFor does not re-sort on every pull request.
 	origins []string
@@ -30,10 +30,117 @@ type originLog struct {
 
 func newOriginLog() originLog {
 	return originLog{
-		log:       make(map[string][]Update),
+		log:       make(map[string]seqLog),
 		clock:     version.NewClock(),
 		compacted: version.NewClock(),
 	}
+}
+
+// logPage is the entry count of a full seqLog page.
+const logPage = 256
+
+// seqLog is one origin's log, ordered by Seq, in pages of logPage entries:
+// every page but the last is full, so entry i sits at page i/logPage. The
+// first page doubles up to a full page, so a short log — the simulator's
+// stores hold hundreds — is one small slice; past it, growth adds a page and
+// never copies a logged entry. Pages hold no empty slices: an emptied log
+// holds no page at all.
+type seqLog struct {
+	first []Update
+	more  [][]Update
+}
+
+// len returns the number of logged entries.
+func (g *seqLog) len() int {
+	if len(g.more) == 0 {
+		return len(g.first)
+	}
+	return len(g.more)*logPage + len(g.more[len(g.more)-1])
+}
+
+// page returns page p, which must exist.
+func (g *seqLog) page(p int) []Update {
+	if p == 0 {
+		return g.first
+	}
+	return g.more[p-1]
+}
+
+// pages returns the number of pages.
+func (g *seqLog) pages() int { return min(len(g.first), 1) + len(g.more) }
+
+// at returns a pointer to entry i.
+func (g *seqLog) at(i int) *Update {
+	if i < logPage {
+		return &g.first[i]
+	}
+	return &g.more[i/logPage-1][i%logPage]
+}
+
+// search returns the index of the first entry with Seq >= seq.
+func (g *seqLog) search(seq uint64) int {
+	return sort.Search(g.len(), func(i int) bool { return g.at(i).Seq >= seq })
+}
+
+// contiguous returns the highest sequence reached from cur by consecutive
+// logged entries above it.
+func (g *seqLog) contiguous(cur uint64) uint64 {
+	for i := g.search(cur + 1); i < g.len() && g.at(i).Seq == cur+1; i++ {
+		cur++
+	}
+	return cur
+}
+
+// insert places u at index i, shifting the entries after it up by one,
+// page by page from the end.
+func (g *seqLog) insert(i int, u Update) {
+	switch {
+	case len(g.first) < logPage:
+		if len(g.first) == cap(g.first) {
+			g.first = append(make([]Update, 0, min(max(2*cap(g.first), 8), logPage)), g.first...)
+		}
+		g.first = g.first[:len(g.first)+1]
+	case len(g.more) == 0 || len(g.more[len(g.more)-1]) == logPage:
+		g.more = append(g.more, make([]Update, 1, logPage))
+	default:
+		last := &g.more[len(g.more)-1]
+		*last = (*last)[:len(*last)+1]
+	}
+	for p := g.pages() - 1; p > i/logPage; p-- {
+		pg := g.page(p)
+		copy(pg[1:], pg)
+		pg[0] = g.page(p - 1)[logPage-1]
+	}
+	pg := g.page(i / logPage)
+	copy(pg[i%logPage+1:], pg[i%logPage:])
+	pg[i%logPage] = u
+}
+
+// truncate cuts the log to its first n entries, zeroing the cut ones so
+// their values pin no memory, and releases the pages left empty.
+func (g *seqLog) truncate(n int) {
+	for i := n; i < g.len(); i++ {
+		*g.at(i) = Update{}
+	}
+	if n == 0 {
+		*g = seqLog{}
+		return
+	}
+	k := (n - 1) / logPage // pages kept after the first
+	clear(g.more[k:])
+	if g.more = g.more[:k]; k == 0 {
+		g.first = g.first[:n]
+	} else {
+		g.more[k-1] = g.more[k-1][:n-k*logPage]
+	}
+}
+
+// appendFrom appends the entries from index i on, a page at a time.
+func (g *seqLog) appendFrom(out []Update, i int) []Update {
+	for p := i / logPage; p < g.pages(); p++ {
+		out = append(out, g.page(p)[max(i-p*logPage, 0):]...)
+	}
+	return out
 }
 
 // have reports whether the (origin, seq) update is already logged. Sequences
@@ -44,9 +151,9 @@ func (l *originLog) have(origin string, seq uint64) bool {
 	if seq <= l.compacted.Get(origin) {
 		return true
 	}
-	log := l.log[origin]
-	idx := seqSearch(log, seq)
-	return idx < len(log) && log[idx].Seq == seq
+	g := l.log[origin]
+	i := g.search(seq)
+	return i < g.len() && g.at(i).Seq == seq
 }
 
 // record logs one update (idempotently) and advances the origin's clock
@@ -63,30 +170,17 @@ func (l *originLog) record(u Update) {
 		// the compaction.
 		return
 	}
-	log, known := l.log[u.Origin]
+	g, known := l.log[u.Origin]
 	if !known {
 		l.insertOrigin(u.Origin)
 	}
-	idx := seqSearch(log, u.Seq)
-	if idx < len(log) && log[idx].Seq == u.Seq {
+	idx := g.search(u.Seq)
+	if idx < g.len() && g.at(idx).Seq == u.Seq {
 		return
 	}
-	if len(log) == cap(log) {
-		// Double: append grows a large slice by about 1.25×, which makes an
-		// origin's log cost several times its final size in allocation while
-		// it fills (recovery replay, catch-up).
-		log = append(make([]Update, 0, max(2*cap(log), 8)), log...)
-	}
-	log = log[:len(log)+1]
-	copy(log[idx+1:], log[idx:])
-	log[idx] = u
-	l.log[u.Origin] = log
-
-	cur := l.clock.Get(u.Origin)
-	for i := seqSearch(log, cur+1); i < len(log) && log[i].Seq == cur+1; i++ {
-		cur++
-	}
-	if cur > l.clock.Get(u.Origin) {
+	g.insert(idx, u)
+	l.log[u.Origin] = g
+	if cur := g.contiguous(l.clock.Get(u.Origin)); cur > l.clock.Get(u.Origin) {
 		l.clock[u.Origin] = cur
 	}
 }
@@ -114,25 +208,28 @@ func (l *originLog) compact(frontier version.Clock, retain func(Update) bool) in
 			l.compacted[o] = limit
 		}
 		through := l.compacted.Get(o)
-		log := l.log[o]
-		if len(log) == 0 || log[0].Seq > through {
+		g := l.log[o]
+		if g.len() == 0 || g.first[0].Seq > through {
 			continue
 		}
-		end := seqSearch(log, through+1)
-		kept := log[:0]
-		for _, u := range log[:end] {
-			if retain(u) {
-				kept = append(kept, u)
-			} else {
-				dropped++
+		// Slide the kept entries down over the dropped ones and the rest
+		// after them, then cut the tail.
+		end, n, kept := g.search(through+1), g.len(), 0
+		for i := 0; i < end; i++ {
+			if u := g.at(i); retain(*u) {
+				*g.at(kept) = *u
+				kept++
 			}
 		}
-		kept = append(kept, log[end:]...)
-		// Zero the tail so dropped entries' values do not pin memory.
-		for i := len(kept); i < len(log); i++ {
-			log[i] = Update{}
+		if kept == end {
+			continue
 		}
-		l.log[o] = kept
+		for i := end; i < n; i++ {
+			*g.at(kept + i - end) = *g.at(i)
+		}
+		dropped += end - kept
+		g.truncate(kept + n - end)
+		l.log[o] = g
 	}
 	return dropped
 }
@@ -149,13 +246,11 @@ func (l *originLog) gapBefore(remote version.Clock) bool {
 		if r >= c {
 			continue
 		}
-		log := l.log[o]
-		i := seqSearch(log, r+1)
-		for seq := r + 1; seq <= c; seq++ {
-			if i >= len(log) || log[i].Seq != seq {
-				return true
-			}
-			i++
+		// Seqs are distinct and ascending: (r, c] survived whole exactly
+		// when its c-r entries are the ones from the first above r.
+		g := l.log[o]
+		if i := g.search(r+1) + int(c-r) - 1; i >= g.len() || g.at(i).Seq != c {
+			return true
 		}
 	}
 	return false
@@ -171,21 +266,16 @@ func (l *originLog) adoptCompacted(origin string, through uint64) {
 	if through <= l.compacted.Get(origin) {
 		return
 	}
-	if _, known := l.log[origin]; !known {
+	g, known := l.log[origin]
+	if !known {
 		if idx := sort.SearchStrings(l.origins, origin); idx >= len(l.origins) || l.origins[idx] != origin {
 			l.insertOrigin(origin)
 		}
-		l.log[origin] = nil
+		l.log[origin] = g
 	}
 	l.compacted[origin] = through
-	cur := l.clock.Get(origin)
-	if cur < through {
-		cur = through
-		log := l.log[origin]
-		for i := seqSearch(log, cur+1); i < len(log) && log[i].Seq == cur+1; i++ {
-			cur++
-		}
-		l.clock[origin] = cur
+	if cur := l.clock.Get(origin); cur < through {
+		l.clock[origin] = g.contiguous(through)
 	}
 }
 
@@ -194,14 +284,14 @@ func (l *originLog) adoptCompacted(origin string, through uint64) {
 // compact — everything above it untouched, because a hole in the log is an
 // in-flight update the clock (the cut's frontier) does not vouch for.
 func (l *originLog) appendLive(out []Update, origin string, superseded func(Update) bool) []Update {
-	log := l.log[origin]
-	end := seqSearch(log, l.clock.Get(origin)+1)
-	for _, u := range log[:end] {
-		if !superseded(u) {
-			out = append(out, u)
+	g := l.log[origin]
+	end := g.search(l.clock.Get(origin) + 1)
+	for i := 0; i < end; i++ {
+		if u := g.at(i); !superseded(*u) {
+			out = append(out, *u)
 		}
 	}
-	return append(out, log[end:]...)
+	return g.appendFrom(out, end)
 }
 
 // missingCount returns the number of logged updates the remote clock has
@@ -209,36 +299,19 @@ func (l *originLog) appendLive(out []Update, origin string, superseded func(Upda
 func (l *originLog) missingCount(remote version.Clock) int {
 	total := 0
 	for _, o := range l.origins {
-		total += len(l.log[o]) - seqSearch(l.log[o], remote.Get(o)+1)
+		g := l.log[o]
+		total += g.len() - g.search(remote.Get(o)+1)
 	}
 	return total
-}
-
-// appendMissing appends every logged update the remote clock has not seen,
-// ordered by origin then sequence. The result shares Value and Version
-// backing with the log (logged updates are immutable).
-func (l *originLog) appendMissing(out []Update, remote version.Clock) []Update {
-	for _, o := range l.origins {
-		log := l.log[o]
-		out = append(out, log[seqSearch(log, remote.Get(o)+1):]...)
-	}
-	return out
 }
 
 // count returns the number of logged updates.
 func (l *originLog) count() int {
 	n := 0
-	for _, log := range l.log {
-		n += len(log)
+	for _, g := range l.log {
+		n += g.len()
 	}
 	return n
-}
-
-// seqSearch returns the index of the first entry with Seq >= seq. Logs are
-// Seq-ordered, so this is the binary-searched frontier of an anti-entropy
-// diff when called with seq = remote+1.
-func seqSearch(log []Update, seq uint64) int {
-	return sort.Search(len(log), func(i int) bool { return log[i].Seq >= seq })
 }
 
 // applyRevision merges one update into a key → revisions map: branches the

@@ -332,8 +332,8 @@ func (s *Sharded) missingLocked(remote version.Clock) []Update {
 	}
 	out := make([]Update, 0, total)
 	for _, o := range s.sortedOrigins() {
-		log := s.logFor(o).data.log[o]
-		out = append(out, log[seqSearch(log, remote.Get(o)+1):]...)
+		g := s.logFor(o).data.log[o]
+		out = g.appendFrom(out, g.search(remote.Get(o)+1))
 	}
 	return out
 }

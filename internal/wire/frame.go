@@ -14,8 +14,7 @@ import (
 // one binary-encoded envelope body (binary.go). The length prefix bounds
 // per-frame allocation against corrupt or hostile peers; the format-version
 // byte inside the body handles evolution. Frame is the pooled, shareable
-// encoded form a push fanout encodes once and hands to every destination's
-// writer.
+// encoded form of one envelope.
 
 // MaxFrameBytes bounds a single envelope frame (16 MiB) so a corrupt or
 // hostile peer cannot force unbounded allocation.

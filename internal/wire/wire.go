@@ -7,9 +7,8 @@
 //
 // Two codecs exist. The hand-rolled binary codec (binary.go) is the wire
 // format: length-prefixed frames, varint integers, clocks and update
-// references encoded directly from their protocol types, pooled buffers, so
-// a push fanout encodes its envelope once and reuses the bytes for every
-// destination. The gob codec (Encode/Decode below) is the compat shim and
+// references encoded directly from their protocol types into pooled
+// buffers. The gob codec (Encode/Decode below) is the compat shim and
 // differential-testing reference: it serialises the same Envelope through
 // the standard library, and the fuzzers hold the binary codec to it.
 package wire
@@ -97,17 +96,19 @@ type Update struct {
 	Stamp   int64 // UnixNano
 }
 
-// FromStore converts a store.Update to its wire form. The version history is
-// aliased, not copied: histories are append-only (version.History.Append is
-// copy-on-write), so a shared backing array stays valid. The value is copied
-// — wire values may outlive the envelope on transport queues, and the
-// store's log entries must stay immutable.
+// FromStore converts a store.Update to its wire form. Nothing is copied:
+// histories are append-only (version.History.Append is copy-on-write) and
+// logged values immutable, so the wire update aliases the stored ones and
+// must be treated as read-only. A framed send encodes the envelope before
+// the send returns, so aliasing costs nothing there; a transport that hands
+// the envelope to another replica without encoding it (the in-memory hub)
+// copies the values at delivery, because a handler may keep and modify them.
 func FromStore(u store.Update) Update {
 	return Update{
 		Origin:  u.Origin,
 		Seq:     u.Seq,
 		Key:     u.Key,
-		Value:   append([]byte(nil), u.Value...),
+		Value:   u.Value,
 		Delete:  u.Delete,
 		Version: u.Version,
 		Stamp:   u.Stamp.UnixNano(),

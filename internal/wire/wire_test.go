@@ -39,18 +39,6 @@ func TestUpdateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromStoreIsolatesValue pins the ownership contract: the wire form's
-// value is independent of the store's immutable log entry (the history may
-// alias — it is append-only and never mutated in place).
-func TestFromStoreIsolatesValue(t *testing.T) {
-	u := sampleUpdate(t)
-	wu := FromStore(u)
-	wu.Value[0] = 'X'
-	if u.Value[0] == 'X' {
-		t.Fatal("FromStore aliases the source value")
-	}
-}
-
 func TestEnvelopeRoundTripAllKinds(t *testing.T) {
 	u := FromStore(sampleUpdate(t))
 	envs := []Envelope{
