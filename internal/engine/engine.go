@@ -23,8 +23,8 @@
 // The engine is deliberately single-threaded: it never locks, never spawns
 // goroutines, and calls Endpoint.Send and hook callbacks synchronously.
 // Concurrency is the adapter's concern (the simulator is synchronous by
-// construction; the live runtime serialises calls behind a mutex and flushes
-// queued sends after releasing it).
+// construction; the live runtime serialises calls behind a mutex, and each
+// send merges into the destination's Pending under it).
 package engine
 
 import (
@@ -54,8 +54,9 @@ type Endpoint[ID comparable] interface {
 }
 
 // Hooks observes protocol-level events. All callbacks are optional and run
-// synchronously inside engine calls; adapters that hold locks around the
-// engine should queue the events and act after unlocking.
+// synchronously inside engine calls, under whatever serialisation the adapter
+// holds around the engine, so they must be fast and must not call back into
+// the engine.
 type Hooks[ID comparable] struct {
 	// OnApply fires after an update is offered to the local store — created
 	// locally, received by push, or reconciled by pull. branches is the
@@ -74,9 +75,6 @@ type Hooks[ID comparable] struct {
 	// OnSuspect fires when a peer is suspected offline because its ack
 	// never arrived (§6).
 	OnSuspect func(peer ID)
-	// OnCatchUp fires when a snapshot stream completed and its frontier was
-	// adopted into the store. The clock may alias the inbound message.
-	OnCatchUp func(frontier version.Clock)
 }
 
 // Config parameterises an engine. Timeouts are in Endpoint.Now ticks.
@@ -985,8 +983,9 @@ func (e *Engine[ID]) StableFrontier() version.Clock {
 // an unbroken stream, adopts the frontier. Updates learned by pull are not
 // re-pushed and get no flooding state: the push phase has already saturated
 // the online population (§4.3's optimism), and a later push of one is a store
-// duplicate.
-func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) {
+// duplicate. adopted reports that m completed a snapshot stream whose
+// frontier the store adopted (snapshotChunk).
+func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied) (adopted bool) {
 	e.Learn(from)
 	e.learnAll(m.Peers)
 	gotNew := false
@@ -1003,12 +1002,14 @@ func (e *Engine[ID]) HandlePullRespApplied(from ID, m Message[ID], pre []Applied
 	// An empty delta confirms we were current; so does a completed stream.
 	current := len(m.Updates) == 0
 	if m.Kind == KindSnapshot {
-		current = e.snapshotChunk(from, m)
+		adopted = e.snapshotChunk(from, m)
+		current = adopted
 	}
 	if gotNew || current {
 		e.notConfident = false
 		e.lastReceived = e.ep.Now()
 	}
+	return adopted
 }
 
 // snapshotChunk advances from's stream position past one applied chunk and
@@ -1031,9 +1032,6 @@ func (e *Engine[ID]) snapshotChunk(from ID, m Message[ID]) bool {
 	delete(e.streams, from)
 	e.st.AdoptFrontier(m.Clock)
 	e.w.Resync()
-	if e.cfg.Hooks.OnCatchUp != nil {
-		e.cfg.Hooks.OnCatchUp(m.Clock)
-	}
 	return true
 }
 

@@ -52,8 +52,9 @@ func (ep *testEndpoint) Send(to int, m Message[int]) {
 
 // deliver enters m into e the way both adapters do: updates are offered to
 // the store first — a push only when the store has not seen it, otherwise it
-// enters as a store duplicate — and the engine receives the outcomes.
-func deliver(e *Engine[int], from int, m Message[int]) {
+// enters as a store duplicate — and the engine receives the outcomes. It
+// reports whether m completed a snapshot catch-up.
+func deliver(e *Engine[int], from int, m Message[int]) (adopted bool) {
 	switch m.Kind {
 	case KindPush:
 		pre := Applied{Res: store.Duplicate}
@@ -66,10 +67,11 @@ func deliver(e *Engine[int], from int, m Message[int]) {
 		for i, u := range m.Updates {
 			pre[i].Res, pre[i].Branches = e.st.ApplyObserved(u)
 		}
-		e.HandlePullRespApplied(from, m, pre)
+		return e.HandlePullRespApplied(from, m, pre)
 	default:
 		e.Handle(from, m)
 	}
+	return false
 }
 
 // publish writes key through the engine's writer and starts the push phase,

@@ -127,26 +127,30 @@ func TestSnapshotStreamAdoption(t *testing.T) {
 	var offered []store.ApplyResult
 	catchUps := 0
 	dst, _ := newTestEngine(t, 2, Config[int]{Hooks: Hooks[int]{
-		OnApply:   func(_ store.Update, res store.ApplyResult, _ Source, _ int) { offered = append(offered, res) },
-		OnCatchUp: func(version.Clock) { catchUps++ },
+		OnApply: func(_ store.Update, res store.ApplyResult, _ Source, _ int) { offered = append(offered, res) },
 	}}, nil)
+	deliverCounting := func(m Message[int]) {
+		if deliver(dst, 1, m) {
+			catchUps++
+		}
+	}
 
 	// Torn: the middle chunk never arrives, the trailer does.
 	chunks := snapshotStreamOf(src)
 	if len(chunks) != 3 {
 		t.Fatalf("fixture cut has %d chunks, want 3", len(chunks))
 	}
-	deliver(dst, 1, chunks[0])
-	deliver(dst, 1, chunks[2])
+	deliverCounting(chunks[0])
+	deliverCounting(chunks[2])
 	if got := dst.Store().Clock().Get("peer-1"); got != 0 || catchUps != 0 {
 		t.Fatalf("torn stream moved the clock to %d (%d catch-ups); want untouched", got, catchUps)
 	}
 
 	// Chunks of two streams do not add up to one.
 	other := snapshotStreamOf(src)
-	deliver(dst, 1, other[0])
-	deliver(dst, 1, chunks[1])
-	deliver(dst, 1, other[2])
+	deliverCounting(other[0])
+	deliverCounting(chunks[1])
+	deliverCounting(other[2])
 	if catchUps != 0 {
 		t.Fatal("interleaved streams completed a catch-up")
 	}
@@ -154,7 +158,7 @@ func TestSnapshotStreamAdoption(t *testing.T) {
 	// Complete: every chunk in order.
 	offered = nil
 	for _, m := range snapshotStreamOf(src) {
-		deliver(dst, 1, m)
+		deliverCounting(m)
 	}
 	if catchUps != 1 {
 		t.Fatalf("complete stream fired %d catch-ups, want 1", catchUps)

@@ -10,7 +10,6 @@ import (
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/simnet"
 	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
 )
 
 // Simulator time constants, in rounds (one round = one engine tick).
@@ -257,9 +256,6 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 			OnDuplicate: func(store.Update, int) {
 				p.env.Metrics().Inc(MetricDuplicates)
 			},
-			OnCatchUp: func(version.Clock) {
-				p.env.Metrics().Inc(MetricSnapshotCatchups)
-			},
 		},
 	}, simEndpoint{p}, st, w)
 	if err != nil {
@@ -428,7 +424,9 @@ func (p *Peer) HandleMessage(env *simnet.Env, msg simnet.Message) {
 		for i, u := range m.Updates {
 			pre[i].Res, pre[i].Branches = p.st.ApplyObserved(u)
 		}
-		p.eng.HandlePullRespApplied(msg.From, m, pre)
+		if p.eng.HandlePullRespApplied(msg.From, m, pre) {
+			p.env.Metrics().Inc(MetricSnapshotCatchups)
+		}
 	default:
 		p.eng.Handle(msg.From, m)
 	}

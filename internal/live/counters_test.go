@@ -222,11 +222,12 @@ func TestReplicaCountersAreRegistered(t *testing.T) {
 	}
 	v1 := cw.Put("ck", []byte("one"))
 	v2 := cw.Put("ck", []byte("two")) // dominates v1: supersedes it in the pending delta
+	// Deposits are engine sends: they run under the engine lock.
+	trep.mu.Lock()
 	for _, u := range []store.Update{v1, v2} {
-		if !sender.deposit(engine.Message[string]{Kind: engine.KindPush, Update: u}) {
-			t.Fatal("deposit rejected by a fresh sender")
-		}
+		sender.deposit(engine.Message[string]{Kind: engine.KindPush, Update: u})
 	}
+	trep.mu.Unlock()
 	sender.deliver()
 
 	registered := make(map[string]bool, len(CounterNames))

@@ -28,8 +28,11 @@ const (
 )
 
 // Hooks observes protocol-level events. All callbacks are optional; set
-// callbacks run synchronously on the replica's message paths, so they must
-// be fast, must not block, and must not call back into the Replica.
+// callbacks run synchronously inside engine calls, under the replica's engine
+// lock, so they must be fast, must not block, and must not call back into the
+// Replica. The lock order is the replica's engine lock, then any lock a hook
+// takes, then the Metrics sink's: a hook's own locks must never be held
+// while calling the Replica.
 type Hooks struct {
 	// OnApply fires after an update is offered to the local store, whether
 	// created locally, pushed, or pulled. res classifies the outcome and
@@ -154,7 +157,7 @@ func (r *Replica) add(name string, n int) {
 // fireApply reports one apply outcome to the metrics sink and the OnApply
 // hook. branches must come from the apply itself (Backend.ApplyObserved), not
 // a later BranchCount, so concurrent applies to the key cannot skew it.
-// Called from the post-unlock flush, never with r.mu held.
+// Called by the engine, with r.mu held.
 func (r *Replica) fireApply(u store.Update, res store.ApplyResult, src Source, branches int) {
 	if r.cfg.Metrics != nil {
 		switch res {

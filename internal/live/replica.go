@@ -6,14 +6,12 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
-	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 	"github.com/p2pgossip/update/internal/wire"
 )
@@ -141,115 +139,59 @@ func (c Config) Validate() error {
 // to send. All methods are safe for concurrent use.
 //
 // Replica is a thin adapter: the §4/§6 state machine lives in
-// internal/engine, shared verbatim with the simulator. This type serialises
-// engine access behind a mutex and queues the sends and hook events of each
-// engine call, handling them after releasing the lock: events go to the
-// user's hooks, sends into the destination's coalescing sender (sender.go),
-// which alone converts them to wire envelopes and touches the transport. No
-// transport or user callback ever runs under the mutex, and no caller of
-// Publish or of the inbound handler ever waits on a peer's link.
+// internal/engine, shared verbatim with the simulator. One mutex, mu,
+// serialises the engine and everything an engine call writes: each send
+// merges straight into the destination's pending delta (sender.go), and the
+// engine's hooks fire in place. Only the destination's sender goroutine
+// renders wire envelopes and touches the transport, outside the mutex, so no
+// caller of Publish or of the inbound handler ever waits on a peer's link.
 type Replica struct {
 	cfg       Config
 	transport Transport
 	addr      string
 	st        store.Backend
 	writer    *store.Writer
+	ingest    sync.Pool // of cleared *ingestScratch (see borrowScratch)
 
-	mu     sync.Mutex
-	eng    *engine.Engine[string]
-	rng    *rand.Rand
-	queued *runQueue // filled by the engine call in progress
-	spare  sync.Pool // of flushed, cleared *runQueue (see run)
-	ingest sync.Pool // of cleared *ingestScratch (see borrowScratch)
-
-	// sendMu guards the sender registry. sendStopped mirrors the replica
-	// stopping so no sender goroutine can be registered after Stop begins
-	// waiting on bg.
-	sendMu      sync.Mutex
-	senders     map[string]*peerSender
-	sendStopped bool
-	// pendingBytes is the estimated footprint of every destination's
-	// pending delta; pendingPeak is its high-water mark.
-	pendingBytes atomic.Int64
-	pendingPeak  atomic.Int64
+	// mu guards the engine and what its sends write: the sender registry,
+	// each sender's deposit buffer and the pending-bytes gauge — the
+	// estimated footprint of every destination's pending delta, with its
+	// high-water mark. stopped freezes the registry so no sender goroutine
+	// joins bg after Stop begins waiting on it.
+	mu           sync.Mutex
+	eng          *engine.Engine[string]
+	rng          *rand.Rand
+	senders      map[string]*peerSender
+	stopped      bool
+	pendingBytes int64
+	pendingPeak  int64
 
 	stop chan struct{}
 	bg   sync.WaitGroup
 	once sync.Once
 }
 
-// outbound is one queued engine send: one message bound for one or more
-// destinations, deposited into their senders after the replica lock is
-// released. The engine's push fanout emits the same push to k peers back to
-// back; the endpoint folds those into one entry, because k copies of the
-// message per update in a freshly grown outbox cost saturate_publish a tenth
-// of its throughput in allocation alone (ten interleaved pairs, ISSUE 24).
-type outbound struct {
-	tos []string
-	msg engine.Message[string]
-}
-
-// runQueue is what one engine call queues for after the lock: its sends and
-// its hook events. reset clears it for reuse, keeping its backing arrays —
-// each outbound's destination list included, so a deposit allocates nothing.
-type runQueue struct {
-	out    []outbound
-	events []protoEvent
-}
-
-func (q *runQueue) reset() {
-	for i := range q.out {
-		clear(q.out[i].tos)
-		q.out[i] = outbound{tos: q.out[i].tos[:0]}
-	}
-	clear(q.events)
-	q.out, q.events = q.out[:0], q.events[:0]
-}
-
-// protoEvent is one queued observability event, fired after the engine call
-// that produced it releases the replica lock.
-type protoEvent struct {
-	kind     protoEventKind
-	u        store.Update
-	res      store.ApplyResult
-	src      Source
-	branches int
-	peer     string
-	frontier version.Clock
-}
-
-type protoEventKind int
-
-const (
-	evApply protoEventKind = iota + 1
-	evDuplicate
-	evAck
-	evSuspect
-	evCatchUp
-)
-
 // liveEndpoint adapts a Replica to the engine's Endpoint: wall-clock
-// nanoseconds are the tick unit, and sends are queued on the outbox for the
-// post-unlock flush.
+// nanoseconds are the tick unit, and each send merges into the destination's
+// pending delta under the engine lock the caller holds.
 type liveEndpoint struct{ r *Replica }
 
 func (ep liveEndpoint) Self() string     { return ep.r.addr }
 func (ep liveEndpoint) Now() int64       { return time.Now().UnixNano() }
 func (ep liveEndpoint) Rand() *rand.Rand { return ep.r.rng }
 func (ep liveEndpoint) Send(to string, m engine.Message[string]) {
-	q := ep.r.queued
-	if n := len(q.out); n > 0 && m.Kind == engine.KindPush {
-		// Same update as the entry before it: the next target of one fanout.
-		// The carried list needs no comparing — senders render it when the
-		// push leaves (RenderPush), not from the deposit.
-		if last := &q.out[n-1]; last.msg.Kind == engine.KindPush && last.msg.Update.Ref() == m.Update.Ref() {
-			last.tos = append(last.tos, to)
-			return
-		}
+	r := ep.r
+	if r.stopped {
+		return
 	}
-	q.out = slices.Grow(q.out, 1)[:len(q.out)+1] // the new last keeps its tos backing
-	last := &q.out[len(q.out)-1]
-	last.tos, last.msg = append(last.tos, to), m
+	s, ok := r.senders[to]
+	if !ok {
+		s = newPeerSender(r, to)
+		r.senders[to] = s
+		r.bg.Add(1)
+		go s.run()
+	}
+	s.deposit(m)
 }
 
 // NewReplica builds a replica on the given transport. The transport's
@@ -275,11 +217,9 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		addr:      transport.Addr(),
 		st:        store.NewShardedWithRetention(0, retain),
 		rng:       rand.New(rand.NewSource(seed)),
-		queued:    new(runQueue),
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
 	}
-	r.spare.New = func() any { return new(runQueue) }
 	r.ingest.New = func() any { return new(ingestScratch) }
 	w, err := store.NewWriter(r.addr, r.st, time.Now,
 		rand.New(rand.NewSource(seed+1)))
@@ -304,20 +244,17 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		DeferPullRender: true,
 		ValidID:         func(addr string) bool { return addr != "" },
 		Hooks: engine.Hooks[string]{
-			OnApply: func(u store.Update, res store.ApplyResult, src Source, branches int) {
-				r.queue(protoEvent{kind: evApply, u: u, res: res, src: src, branches: branches})
-			},
+			OnApply: r.fireApply,
 			OnDuplicate: func(u store.Update, branches int) {
-				r.queue(protoEvent{kind: evDuplicate, u: u, branches: branches})
+				r.inc(MetricPushDuplicate)
+				r.fireApply(u, store.Duplicate, SourcePush, branches)
 			},
-			OnAck: func(peer string) {
-				r.queue(protoEvent{kind: evAck, peer: peer})
-			},
+			OnAck: cfg.Hooks.OnAck,
 			OnSuspect: func(peer string) {
-				r.queue(protoEvent{kind: evSuspect, peer: peer})
-			},
-			OnCatchUp: func(frontier version.Clock) {
-				r.queue(protoEvent{kind: evCatchUp, frontier: frontier})
+				r.inc(MetricSuspects)
+				if cfg.Hooks.OnSuspect != nil {
+					cfg.Hooks.OnSuspect(peer)
+				}
 			},
 		},
 	}, liveEndpoint{r}, r.st, w)
@@ -332,108 +269,12 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	return r, nil
 }
 
-// queue records one hook event of the engine call in progress.
-func (r *Replica) queue(ev protoEvent) {
-	r.queued.events = append(r.queued.events, ev)
-}
-
-// run serialises one engine call and then flushes the sends and events it
-// queued, outside the lock, from a queue swapped out for a spare.
+// run serialises one engine call under the engine lock; its sends and hook
+// calls happen inside it.
 func (r *Replica) run(f func(e *engine.Engine[string])) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	f(r.eng)
-	q := r.queued
-	if len(q.out) == 0 && len(q.events) == 0 {
-		r.mu.Unlock()
-		return
-	}
-	r.queued = r.spare.Get().(*runQueue)
-	r.mu.Unlock()
-	r.flush(q.events, q.out)
-	q.reset()
-	r.spare.Put(q)
-}
-
-func (r *Replica) flush(events []protoEvent, out []outbound) {
-	for _, ev := range events {
-		switch ev.kind {
-		case evApply:
-			r.fireApply(ev.u, ev.res, ev.src, ev.branches)
-		case evDuplicate:
-			r.inc(MetricPushDuplicate)
-			r.fireApply(ev.u, store.Duplicate, SourcePush, ev.branches)
-		case evAck:
-			if r.cfg.Hooks.OnAck != nil {
-				r.cfg.Hooks.OnAck(ev.peer)
-			}
-		case evSuspect:
-			r.inc(MetricSuspects)
-			if r.cfg.Hooks.OnSuspect != nil {
-				r.cfg.Hooks.OnSuspect(ev.peer)
-			}
-		case evCatchUp:
-			// Logged after the stream's updates (each chunk's were appended
-			// before it entered the engine), so replay adopts the frontier
-			// over records it can stand on.
-			r.inc(MetricSnapshotCatchups)
-			r.walAppendFrontier(ev.frontier)
-		}
-	}
-	// Metrics for these sends fire at transmission time in the sender, not
-	// here — a coalesced-away push was never sent.
-	for i := range out {
-		for _, to := range out[i].tos {
-			r.depositTo(to, out[i].msg)
-		}
-	}
-}
-
-// depositTo merges one message into the destination's sender, creating it on
-// demand. A sender caught mid-retire rejects the deposit; the loop then
-// observes a fresh registry state and retries, so deposits are never lost
-// to the idle-retire race. A nil sender means the replica is stopping and
-// the deposit is intentionally dropped.
-func (r *Replica) depositTo(to string, m engine.Message[string]) {
-	for {
-		s := r.senderFor(to)
-		if s == nil {
-			return
-		}
-		if s.deposit(m) {
-			return
-		}
-	}
-}
-
-// senderFor returns the live sender for a destination, spawning one if
-// needed. Returns nil once the replica is stopping — the registry is frozen
-// so no goroutine joins bg after Stop starts waiting on it.
-func (r *Replica) senderFor(to string) *peerSender {
-	r.sendMu.Lock()
-	defer r.sendMu.Unlock()
-	if r.sendStopped {
-		return nil
-	}
-	s, ok := r.senders[to]
-	if !ok {
-		s = newPeerSender(r, to)
-		r.senders[to] = s
-		r.bg.Add(1)
-		go s.run()
-	}
-	return s
-}
-
-// notePendingBytes moves the pending-memory gauge and maintains its
-// high-water mark.
-func (r *Replica) notePendingBytes(delta int64) {
-	cur := r.pendingBytes.Add(delta)
-	for {
-		peak := r.pendingPeak.Load()
-		if cur <= peak || r.pendingPeak.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
 }
 
 // PendingSendBytes reports the estimated bytes currently held in
@@ -442,7 +283,9 @@ func (r *Replica) notePendingBytes(delta int64) {
 // destination regardless of traffic volume; the throttled-peer benchmark
 // and the slow-consumer tests assert exactly that.
 func (r *Replica) PendingSendBytes() (current, peak int64) {
-	return r.pendingBytes.Load(), r.pendingPeak.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.pendingBytes, r.pendingPeak
 }
 
 // handle is the transport's inbound callback. The conversion from wire to
@@ -481,7 +324,15 @@ func (r *Replica) handle(env wire.Envelope) {
 			msg.Kind, msg.Stream, msg.Chunk = engine.KindSnapshot, env.Stream, env.Chunk
 			msg.Last, msg.Clock = env.Last, env.Clock
 		}
-		r.run(func(e *engine.Engine[string]) { e.HandlePullRespApplied(env.From, msg, sc.pre) })
+		var adopted bool
+		r.run(func(e *engine.Engine[string]) { adopted = e.HandlePullRespApplied(env.From, msg, sc.pre) })
+		if adopted {
+			// Logged after the stream's updates (each chunk's were appended
+			// before it entered the engine), so replay adopts the frontier
+			// over records it can stand on.
+			r.inc(MetricSnapshotCatchups)
+			r.walAppendFrontier(env.Clock)
+		}
 	case wire.KindAck:
 		r.inc(MetricAckReceived)
 		r.run(func(e *engine.Engine[string]) {
@@ -679,10 +530,10 @@ func (r *Replica) Start() {
 func (r *Replica) Stop() {
 	r.once.Do(func() {
 		// Freeze the sender registry before signalling: nothing can call
-		// bg.Add once sendStopped is set, so the Wait below is race-free.
-		r.sendMu.Lock()
-		r.sendStopped = true
-		r.sendMu.Unlock()
+		// bg.Add once stopped is set, so the Wait below is race-free.
+		r.mu.Lock()
+		r.stopped = true
+		r.mu.Unlock()
 		close(r.stop)
 	})
 	r.bg.Wait()

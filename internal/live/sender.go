@@ -1,7 +1,6 @@
 package live
 
 import (
-	"sync"
 	"time"
 
 	"github.com/p2pgossip/update/internal/engine"
@@ -42,12 +41,10 @@ type peerSender struct {
 
 	// bufs double-buffers the pending delta: deposits merge into bufs[cur]
 	// while the run loop flushes the other one, which it Resets for reuse, so
-	// neither regrows its maps per batch. cur and bufs[cur] are guarded by mu;
-	// the other buffer belongs to the run loop.
-	mu      sync.Mutex
-	bufs    [2]engine.Pending[string]
-	cur     int
-	closing bool
+	// neither regrows its maps per batch. cur and bufs[cur] are guarded by
+	// the replica's mu; the other buffer belongs to the run loop.
+	bufs [2]engine.Pending[string]
+	cur  int
 
 	envs   []wire.Envelope // the run loop's render scratch, cleared per batch
 	frames []*wire.Frame
@@ -60,33 +57,25 @@ func newPeerSender(r *Replica, to string) *peerSender {
 	return &peerSender{r: r, to: to, wake: make(chan struct{}, 1)}
 }
 
-// deposit merges one engine message into the pending delta. It reports false
-// when the sender is retiring — the caller must fetch a fresh sender and
-// retry — and otherwise fires the coalescing/drop counters (a dropped
-// message was never sent: send.failed) and the pending-bytes gauge outside
-// the sender lock and nudges the run loop.
-func (s *peerSender) deposit(m engine.Message[string]) bool {
-	s.mu.Lock()
-	if s.closing {
-		s.mu.Unlock()
-		return false
-	}
+// deposit merges one engine message into the pending delta, fires the
+// coalescing/drop counters (a dropped message was never sent: send.failed),
+// moves the pending-bytes gauge and nudges the run loop. The caller holds
+// the replica's mu.
+func (s *peerSender) deposit(m engine.Message[string]) {
+	r := s.r
 	coalesced, dropped, delta := s.bufs[s.cur].Add(m)
-	s.mu.Unlock()
 	if coalesced > 0 {
-		s.r.add(MetricSendCoalesced, coalesced)
+		r.add(MetricSendCoalesced, coalesced)
 	}
 	if dropped > 0 {
-		s.r.add(MetricSendFailed, dropped)
+		r.add(MetricSendFailed, dropped)
 	}
-	if delta != 0 {
-		s.r.notePendingBytes(int64(delta))
-	}
+	r.pendingBytes += int64(delta)
+	r.pendingPeak = max(r.pendingPeak, r.pendingBytes)
 	select {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return true
 }
 
 // run is the sender goroutine: drain on every nudge, retire after an idle
@@ -118,59 +107,55 @@ func (s *peerSender) run() {
 	}
 }
 
-// take hands the pending delta to the run loop under the lock, leaving the
-// other, empty buffer for concurrent deposits.
-func (s *peerSender) take() *engine.Pending[string] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := &s.bufs[s.cur]
-	if p.Len() == 0 {
-		return nil
-	}
-	s.cur ^= 1
-	return p
-}
-
-// deliver renders and transmits pending deltas until none remain. Deposits
-// made while a batch is on the wire merge into the next one.
+// deliver renders and transmits pending deltas until none remain. Each batch
+// holds the replica lock once: to swap buffers — deposits made while the
+// batch is on the wire merge into the other one — to take its bytes off the
+// gauge, and to render its pushes' flooding lists.
 func (s *peerSender) deliver() {
-	for p := s.take(); p != nil; p = s.take() {
-		s.r.notePendingBytes(int64(-p.Bytes()))
-		s.flush(p)
+	r := s.r
+	for {
+		r.mu.Lock()
+		p := &s.bufs[s.cur]
+		if p.Len() == 0 {
+			r.mu.Unlock()
+			return
+		}
+		s.cur ^= 1
+		r.pendingBytes -= int64(p.Bytes())
+		pushes := 0
+		m, ok := p.Pop()
+		for ; ok && m.Kind == engine.KindPush; m, ok = p.Pop() {
+			// Late-bound flooding list: the engine's current carried list for
+			// the update, not the one at deposit. Updates the engine no longer
+			// tracks still ship, with no list.
+			m.RF, _ = r.eng.RenderPush(m.Update.Ref())
+			s.envs = append(s.envs, envelopeFromEngine(r.addr, m))
+			pushes++
+		}
+		r.mu.Unlock()
+		if pushes > 0 {
+			r.add(MetricPushSent, pushes)
+		}
+		s.flush(p, m, ok)
 		p.Reset()
 	}
 }
 
-// flush drains one taken pending delta into wire envelopes and transmits them
-// as one batch, late-binding everything that depends on current state:
-// flooding lists from the engine, the pull-request clock from the store, and
-// the pull answer from the coalesced minimum requester clock. The answer
-// goes last: a delta, or the first chunk of a snapshot stream, closes the
-// batch; a stream's remaining chunks follow one per transport write — the
-// receiver applies chunk k while chunk k+1 is encoded here, and neither side
-// holds more than a chunk of encoding — stopping at the first write that
-// fails, so a frontier never follows a hole the sender knows of. Protocol
-// counters fire here — at actual transmission — not at deposit.
-func (s *peerSender) flush(p *engine.Pending[string]) {
+// flush transmits one taken batch — its pushes already rendered into s.envs,
+// m the first message after them — late-binding everything else that depends
+// on current state: the pull-request clock from the store, and the pull
+// answer from the coalesced minimum requester clock. The answer goes last: a
+// delta, or the first chunk of a snapshot stream, closes the batch; a
+// stream's remaining chunks follow one per transport write — the receiver
+// applies chunk k while chunk k+1 is encoded here, and neither side holds
+// more than a chunk of encoding — stopping at the first write that fails, so
+// a frontier never follows a hole the sender knows of. Protocol counters fire
+// here — at actual transmission — not at deposit.
+func (s *peerSender) flush(p *engine.Pending[string], m engine.Message[string], ok bool) {
 	r := s.r
-	envs := s.envs[:0]
+	envs := s.envs
 	used := 0 // envs' high-water mark: the answer below restarts it per chunk
 	var intent engine.Message[string]
-	m, ok := p.Pop()
-	if ok && m.Kind == engine.KindPush {
-		pushes := 0
-		r.mu.Lock()
-		for ; ok && m.Kind == engine.KindPush; m, ok = p.Pop() {
-			// Late-bound flooding list: the engine's current carried list for
-			// the update, not the one frozen at deposit. Updates the engine
-			// no longer tracks still ship, with no list.
-			m.RF, _ = r.eng.RenderPush(m.Update.Ref())
-			envs = append(envs, envelopeFromEngine(r.addr, m))
-			pushes++
-		}
-		r.mu.Unlock()
-		r.add(MetricPushSent, pushes)
-	}
 	acks := 0
 	for ; ok; m, ok = p.Pop() {
 		switch {
@@ -263,36 +248,27 @@ func (s *peerSender) send(envs []wire.Envelope) bool {
 	return failed == 0
 }
 
-// tryRetire ends an idle sender: under the registry lock, if nothing is
-// pending the sender marks itself closing and deregisters, so a concurrent
-// deposit observes either the registration gone or the closing flag and
-// recreates a sender — pending state is never stranded.
+// tryRetire ends an idle sender: under the replica lock, if nothing is
+// pending it deregisters, so the next deposit for the destination spawns a
+// fresh sender — pending state is never stranded.
 func (s *peerSender) tryRetire() bool {
 	r := s.r
-	r.sendMu.Lock()
-	s.mu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if s.bufs[s.cur].Len() > 0 {
-		s.mu.Unlock()
-		r.sendMu.Unlock()
 		return false
 	}
-	s.closing = true
 	if r.senders[s.to] == s {
 		delete(r.senders, s.to)
 	}
-	s.mu.Unlock()
-	r.sendMu.Unlock()
 	return true
 }
 
 // discard drops pending state on replica stop, keeping the gauge honest.
 func (s *peerSender) discard() {
-	s.mu.Lock()
-	s.closing = true
-	n := s.bufs[s.cur].Bytes()
+	r := s.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pendingBytes -= int64(s.bufs[s.cur].Bytes())
 	s.bufs[s.cur].Reset()
-	s.mu.Unlock()
-	if n != 0 {
-		s.r.notePendingBytes(int64(-n))
-	}
 }

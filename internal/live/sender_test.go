@@ -377,3 +377,57 @@ func TestDisconnectMidCoalesceDropsOnlyItsPending(t *testing.T) {
 		return current == 0
 	}, "pending gauge never drained after the churning peer died")
 }
+
+// TestIdleSenderRetiresAndRespawns drives the idle-retire path step by step:
+// a registered sender without a goroutine stands in for its run loop, so no
+// idle timer is waited on. A sender holding a deposit refuses to retire;
+// drained, it deregisters; the next send for its destination spawns a fresh
+// sender, which delivers, and the pending gauge ends at zero.
+func TestIdleSenderRetiresAndRespawns(t *testing.T) {
+	sink := &frameSink{}
+	r, err := NewReplica(Config{Fanout: 1, Seed: 1}, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	r.AddPeers("dst")
+	s := newPeerSender(r, "dst")
+	r.mu.Lock()
+	r.senders["dst"] = s
+	r.mu.Unlock()
+
+	if _, err := r.Publish("a", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	if s.tryRetire() {
+		t.Fatal("a sender holding a deposit retired")
+	}
+	s.deliver()
+	if n := sink.frames.Load(); n != 1 {
+		t.Fatalf("deliver sent %d frames, want 1", n)
+	}
+	if !s.tryRetire() {
+		t.Fatal("a drained sender did not retire")
+	}
+	r.mu.Lock()
+	_, registered := r.senders["dst"]
+	r.mu.Unlock()
+	if registered {
+		t.Fatal("a retired sender is still registered")
+	}
+
+	if _, err := r.Publish("b", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	fresh := r.senders["dst"]
+	r.mu.Unlock()
+	if fresh == nil || fresh == s {
+		t.Fatal("the next send did not spawn a fresh sender")
+	}
+	eventually(t, 10*time.Second, func() bool { return sink.frames.Load() == 2 },
+		"the fresh sender did not deliver")
+	if cur, _ := r.PendingSendBytes(); cur != 0 {
+		t.Fatalf("pending gauge reads %d after every deposit was sent, want 0", cur)
+	}
+}

@@ -302,9 +302,10 @@ func TestSnapshotStreamAbortsOnSendError(t *testing.T) {
 		r.Publish(k, value)
 	}
 	sender := newPeerSender(r, "rejoiner")
-	if !sender.deposit(engine.Message[string]{Kind: engine.KindPullResp, Clock: version.NewClock()}) {
-		t.Fatal("deposit rejected by a fresh sender")
-	}
+	// Deposits are engine sends: they run under the engine lock.
+	r.mu.Lock()
+	sender.deposit(engine.Message[string]{Kind: engine.KindPullResp, Clock: version.NewClock()})
+	r.mu.Unlock()
 	sender.deliver()
 	if len(tr.kinds) != 2 || tr.kinds[0] != wire.KindSnapshot || tr.kinds[1] != wire.KindSnapshot {
 		t.Fatalf("transport saw %v; want the two chunks before the failure and nothing after", tr.kinds)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/pf"
+	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 )
 
@@ -261,5 +262,78 @@ func TestWALJanitorCheckpointBoundsLogAndRecovers(t *testing.T) {
 		if _, ok := r2.Get(fmt.Sprintf("k-%03d", i)); !ok {
 			t.Fatalf("key k-%03d missing after checkpointed recovery", i)
 		}
+	}
+}
+
+// TestSnapshotCatchUpLogsFrontier: a WAL-backed replica that catches up by
+// snapshot stream over a Hub logs the adopted frontier exactly once, after
+// the stream's update records, and a fresh replica recovering that log
+// restores the adopted clock — holes the cut skipped included.
+func TestSnapshotCatchUpLogsFrontier(t *testing.T) {
+	hub := NewHub()
+	attach := func(addr string, cfg Config) *Replica {
+		tr, err := hub.Attach(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Stop)
+		return r
+	}
+	a := attach("a", Config{Fanout: 0, SnapshotCatchUp: 1, Seed: 1})
+	// Every key overwritten: the cut (a/2, a/4, a/6) is smaller than the
+	// delta, and only the frontier covers a/1, a/3 and a/5.
+	for _, k := range []string{"x", "x", "y", "y", "z", "z"} {
+		if _, err := a.Publish(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := a.Store().Clock()
+
+	dir := t.TempDir()
+	l := openWAL(t, dir, wal.Options{})
+	rec := &recordingMetrics{}
+	b := attach("b", Config{Fanout: 0, PullAttempts: 1, Seed: 2, Metrics: rec, WAL: l})
+	b.AddPeers("a")
+	b.PullNow()
+	eventually(t, 10*time.Second, func() bool {
+		return caughtUp(a, b) && rec.observed()[MetricSnapshotCatchups] == 1
+	}, "b did not catch up by snapshot")
+	b.Stop()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openWAL(t, dir, wal.Options{})
+	t.Cleanup(func() { l2.Close() })
+	var kinds []wal.RecordKind
+	if _, err := l2.Replay(func(r wal.Record) error {
+		kinds = append(kinds, r.Kind)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(kinds); n != 4 || kinds[n-1] != wal.RecordFrontier {
+		t.Fatalf("logged %v; want the cut's 3 updates, then one frontier", kinds)
+	}
+	for _, k := range kinds[:3] {
+		if k != wal.RecordUpdate {
+			t.Fatalf("logged %v; want the cut's 3 updates, then one frontier", kinds)
+		}
+	}
+
+	c := attach("c", Config{Fanout: 0, Seed: 3, WAL: l2})
+	got, err := c.RecoverWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Frontiers != 1 || got.Replayed != 3 {
+		t.Fatalf("recovered %+v; want 3 updates and 1 frontier", got)
+	}
+	if c.Store().Clock().Compare(want) != version.Equal {
+		t.Fatalf("recovered clock %v, want the adopted %v", c.Store().Clock(), want)
 	}
 }

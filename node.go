@@ -283,7 +283,9 @@ func (n *Node) Watch(ctx context.Context, keyPrefix string) (<-chan Event, error
 
 // onApply is the live-runtime hook fanning protocol applies out to Watch
 // subscribers. Sends never block: subscribers with full buffers lose the
-// event instead of stalling the protocol.
+// event instead of stalling the protocol. It runs under the replica's engine
+// lock, so n.mu is never held while calling the replica (Close releases it
+// before Stop).
 func (n *Node) onApply(u store.Update, res store.ApplyResult, src Source, branches int) {
 	ev := Event{Kind: eventKind(res), Update: u, Source: src, Branches: branches}
 	n.mu.Lock()
