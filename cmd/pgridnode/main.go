@@ -7,6 +7,8 @@
 //	pgridnode -listen 127.0.0.1:7002 -peers 127.0.0.1:7001
 //	pgridnode -listen 127.0.0.1:7003 -peers 127.0.0.1:7001,127.0.0.1:7002
 //
+// Add -wal-dir DIR to keep a node's state across restarts.
+//
 // Then type commands on stdin:
 //
 //	put <key> <value>   publish an update
@@ -48,19 +50,19 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fanout := fs.Int("fanout", 5, "push fanout")
 	pfSpec := fs.String("pf", "geom:0.9", "forwarding probability schedule")
 	pullSecs := fs.Duration("pull-interval", 0, "anti-entropy period (0 = default 30s)")
-	snapshot := fs.String("snapshot", "", "state file: restored at start, written at quit")
+	walDir := fs.String("wal-dir", "", "write-ahead-log directory: state is recovered from it at start and every write is logged to it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	schedule, err := pfparse.Parse(*pfSpec)
+	newPF, err := pfparse.Factory(*pfSpec)
 	if err != nil {
 		return err
 	}
 	opts := []pushpull.Option{
 		pushpull.WithTCP(*listen),
 		pushpull.WithFanout(*fanout),
-		pushpull.WithPF(func() pushpull.PFFunc { return schedule }),
+		pushpull.WithPF(newPF),
 	}
 	if *pullSecs > 0 {
 		opts = append(opts, pushpull.WithPullInterval(*pullSecs))
@@ -68,22 +70,15 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	if *peers != "" {
 		opts = append(opts, pushpull.WithPeers(strings.Split(*peers, ",")...))
 	}
-	var snapFile *os.File
-	if *snapshot != "" {
-		// A missing state file is fine on first start.
-		f, err := os.Open(*snapshot)
-		switch {
-		case err == nil:
-			snapFile = f
-			opts = append(opts, pushpull.WithSnapshot(f))
-		case !os.IsNotExist(err):
-			return fmt.Errorf("open snapshot: %w", err)
+	if *walDir != "" {
+		l, err := pushpull.OpenWAL(pushpull.WALOptions{Dir: *walDir})
+		if err != nil {
+			return err
 		}
+		defer l.Close() // deferred first, so it runs after the node closes
+		opts = append(opts, pushpull.WithWAL(l))
 	}
 	node, err := pushpull.Open(opts...)
-	if snapFile != nil {
-		snapFile.Close()
-	}
 	if err != nil {
 		return err
 	}
@@ -95,33 +90,7 @@ func run(args []string, in io.Reader, out io.Writer) error {
 
 	fmt.Fprintf(out, "replica listening on %s (%d known peers)\n",
 		node.Addr(), len(node.Peers()))
-	if err := repl(node, in, out); err != nil {
-		return err
-	}
-	if *snapshot != "" {
-		return saveSnapshot(node, *snapshot)
-	}
-	return nil
-}
-
-// saveSnapshot writes the state file atomically (temp + rename).
-func saveSnapshot(n *pushpull.Node, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("create snapshot: %w", err)
-	}
-	if err := n.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("rename snapshot: %w", err)
-	}
-	return nil
+	return repl(node, in, out)
 }
 
 func repl(n *pushpull.Node, in io.Reader, out io.Writer) error {

@@ -70,17 +70,17 @@ func TestNodeBadFlags(t *testing.T) {
 	}
 }
 
-func TestNodeSnapshotPersistence(t *testing.T) {
-	path := t.TempDir() + "/state.snap"
+func TestNodeWALPersistence(t *testing.T) {
+	dir := t.TempDir()
 	var out strings.Builder
-	err := run([]string{"-listen", "127.0.0.1:0", "-snapshot", path},
+	err := run([]string{"-listen", "127.0.0.1:0", "-wal-dir", dir},
 		strings.NewReader("put motto persistence\nquit\n"), &out)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	// Second process restores the state.
+	// Second process recovers the state from the WAL.
 	out.Reset()
-	err = run([]string{"-listen", "127.0.0.1:0", "-snapshot", path},
+	err = run([]string{"-listen", "127.0.0.1:0", "-wal-dir", dir},
 		strings.NewReader("get motto\nquit\n"), &out)
 	if err != nil {
 		t.Fatalf("second run: %v", err)

@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -70,114 +70,22 @@ func parseReadyLine(line string) (httpAddr, gossipAddr string, err error) {
 	return httpAddr, gossipAddr, nil
 }
 
-func TestDaemonServesAndSnapshotsAcrossRestart(t *testing.T) {
-	snap := filepath.Join(t.TempDir(), "state.snap")
-	base, shutdown := startDaemon(t, "-snapshot", snap, "-pull-interval", "50ms")
+func TestDaemonWALRecoversAcrossRestart(t *testing.T) {
+	walDir := filepath.Join(t.TempDir(), "wal")
+	base, shutdown := startDaemon(t, "-wal-dir", walDir, "-fsync", "never", "-pull-interval", "50ms")
 
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
-	}
-	resp, err = http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz: %d", resp.StatusCode)
+	for _, probe := range []string{"/healthz", "/readyz"} {
+		resp, err := http.Get(base + probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d", probe, resp.StatusCode)
+		}
 	}
 
 	// Write a key through the edge.
-	req, _ := http.NewRequest(http.MethodPut, base+"/v1/kv/boot/count", bytes.NewReader([]byte("1")))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("put: %d", resp.StatusCode)
-	}
-
-	// Graceful shutdown must leave a snapshot behind.
-	if code := shutdown(); code != 0 {
-		t.Fatalf("daemon exit code %d", code)
-	}
-	if fi, err := os.Stat(snap); err != nil || fi.Size() == 0 {
-		t.Fatalf("snapshot not written: %v", err)
-	}
-
-	// A new incarnation restores it and reports the restored count.
-	base2, _ := startDaemon(t, "-snapshot", snap)
-	resp, err = http.Get(base2 + "/v1/kv/boot/count")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || string(body) != "1" {
-		t.Fatalf("restored get: %d %q", resp.StatusCode, body)
-	}
-	resp, err = http.Get(base2 + "/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var state serve.State
-	err = json.NewDecoder(resp.Body).Decode(&state)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.Restored != 1 || state.UpdateCount != 1 {
-		t.Fatalf("state after restore = %+v", state)
-	}
-}
-
-func TestDaemonStrictRestoreRejectsUnusableSnapshot(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "corrupt.snap")
-	if err := os.WriteFile(bad, []byte("definitely not gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code := run([]string{"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0", "-snapshot", bad, "-strict-restore"},
-		io.Discard, io.Discard, nil)
-	if code != 1 {
-		t.Fatalf("exit code %d, want 1", code)
-	}
-}
-
-func TestDaemonWarnsAndStartsEmptyOnUnusableSnapshot(t *testing.T) {
-	bad := filepath.Join(t.TempDir(), "corrupt.snap")
-	if err := os.WriteFile(bad, []byte("definitely not gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, shutdown := startDaemon(t, "-snapshot", bad)
-	resp, err := http.Get(base + "/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var state serve.State
-	err = json.NewDecoder(resp.Body).Decode(&state)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.Restored != 0 || state.UpdateCount != 0 {
-		t.Fatalf("state after skipped restore = %+v", state)
-	}
-	// The graceful shutdown replaces the corrupt file with a valid (empty)
-	// snapshot.
-	if code := shutdown(); code != 0 {
-		t.Fatalf("daemon exit code %d", code)
-	}
-}
-
-func TestDaemonWALRecoversAcrossRestart(t *testing.T) {
-	walDir := filepath.Join(t.TempDir(), "wal")
-	base, shutdown := startDaemon(t, "-wal-dir", walDir, "-fsync", "never")
-
 	req, _ := http.NewRequest(http.MethodPut, base+"/v1/kv/boot/count", bytes.NewReader([]byte("1")))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -227,8 +135,46 @@ func TestDaemonRejectsBadFsyncPolicy(t *testing.T) {
 }
 
 func TestDaemonBadFlags(t *testing.T) {
-	if code := run([]string{"-definitely-not-a-flag"}, io.Discard, io.Discard, nil); code != 2 {
-		t.Fatalf("exit code %d, want 2", code)
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-snapshot", "x"}, // the WAL (-wal-dir) is the only persistence
+		{"-pf", "junk"},
+		{"-pf", "geom:"},
+		{"-pf", "affine:1,2"},
+	} {
+		if code := run(args, io.Discard, io.Discard, nil); code != 2 {
+			t.Fatalf("%v: exit code %d, want 2", args, code)
+		}
+	}
+}
+
+// TestParsePF covers each -pf form: a bare number below 1 is geom:n, one at
+// or above 1 forwards always, and any pfparse spec is accepted.
+func TestParsePF(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		at   int
+		want float64
+	}{
+		{"0.5", 2, 0.25},
+		{"geom:0.5", 2, 0.25},
+		{"affine:0.8,0.5,0.2", 1, 0.6},
+		{"const:0.3", 7, 0.3},
+		{"ttl:2", 2, 0},
+		{"adaptive:0.7", 0, 0.7},
+	} {
+		newPF, err := parsePF(tc.spec)
+		if err != nil || newPF == nil {
+			t.Fatalf("parsePF(%q): constructor nil = %v, err %v", tc.spec, newPF == nil, err)
+		}
+		if got := newPF().P(tc.at); math.Abs(got-tc.want) > 1e-9 {
+			t.Fatalf("%s: P(%d) = %g, want %g", tc.spec, tc.at, got, tc.want)
+		}
+	}
+	for _, spec := range []string{"1", "2.5"} {
+		if newPF, err := parsePF(spec); err != nil || newPF != nil {
+			t.Fatalf("parsePF(%q) should forward always (nil constructor): nil = %v, err %v", spec, newPF == nil, err)
+		}
 	}
 }
 

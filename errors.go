@@ -22,8 +22,6 @@ var (
 	// ErrNoTransport reports an Open call with no transport option; it also
 	// matches ErrInvalidConfig.
 	ErrNoTransport = fmt.Errorf("%w: exactly one of WithTCP, WithHub, or WithTransport is required", ErrInvalidConfig)
-	// ErrSnapshot reports a snapshot that could not be written or restored.
-	ErrSnapshot = errors.New("pushpull: snapshot")
 	// ErrWAL reports a write-ahead-log failure: recovery could not restore
 	// the logged state at Open, or a write could not be made durable — the
 	// update applied locally but Publish/Delete refuse to acknowledge it.

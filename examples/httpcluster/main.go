@@ -45,7 +45,7 @@ func run() error {
 		Seed:         1,
 		PullInterval: 200 * time.Millisecond,
 		PF:           1,
-		SnapshotPath: filepath.Join(dir, "snap"),
+		WALDir:       filepath.Join(dir, "wal"),
 	}
 	c, err := cluster.Launch(bin, 2, base, os.Stderr)
 	if err != nil {

@@ -1,15 +1,15 @@
 // Livecluster runs five nodes over real TCP sockets, publishes updates,
-// "crashes" one node (closing it after saving a snapshot), keeps updating
-// the survivors, and then restarts the crashed node from its snapshot — it
-// reconciles the missed updates by pulling, exactly the paper's offline-peer
-// story but with durable local state.
+// "crashes" one node, keeps updating the survivors, and then restarts the
+// crashed node from its write-ahead log — it reconciles the missed updates
+// by pulling, exactly the paper's offline-peer story but with durable local
+// state.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	pushpull "github.com/p2pgossip/update"
@@ -27,12 +27,30 @@ func run() error {
 	nodes := make([]*pushpull.Node, n)
 	addrs := make([]string, n)
 
+	// Node 4 logs every applied update to a write-ahead log in walDir.
+	walDir, err := os.MkdirTemp("", "livecluster-wal")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(walDir)
+	openWAL := func() (*pushpull.WAL, error) {
+		return pushpull.OpenWAL(pushpull.WALOptions{Dir: walDir})
+	}
+	wal, err := openWAL()
+	if err != nil {
+		return err
+	}
+
 	for i := 0; i < n; i++ {
-		node, err := pushpull.Open(
+		opts := []pushpull.Option{
 			pushpull.WithTCP("127.0.0.1:0"),
-			pushpull.WithPullInterval(50*time.Millisecond),
-			pushpull.WithSeed(int64(i)+1),
-		)
+			pushpull.WithPullInterval(50 * time.Millisecond),
+			pushpull.WithSeed(int64(i) + 1),
+		}
+		if i == 4 {
+			opts = append(opts, pushpull.WithWAL(wal))
+		}
+		node, err := pushpull.Open(opts...)
 		if err != nil {
 			return err
 		}
@@ -52,16 +70,15 @@ func run() error {
 	}
 	fmt.Println("update 1 reached all replicas")
 
-	// Crash node 4: snapshot, then close (drains the puller, frees the
-	// socket).
-	var snapshot bytes.Buffer
-	if err := nodes[4].WriteSnapshot(&snapshot); err != nil {
-		return err
-	}
+	// Crash node 4: close it (drains the puller, frees the socket); only
+	// its WAL directory survives.
 	if err := nodes[4].Close(ctx); err != nil {
 		return err
 	}
-	fmt.Println("replica 4 crashed (state snapshotted)")
+	if err := wal.Close(); err != nil {
+		return err
+	}
+	fmt.Println("replica 4 crashed (state in its WAL)")
 
 	// The survivors keep making progress.
 	if _, err := nodes[1].Publish(ctx, "config/rate", []byte("250")); err != nil {
@@ -75,23 +92,27 @@ func run() error {
 	}
 	fmt.Println("updates 2+3 reached the four survivors")
 
-	// Restart node 4 on a fresh port, restored from its snapshot. It opens
+	// Restart node 4 on a fresh port, recovered from its WAL. It opens
 	// peerless so the pre-crash state can be verified, then rejoins and
 	// reconciles by pulling.
+	if wal, err = openWAL(); err != nil {
+		return err
+	}
+	defer wal.Close()
 	restarted, err := pushpull.Open(
 		pushpull.WithTCP("127.0.0.1:0"),
 		pushpull.WithPullInterval(50*time.Millisecond),
 		pushpull.WithSeed(99),
-		pushpull.WithSnapshot(&snapshot),
+		pushpull.WithWAL(wal),
 	)
 	if err != nil {
 		return err
 	}
 	defer restarted.Close(ctx)
 	if rev, ok := restarted.Get("config/rate"); !ok || string(rev.Value) != "100" {
-		return fmt.Errorf("snapshot restore lost state")
+		return fmt.Errorf("WAL recovery lost state")
 	}
-	fmt.Printf("replica 4 restarted on %s from its snapshot\n", restarted.Addr())
+	fmt.Printf("replica 4 restarted on %s from its WAL\n", restarted.Addr())
 	restarted.AddPeers(addrs[:4]...)
 	if err := restarted.Pull(ctx); err != nil {
 		return err

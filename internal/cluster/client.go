@@ -115,18 +115,6 @@ func (c *Client) State() (State, error) {
 	return st, err
 }
 
-// Snapshot downloads the member's binary snapshot.
-func (c *Client) Snapshot() ([]byte, error) {
-	code, out, err := c.do(http.MethodGet, "/v1/snapshot", nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("cluster: GET /v1/snapshot: %d", code)
-	}
-	return out, nil
-}
-
 // AddPeers teaches the member additional gossip addresses.
 func (c *Client) AddPeers(peers []string) (serve.PeersResponse, error) {
 	var res serve.PeersResponse

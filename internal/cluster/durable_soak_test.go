@@ -85,7 +85,7 @@ func tornTail(t *testing.T, dir string) {
 // TestClusterSoakDurable is the durability chaos soak: every member runs
 // with a write-ahead log, a victim is SIGKILLed while a write burst is in
 // flight against it, its WAL tail is deliberately torn, and it must come
-// back from disk alone — no snapshot scrape — holding every write it ever
+// back from disk alone holding every write it ever
 // acknowledged. Traffic keeps flowing through the survivors throughout,
 // and the run ends with full convergence plus the exactly-once invariants.
 func TestClusterSoakDurable(t *testing.T) {

@@ -74,8 +74,8 @@ func sameClock(a, b map[string]uint64) error {
 // applied exactly once by this process: applied + obsolete counter ticks
 // must equal the log growth since start (UpdateCount - Restored). A
 // re-applied update would tick a counter without growing the log and break
-// the equality; snapshot restores grow the log without ticking counters
-// and are subtracted out via Restored.
+// the equality; updates recovered from the WAL grow the log without
+// ticking counters and are subtracted out via Restored.
 func CheckNoDuplicateApply(states []State) error {
 	for i, st := range states {
 		if st.Counters == nil {

@@ -31,7 +31,7 @@ type Peer struct {
 	id  int
 	cfg Config
 	eng *engine.Engine[int]
-	st  store.Backend
+	st  *store.Sharded
 	w   *store.Writer
 
 	// env is the simulation environment of the callback currently running;

@@ -1,25 +1,20 @@
 package live
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
 
-	"github.com/p2pgossip/update/internal/pf"
+	"github.com/p2pgossip/update/internal/wal"
 )
 
 // TestCrashRestartReconvergesViaPull kills a replica mid-gossip, restarts it
-// from a snapshot on the same address, and asserts it reconverges on the
-// writes it missed through pull anti-entropy.
+// from its write-ahead log on the same address, and asserts it reconverges
+// on the writes it missed through pull anti-entropy.
 func TestCrashRestartReconvergesViaPull(t *testing.T) {
-	cfg := Config{
-		Fanout:       2,
-		NewPF:        func() pf.Func { return pf.Geometric{Base: 0.9} },
-		PartialList:  true,
-		PullAttempts: 2,
-		PullInterval: 5 * time.Millisecond,
-	}
+	cfg := walConfig()
+	dir := t.TempDir()
+	l := openWAL(t, dir, wal.Options{})
 	hub := NewHub()
 	const n = 3
 	addrs := make([]string, n)
@@ -34,6 +29,9 @@ func TestCrashRestartReconvergesViaPull(t *testing.T) {
 		transports[i] = tr
 		c := cfg
 		c.Seed = int64(i) + 1
+		if i == 2 {
+			c.WAL = l
+		}
 		r, err := NewReplica(c, tr)
 		if err != nil {
 			t.Fatalf("new replica: %v", err)
@@ -58,16 +56,15 @@ func TestCrashRestartReconvergesViaPull(t *testing.T) {
 		return victim.HasUpdate(pre.ID())
 	}, "pre-crash update never reached the victim")
 
-	// Crash: persist the durable log, then tear the process down — the
-	// puller stops and the address detaches from the hub, so in-flight and
-	// future traffic to it fails like a dead TCP endpoint.
-	var snap bytes.Buffer
-	if err := victim.WriteSnapshot(&snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
+	// Crash: tear the process down — the puller stops and the address
+	// detaches from the hub, so in-flight and future traffic to it fails
+	// like a dead TCP endpoint. The WAL directory is all that survives.
 	victim.Stop()
 	if err := transports[2].Close(); err != nil {
 		t.Fatalf("close transport: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// Life goes on without it.
@@ -78,23 +75,26 @@ func TestCrashRestartReconvergesViaPull(t *testing.T) {
 	}, "survivors did not converge while the victim was down")
 
 	// Restart on the same address: fresh process, state recovered from the
-	// snapshot, peers from the (static) seed list.
+	// WAL, peers from the (static) seed list.
+	l2 := openWAL(t, dir, wal.Options{})
+	defer l2.Close()
 	tr, err := hub.Attach(addrs[2])
 	if err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
 	c := cfg
 	c.Seed = 99
+	c.WAL = l2
 	restarted, err := NewReplica(c, tr)
 	if err != nil {
 		t.Fatalf("restart replica: %v", err)
 	}
-	if err := restarted.RestoreSnapshot(&snap); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if _, err := restarted.RecoverWAL(); err != nil {
+		t.Fatalf("RecoverWAL: %v", err)
 	}
-	// The snapshot state is visible before any network traffic.
+	// The recovered state is visible before any network traffic.
 	if rev, ok := restarted.Get("pre"); !ok || string(rev.Value) != "1" {
-		t.Fatalf("snapshot state missing after restore: %v %v", rev, ok)
+		t.Fatalf("logged state missing after recovery: %v %v", rev, ok)
 	}
 	restarted.AddPeers(addrs...)
 	restarted.Start() // eager pull kicks off recovery

@@ -1,14 +1,15 @@
 package live
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/wal"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
@@ -311,37 +312,46 @@ func TestStopIsIdempotent(t *testing.T) {
 	r.Stop() // must not panic or deadlock
 }
 
+// TestReplicaSnapshotRestore restarts a replica from its WAL checkpoint
+// alone: after CheckpointWAL prunes the records the snapshot covers, a
+// fresh replica on the same address recovers the tombstone and the live
+// value, and its writer continues the sequence instead of reusing numbers.
 func TestReplicaSnapshotRestore(t *testing.T) {
+	dir := t.TempDir()
 	hub := NewHub()
-	tr1, err := hub.Attach("snap-src")
-	if err != nil {
-		t.Fatal(err)
+	open := func(l *wal.Log, seed int64) (*Replica, Transport) {
+		t.Helper()
+		tr, err := hub.Attach("snap-src")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica(Config{Fanout: 0, Seed: seed, WAL: l}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, tr
 	}
-	r1, err := NewReplica(Config{Fanout: 0, Seed: 50}, tr1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l1 := openWAL(t, dir, wal.Options{})
+	r1, tr1 := open(l1, 50)
 	r1.Publish("a", []byte("1"))
 	r1.Publish("b", []byte("2"))
 	r1.Delete("a")
+	if _, err := r1.CheckpointWAL(); err != nil {
+		t.Fatalf("CheckpointWAL: %v", err)
+	}
+	r1.Stop()
+	tr1.Close()
+	l1.Close()
 
-	var buf bytes.Buffer
-	if err := r1.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-
-	// A "restarted" replica on the same address restores the snapshot and
-	// must continue the sequence instead of reusing numbers.
-	tr2, err := hub.Attach("snap-dst")
+	l2 := openWAL(t, dir, wal.Options{})
+	defer l2.Close()
+	r2, _ := open(l2, 51)
+	rec, err := r2.RecoverWAL()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("RecoverWAL: %v", err)
 	}
-	r2, err := NewReplica(Config{Fanout: 0, Seed: 51}, tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.RestoreSnapshot(&buf); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
+	if rec.CheckpointRestored != 3 || rec.Replayed != 0 {
+		t.Fatalf("recovery = %+v, want 3 updates from the checkpoint and no records", rec)
 	}
 	if _, ok := r2.Get("a"); ok {
 		t.Fatal("tombstone lost in restore")
@@ -350,26 +360,33 @@ func TestReplicaSnapshotRestore(t *testing.T) {
 	if !ok || string(rev.Value) != "2" {
 		t.Fatalf("restored value = %v %v", rev, ok)
 	}
-	// Restored state came from origin "snap-src"; r2's own writes use its
-	// own origin, starting at 1.
 	u, _ := r2.Publish("c", []byte("3"))
-	if u.Origin != "snap-dst" || u.Seq != 1 {
+	if u.Origin != "snap-src" || u.Seq != 4 {
 		t.Fatalf("post-restore update = %s", u.ID())
 	}
 }
 
+// TestReplicaRestoreGarbage: a checkpoint that does not decode fails
+// recovery instead of starting from the log alone, whose covered segments
+// were pruned.
 func TestReplicaRestoreGarbage(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := openWAL(t, dir, wal.Options{})
+	defer l.Close()
 	hub := NewHub()
 	tr, err := hub.Attach("snap-bad")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReplica(Config{Fanout: 0, Seed: 52}, tr)
+	r, err := NewReplica(Config{Fanout: 0, Seed: 52, WAL: l}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RestoreSnapshot(strings.NewReader("junk")); err == nil {
-		t.Fatal("garbage snapshot accepted")
+	if _, err := r.RecoverWAL(); err == nil {
+		t.Fatal("garbage checkpoint accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"slices"
 	"sync"
@@ -149,7 +148,7 @@ type Replica struct {
 	cfg       Config
 	transport Transport
 	addr      string
-	st        store.Backend
+	st        *store.Sharded
 	writer    *store.Writer
 	ingest    sync.Pool // of cleared *ingestScratch (see borrowScratch)
 
@@ -624,21 +623,4 @@ func (r *Replica) Get(key string) (store.Revision, bool) { return r.st.Get(key) 
 // PullNow performs one pull batch immediately.
 func (r *Replica) PullNow() {
 	r.run(func(e *engine.Engine[string]) { e.PullNow() })
-}
-
-// WriteSnapshot serialises the replica's full update log to w, for restarts.
-func (r *Replica) WriteSnapshot(w io.Writer) error {
-	return r.st.WriteSnapshot(w)
-}
-
-// RestoreSnapshot replaces the replica's state with a snapshot previously
-// produced by WriteSnapshot (on this or another replica). The writer's
-// sequence counter advances so new updates never reuse sequence numbers.
-// Call before Start.
-func (r *Replica) RestoreSnapshot(rd io.Reader) error {
-	if err := r.st.RestoreSnapshot(rd); err != nil {
-		return err
-	}
-	r.writer.Resync()
-	return nil
 }

@@ -79,3 +79,19 @@ func Parse(spec string) (pf.Func, error) {
 		return nil, fmt.Errorf("pfparse: unknown schedule %q", name)
 	}
 }
+
+// Factory parses spec once and returns a per-update schedule constructor,
+// the shape pushpull.WithPF and the engine's NewPF take. Stateless schedules
+// are shared across updates; adaptive gets a fresh pf.NewAdaptive per call,
+// because it accumulates one update's duplicate and list evidence.
+func Factory(spec string) (func() pf.Func, error) {
+	fn, err := Parse(spec)
+	if err != nil {
+		return nil, err
+	}
+	if a, ok := fn.(*pf.Adaptive); ok {
+		base := a.Base
+		return func() pf.Func { return pf.NewAdaptive(base) }, nil
+	}
+	return func() pf.Func { return fn }, nil
+}

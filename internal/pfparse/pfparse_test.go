@@ -61,3 +61,31 @@ func TestParseReturnsFreshAdaptive(t *testing.T) {
 		t.Fatalf("Base = %g", a.Base)
 	}
 }
+
+// TestFactoryFreshAdaptivePerUpdate: adaptive keeps per-update evidence, so
+// every constructor call builds a new instance; stateless schedules share
+// the one parsed value.
+func TestFactoryFreshAdaptivePerUpdate(t *testing.T) {
+	newPF, err := Factory("adaptive:0.8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := newPF().(*pf.Adaptive), newPF().(*pf.Adaptive)
+	if a == b || a.Base != 0.8 || b.Base != 0.8 {
+		t.Fatalf("adaptive factory returned %p (base %g) and %p (base %g)", a, a.Base, b, b.Base)
+	}
+	a.ObserveDuplicate()
+	if b.Duplicates() != 0 {
+		t.Fatal("evidence leaked between updates")
+	}
+	geom, err := Factory("geom:0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := geom().P(2); got != 0.25 {
+		t.Fatalf("geom:0.5 P(2) = %g", got)
+	}
+	if _, err := Factory("geom:"); err == nil {
+		t.Fatal("bad spec accepted")
+	}
+}

@@ -1,7 +1,7 @@
 // Package serve exposes a pushpull.Node over HTTP: a key-value edge
 // (PUT/GET/DELETE /v1/kv/{key}), k-replica queries (POST /v1/query), a
-// server-sent-event stream over Node.Watch (GET /v1/watch), peer and
-// snapshot management, Prometheus metrics, and the scrape surface the
+// server-sent-event stream over Node.Watch (GET /v1/watch), peer
+// management, Prometheus metrics, and the scrape surface the
 // multi-process soak harness checks its invariants against (GET /v1/state).
 //
 // The package is the process boundary between protocol replicas and real
@@ -43,8 +43,7 @@ const (
 	MetricHTTPLatencyMS = "http.latency_ms"
 )
 
-// maxBodyBytes caps PUT /v1/kv values and POST bodies. Snapshot uploads are
-// exempt (they carry whole logs).
+// maxBodyBytes caps PUT /v1/kv values and POST bodies.
 const maxBodyBytes = 4 << 20
 
 // Config assembles a Server.
@@ -55,9 +54,9 @@ type Config struct {
 	// server adds its HTTP counters to it and /metrics exports it. Optional:
 	// when nil, /metrics serves gauges only.
 	Metrics *pushpull.Metrics
-	// Restored is the number of updates the process restored from a
-	// snapshot before serving; /v1/state republishes it so the soak
-	// harness can reconcile apply counters across restarts.
+	// Restored is the number of updates the process recovered from the WAL
+	// before serving; /v1/state republishes it so the soak harness can
+	// reconcile apply counters across restarts.
 	Restored int
 	// StartUnready makes /readyz fail until SetReady(true); the daemon
 	// uses it to gate readiness on peer wiring.
@@ -73,7 +72,7 @@ type Server struct {
 	exporter *metrics.Exporter
 	mux      *http.ServeMux
 	ready    atomic.Bool
-	restored atomic.Int64
+	restored int
 	started  time.Time
 }
 
@@ -86,12 +85,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.Node is required")
 	}
 	s := &Server{
-		node:    cfg.Node,
-		reg:     cfg.Metrics,
-		mux:     http.NewServeMux(),
-		started: time.Now(),
+		node:     cfg.Node,
+		reg:      cfg.Metrics,
+		mux:      http.NewServeMux(),
+		restored: cfg.Restored,
+		started:  time.Now(),
 	}
-	s.restored.Store(int64(cfg.Restored))
 	s.ready.Store(!cfg.StartUnready)
 	if s.reg != nil {
 		for _, name := range pushpull.MetricNames() {
@@ -119,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/query", s.route("query", s.handleQuery))
 	s.mux.HandleFunc("/v1/watch", s.route("watch", s.handleWatch))
 	s.mux.HandleFunc("/v1/peers", s.route("peers", s.handlePeers))
-	s.mux.HandleFunc("/v1/snapshot", s.route("snapshot", s.handleSnapshot))
 	s.mux.HandleFunc("/v1/pull", s.route("pull", s.handlePull))
 	s.mux.HandleFunc("/v1/state", s.route("state", s.handleState))
 	s.mux.HandleFunc("/healthz", s.route("healthz", s.handleHealthz))
@@ -137,10 +135,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // SetReady flips the /readyz probe; the daemon marks itself unready while
 // draining so load balancers stop routing before the listener closes.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// SetRestored records the snapshot-restored update count served by
-// /v1/state.
-func (s *Server) SetRestored(n int) { s.restored.Store(int64(n)) }
 
 // statusWriter captures the response status for the error counter.
 type statusWriter struct {
@@ -334,25 +328,6 @@ func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := s.node.WriteSnapshot(w); err != nil {
-			// Headers are gone; all we can do is abort the stream.
-			writeError(w, http.StatusInternalServerError, "write snapshot: %v", err)
-		}
-	case http.MethodPut, http.MethodPost:
-		if err := s.node.RestoreSnapshot(r.Body); err != nil {
-			writeError(w, http.StatusBadRequest, "restore snapshot: %v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]int{"updates": s.node.Store().UpdateCount()})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "GET or PUT /v1/snapshot")
-	}
-}
-
 // handlePull triggers one anti-entropy pull batch immediately, on top of
 // the periodic schedule — the operator's (and soak harness's) catch-up
 // lever.
@@ -399,8 +374,8 @@ type State struct {
 	Clock map[string]uint64 `json:"clock"`
 	// UpdateCount is the number of updates in the local log.
 	UpdateCount int `json:"update_count"`
-	// Restored is how many of those were restored from a snapshot at
-	// process start (their applies predate this process's counters).
+	// Restored is how many of those were recovered from the WAL at process
+	// start (their applies predate this process's counters).
 	Restored int `json:"restored"`
 	// LiveKeys is the number of keys with a live winning revision.
 	LiveKeys int `json:"live_keys"`
@@ -422,7 +397,7 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		Addr:        s.node.Addr(),
 		Clock:       st.Clock(),
 		UpdateCount: st.UpdateCount(),
-		Restored:    int(s.restored.Load()),
+		Restored:    s.restored,
 		LiveKeys:    len(s.node.Keys()),
 		Digest:      digest(st),
 	}

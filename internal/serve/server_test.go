@@ -188,65 +188,6 @@ func TestPeersEndpoint(t *testing.T) {
 	}
 }
 
-func TestSnapshotDownloadRestore(t *testing.T) {
-	edges := newEdges(t, 2)
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := edges[0].node.Publish(ctx, fmt.Sprintf("snap/%d", i), []byte(strconv.Itoa(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, snap := edges[0].do(t, http.MethodGet, "/v1/snapshot", nil)
-	if resp.StatusCode != http.StatusOK || len(snap) == 0 {
-		t.Fatalf("snapshot: %d (%d bytes)", resp.StatusCode, len(snap))
-	}
-
-	// Restore into a detached third node and compare digests via /v1/state.
-	reg := pushpull.NewMetrics()
-	solo, err := pushpull.Open(
-		pushpull.WithHub(pushpull.NewHub(), "solo"),
-		pushpull.WithMetrics(reg),
-		pushpull.WithSnapshot(bytes.NewReader(snap)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer solo.Close(ctx)
-	srv, err := New(Config{Node: solo, Metrics: reg, Restored: solo.Store().UpdateCount()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var want, got State
-	_, raw := edges[0].do(t, http.MethodGet, "/v1/state", nil)
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := http.Get(ts.URL + "/v1/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw2, _ := io.ReadAll(r2.Body)
-	r2.Body.Close()
-	if err := json.Unmarshal(raw2, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Digest != want.Digest {
-		t.Fatalf("restored digest %s != source digest %s", got.Digest, want.Digest)
-	}
-	if got.UpdateCount != 5 || got.Restored != 5 {
-		t.Fatalf("restored state = %+v", got)
-	}
-
-	// Garbage uploads are rejected without clobbering state.
-	resp, _ = edges[1].do(t, http.MethodPut, "/v1/snapshot", []byte("not a snapshot"))
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage restore: %d", resp.StatusCode)
-	}
-}
-
 func TestPullEndpoint(t *testing.T) {
 	edges := newEdges(t, 2)
 	resp, _ := edges[0].do(t, http.MethodPost, "/v1/pull", nil)

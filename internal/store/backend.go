@@ -1,7 +1,6 @@
 package store
 
 import (
-	"io"
 	"time"
 
 	"github.com/p2pgossip/update/internal/version"
@@ -83,18 +82,8 @@ type Backend interface {
 	// GCTombstones drops tombstoned revisions whose retention expired at
 	// now, returning the number collected.
 	GCTombstones(now time.Time) int
-	// WriteSnapshot serialises the full update log to w in canonical
-	// (origin asc, seq asc) order — the bytes depend only on logical
-	// contents, never on internal layout.
-	WriteSnapshot(w io.Writer) error
-	// RestoreSnapshot replaces the contents with a snapshot previously
-	// produced by WriteSnapshot, keeping the receiver pointer stable.
-	RestoreSnapshot(r io.Reader) error
 	// Equal reports whether two stores hold identical live state.
 	Equal(other Backend) bool
-	// Reset clears the store to empty, keeping the pointer, retention, and
-	// any registered hook stable. It models a crash with disk loss.
-	Reset()
 }
 
 var _ Backend = (*Sharded)(nil)

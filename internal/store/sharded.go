@@ -526,7 +526,7 @@ func (s *Sharded) WriteSnapshot(w io.Writer) error {
 }
 
 // RestoreSnapshot replaces the store's contents with a snapshot previously
-// produced by any Backend's WriteSnapshot, keeping the pointer — and any
+// produced by WriteSnapshot, keeping the pointer — and any
 // registered apply hook — stable. The current shard count and tombstone
 // retention are kept.
 func (s *Sharded) RestoreSnapshot(r io.Reader) error {

@@ -3,7 +3,6 @@ package pushpull
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -79,8 +78,6 @@ func Open(opts ...Option) (*Node, error) {
 		return nil, ErrNoTransport
 	case o.transports > 1:
 		return fail(fmt.Errorf("%w: %d transport options given, want exactly one", ErrInvalidConfig, o.transports))
-	case o.cfg.WAL != nil && o.snapshot != nil:
-		return fail(fmt.Errorf("%w: WithWAL and WithSnapshot are mutually exclusive (the WAL checkpoint is the restore path)", ErrInvalidConfig))
 	}
 
 	n := &Node{
@@ -131,12 +128,6 @@ func Open(opts ...Option) (*Node, error) {
 				reg.Inc(MetricStoreObsolete)
 			}
 		})
-	}
-	if o.snapshot != nil {
-		if err := rep.RestoreSnapshot(o.snapshot); err != nil {
-			_ = tr.Close()
-			return nil, fmt.Errorf("%w: restore: %v", ErrSnapshot, err)
-		}
 	}
 	rep.AddPeers(o.peers...)
 	rep.Start()
@@ -310,29 +301,6 @@ func (n *Node) onApply(u store.Update, res store.ApplyResult, src Source, branch
 	}
 }
 
-// WriteSnapshot serialises the node's full update log to w, for restarts;
-// restore it into a fresh Node with WithSnapshot (or RestoreSnapshot).
-func (n *Node) WriteSnapshot(w io.Writer) error {
-	if err := n.replica.WriteSnapshot(w); err != nil {
-		return fmt.Errorf("%w: write: %v", ErrSnapshot, err)
-	}
-	return nil
-}
-
-// RestoreSnapshot replaces the node's state with a snapshot previously
-// produced by WriteSnapshot on this or another node. Prefer the WithSnapshot
-// option, which restores before the protocol starts; restoring a running
-// node discards updates applied since it opened.
-func (n *Node) RestoreSnapshot(r io.Reader) error {
-	if n.isClosed() {
-		return fmt.Errorf("restore: %w", ErrClosed)
-	}
-	if err := n.replica.RestoreSnapshot(r); err != nil {
-		return fmt.Errorf("%w: restore: %v", ErrSnapshot, err)
-	}
-	return nil
-}
-
 // Close shuts the node down gracefully: new operations start failing with
 // ErrClosed, the background puller drains, the transport closes, and every
 // Watch channel is closed. Close is idempotent; if ctx expires first it
@@ -366,17 +334,14 @@ func (n *Node) Close(ctx context.Context) error {
 // still live. Package sentinels already carry the "pushpull:" prefix, so
 // only foreign errors (the context's) get one added.
 func (n *Node) operational(ctx context.Context, op string) error {
-	if n.isClosed() {
+	n.mu.Lock()
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
 		return fmt.Errorf("%s: %w", op, ErrClosed)
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("pushpull: %s: %w", op, err)
 	}
 	return nil
-}
-
-func (n *Node) isClosed() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.closed
 }

@@ -267,49 +267,81 @@ func TestWatchConflict(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip checks Node → WriteSnapshot → fresh Node →
-// snapshot restore preserves vector clocks and revisions exactly, and that
-// Watch streams observe post-restore updates.
-func TestSnapshotRoundTrip(t *testing.T) {
+// TestWALReopenRoundTrip checks that the write-ahead log is a complete
+// restart path for a Node: after Close and a reopen on the same directory
+// and address, the clock and every key's revisions — a tombstone and two
+// concurrent branches included — are exactly as before, the writer continues
+// its sequence instead of reusing it, and Watch streams observe
+// post-reopen updates.
+func TestWALReopenRoundTrip(t *testing.T) {
 	hub := pushpull.NewHub()
 	ctx := context.Background()
-	orig := openHubNode(t, hub, "orig", 1)
+	dir := t.TempDir()
+	openWALNode := func() (*pushpull.Node, *pushpull.WAL) {
+		t.Helper()
+		l, err := pushpull.OpenWAL(pushpull.WALOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := pushpull.Open(pushpull.WithHub(hub, "orig"), pushpull.WithSeed(1),
+			pushpull.WithPullInterval(0), pushpull.WithWAL(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, l
+	}
+	orig, origWAL := openWALNode()
 
-	if _, err := orig.Publish(ctx, "alice", []byte("alice@example.org")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Publish(ctx, "bob", []byte("bob@example.org")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := orig.Publish(ctx, "alice", []byte("alice@new.org")); err != nil {
-		t.Fatal(err)
+	for _, kv := range [][2]string{{"alice", "alice@example.org"}, {"bob", "bob@example.org"},
+		{"alice", "alice@new.org"}, {"carol", "carol@orig.org"}} {
+		if _, err := orig.Publish(ctx, kv[0], []byte(kv[1])); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := orig.Delete(ctx, "bob"); err != nil {
 		t.Fatal(err)
 	}
-
-	var snap bytes.Buffer
-	if err := orig.WriteSnapshot(&snap); err != nil {
+	// A concurrent write of carol, pulled in: the WAL must keep both branches.
+	other := openHubNode(t, hub, "other", 2, pushpull.WithPullInterval(0))
+	if _, err := other.Publish(ctx, "carol", []byte("carol@other.org")); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := pushpull.Open(
-		pushpull.WithHub(hub, "restored"),
-		pushpull.WithSeed(2),
-		pushpull.WithSnapshot(&snap),
-	)
-	if err != nil {
+	orig.AddPeers("other")
+	deadline := time.Now().Add(5 * time.Second)
+	for len(orig.Store().Versions("carol")) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("carol branches = %d, want 2", len(orig.Store().Versions("carol")))
+		}
+		if err := orig.Pull(ctx); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	keys := []string{"alice", "bob", "carol"}
+	wantClock := orig.Clock()
+	want := make(map[string][]pushpull.Revision)
+	for _, key := range keys {
+		want[key] = orig.Store().Versions(key)
+	}
+	if err := orig.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close(ctx)
+	if err := origWAL.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	if !reflect.DeepEqual(orig.Clock(), restored.Clock()) {
-		t.Fatalf("clocks differ: %v vs %v", orig.Clock(), restored.Clock())
+	reopened, l := openWALNode()
+	defer l.Close()
+	defer reopened.Close(ctx)
+	if !reflect.DeepEqual(wantClock, reopened.Clock()) {
+		t.Fatalf("clocks differ: %v vs %v", wantClock, reopened.Clock())
 	}
-	if !orig.Store().Equal(restored.Store()) {
-		t.Fatal("restored store state differs")
+	if stats, ok := reopened.WALRecovery(); !ok || stats.Replayed == 0 {
+		t.Fatalf("WAL recovery = %+v, %v; want replayed records", stats, ok)
 	}
-	for _, key := range []string{"alice", "bob"} {
-		a, b := orig.Store().Versions(key), restored.Store().Versions(key)
+	for _, key := range keys {
+		a, b := want[key], reopened.Store().Versions(key)
 		if len(a) != len(b) {
 			t.Fatalf("revisions of %q differ: %v vs %v", key, a, b)
 		}
@@ -323,44 +355,44 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if _, ok := reopened.Get("bob"); ok {
+		t.Fatal("tombstoned bob is live after reopen")
+	}
 
-	// Post-restore updates flow through Watch: one created locally, one
-	// pulled from the original node.
-	events, err := restored.Watch(ctx, "")
+	// Post-reopen updates flow through Watch: one created locally, one
+	// pulled from a node that has never pushed to it.
+	events, err := reopened.Watch(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restored.Publish(ctx, "carol", []byte("carol@example.org")); err != nil {
+	u, err := reopened.Publish(ctx, "erin", []byte("erin@example.org"))
+	if err != nil {
 		t.Fatal(err)
+	}
+	// The reopened writer must not reuse sequence numbers.
+	if u.Origin != "orig" || u.Seq <= wantClock["orig"] {
+		t.Fatalf("post-reopen update %+v reuses a sequence (clock %v)", u, wantClock)
 	}
 	ev := nextEvent(t, events)
-	if ev.Source != pushpull.SourceLocal || ev.Update.Key != "carol" {
-		t.Fatalf("post-restore local event: %+v", ev)
+	if ev.Source != pushpull.SourceLocal || ev.Update.Key != "erin" {
+		t.Fatalf("post-reopen local event: %+v", ev)
 	}
-	if _, err := orig.Publish(ctx, "dave", []byte("dave@example.org")); err != nil {
+	third := openHubNode(t, hub, "third", 3, pushpull.WithPullInterval(0))
+	if _, err := third.Publish(ctx, "dave", []byte("dave@example.org")); err != nil {
 		t.Fatal(err)
 	}
-	restored.AddPeers("orig")
-	if err := restored.Pull(ctx); err != nil {
+	reopened.AddPeers("third")
+	if err := reopened.Pull(ctx); err != nil {
 		t.Fatal(err)
 	}
 	for {
 		ev := nextEvent(t, events)
 		if ev.Update.Key == "dave" {
 			if ev.Source != pushpull.SourcePull || ev.Kind != pushpull.EventApplied {
-				t.Fatalf("post-restore pull event: %+v", ev)
+				t.Fatalf("post-reopen pull event: %+v", ev)
 			}
 			break
 		}
-	}
-
-	// The restored writer must not reuse sequence numbers.
-	u, err := restored.Publish(ctx, "erin", []byte("erin@example.org"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Origin != "restored" || u.Seq == 0 {
-		t.Fatalf("post-restore update: %+v", u)
 	}
 }
 

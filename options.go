@@ -2,7 +2,6 @@ package pushpull
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/p2pgossip/update/internal/live"
@@ -85,7 +84,6 @@ type nodeOptions struct {
 	given         live.Transport // caller-supplied via WithTransport; owned by Open
 	peers         []string
 	metrics       *Metrics
-	snapshot      io.Reader
 	watchBuffer   int
 	err           error // first option-time error, surfaced by Open
 }
@@ -209,21 +207,6 @@ func WithPeers(addrs ...string) Option {
 	return func(o *nodeOptions) { o.peers = append(o.peers, addrs...) }
 }
 
-// WithSnapshot restores the node's store from a snapshot (produced by
-// Node.WriteSnapshot) before the protocol starts, so the first anti-entropy
-// pull already reconciles against the restored state. Mutually exclusive
-// with WithWAL, whose checkpoint + log replay is the authoritative restore
-// path.
-func WithSnapshot(r io.Reader) Option {
-	return func(o *nodeOptions) {
-		if r == nil {
-			o.fail(fmt.Errorf("%w: WithSnapshot(nil)", ErrInvalidConfig))
-			return
-		}
-		o.snapshot = r
-	}
-}
-
 // WAL is a write-ahead log attachable to a Node with WithWAL. Open one with
 // OpenWAL (or internal/wal.Open inside this module).
 type WAL = wal.Log
@@ -259,7 +242,8 @@ type WALRecoveryStats = live.WALRecovery
 // the log's checkpoint and replays surviving records before the protocol
 // starts, and the janitor checkpoints the log when it outgrows the
 // WithWALCheckpoint threshold. The node does not take ownership of l —
-// close it after the node. Mutually exclusive with WithSnapshot.
+// close it after the node. The WAL is the only way a node's state survives
+// a restart: without it a node opens empty and catches up by pull.
 func WithWAL(l *WAL) Option {
 	return func(o *nodeOptions) {
 		if l == nil {
