@@ -19,7 +19,6 @@ import (
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/pgrid"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/simnet"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
@@ -205,12 +204,12 @@ func BenchmarkAblationAdaptivePF(b *testing.B) {
 	b.ReportMetric(adaptive, "msgs(adaptive)")
 }
 
-func BenchmarkAblationAckPolicy(b *testing.B) {
+func BenchmarkAblationAcks(b *testing.B) {
 	var acked float64
 	for i := 0; i < b.N; i++ {
-		acked = ablationRun(b, func(c *gossip.Config) { c.Ack = gossip.AckFirst }, int64(i)+1)
+		acked = ablationRun(b, func(c *gossip.Config) { c.Acks = true }, int64(i)+1)
 	}
-	b.ReportMetric(acked, "msgs(ack-first)")
+	b.ReportMetric(acked, "msgs(acks)")
 }
 
 func BenchmarkAblationListThreshold(b *testing.B) {
@@ -219,7 +218,6 @@ func BenchmarkAblationListThreshold(b *testing.B) {
 		capped = ablationRun(b, func(c *gossip.Config) {
 			c.PartialList = true
 			c.ListThreshold = 0.05
-			c.TruncatePolicy = replicalist.DropRandom
 		}, int64(i)+1)
 	}
 	b.ReportMetric(capped, "msgs(L_thr=0.05)")
@@ -283,20 +281,6 @@ func BenchmarkVectorClockMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = a.Merge(c)
-	}
-}
-
-func BenchmarkReplicaListUnion(b *testing.B) {
-	xs := make([]int, 200)
-	ys := make([]int, 200)
-	for i := range xs {
-		xs[i] = i
-		ys[i] = i + 100
-	}
-	la, lb := replicalist.FromSlice(xs), replicalist.FromSlice(ys)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = la.Union(lb)
 	}
 }
 

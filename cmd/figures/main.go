@@ -7,7 +7,8 @@
 //	figures -fig 2              # one figure
 //	figures -fig 2 -csv         # CSV output
 //	figures -table              # Table 2, paper vs ours
-//	figures -table -sim         # add a simulated Table 2 column check
+//	figures -table -sim         # add the top block simulated, over the four
+//	                            # schemes of experiments.Table2Schemes
 package main
 
 import (
@@ -101,29 +102,17 @@ func printFigureCSV(out io.Writer, f experiments.Figure) {
 }
 
 // printSimulatedTable2 re-runs the Table 2 top-block scenario on the
-// stochastic simulator for every scheme.
+// stochastic simulator for every scheme of experiments.Table2Schemes.
 func printSimulatedTable2(out io.Writer, seed int64) error {
-	type scheme struct {
-		name    string
-		newPF   func() pf.Func
-		partial bool
-	}
-	schemes := []scheme{
-		{"Gnutella", func() pf.Func { return pf.TTL{Rounds: 12} }, false},
-		{"Using Partial List", func() pf.Func { return pf.TTL{Rounds: 12} }, true},
-		{"Haas et al. G(0.8,2)", func() pf.Func { return pf.Haas{P1: 0.8, K: 2} }, false},
-		{"Our Scheme", func() pf.Func { return pf.Geometric{Base: 0.9} }, true},
-	}
 	tb := &metrics.Table{Header: []string{"Scheme", "sim msgs/peer", "sim F_aware", "rounds"}}
-	for _, s := range schemes {
-		res, err := experiments.SimulatePush(experiments.SimParams{
-			R: 1000, ROn0: 1000, Sigma: 1, Fr: 0.004,
-			NewPF: s.newPF, PartialList: s.partial, Seed: seed,
-		})
+	p := experiments.SimParams{R: 1000, ROn0: 1000, Sigma: 1, Fr: 0.004, Seed: seed}
+	for _, s := range experiments.Table2Schemes() {
+		p.NewPF, p.PartialList = s.NewPF, s.PartialList
+		res, err := experiments.SimulatePush(p)
 		if err != nil {
 			return err
 		}
-		tb.AddRow(s.name, res.MessagesPerOnlinePeer, res.FinalAware, res.Rounds)
+		tb.AddRow(s.Scheme.String(), res.MessagesPerOnlinePeer, res.FinalAware, res.Rounds)
 	}
 	fmt.Fprintf(out, "Table 2 — simulated cross-check (R_on/R = 10^3/10^3, seed %d)\n%s", seed, tb.String())
 	return nil

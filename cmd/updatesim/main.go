@@ -16,7 +16,6 @@ import (
 
 	"github.com/p2pgossip/update/internal/experiments"
 	"github.com/p2pgossip/update/internal/metrics"
-	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/pfparse"
 )
 
@@ -43,13 +42,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	schedule, err := pfparse.Parse(*pfSpec)
+	// A factory, not one parsed instance: an adaptive schedule accumulates
+	// one update's evidence at one peer.
+	newPF, err := pfparse.Factory(*pfSpec)
 	if err != nil {
 		return err
 	}
 	params := experiments.SimParams{
 		R: *r, ROn0: *online, Sigma: *sigma, Fr: *fr,
-		NewPF:       func() pf.Func { return schedule },
+		NewPF:       newPF,
 		PartialList: *partial, Rounds: *rounds, ViewSize: *viewSize, Seed: *seed,
 		TraceEvents: *traceN,
 	}
@@ -63,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "Simulated push: R=%d R_on[0]=%d sigma=%g f_r=%g PF=%s partial-list=%v seed=%d\n",
-		*r, *online, *sigma, *fr, schedule, *partial, *seed)
+		*r, *online, *sigma, *fr, newPF(), *partial, *seed)
 	tb := &metrics.Table{Header: []string{"round", "F_aware(online)", "cum msgs/R_on0"}}
 	for i, p := range sim.Curve.Points {
 		tb.AddRow(i, p.X, p.Y)

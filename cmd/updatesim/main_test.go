@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/p2pgossip/update/internal/experiments"
+	"github.com/p2pgossip/update/internal/pf"
 )
 
 func TestRunDefaultScenario(t *testing.T) {
@@ -42,5 +46,30 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}, &out); err == nil {
 		t.Fatal("unknown flag should error")
+	}
+}
+
+// TestAdaptiveScheduleIsPerUpdate: -pf adaptive gives every peer's copy of
+// the update its own schedule, so the simulated line matches SimulatePush
+// with a fresh pf.Adaptive per call. A single shared instance lets one
+// peer's list-fraction observations lower every other peer's PF.
+func TestAdaptiveScheduleIsPerUpdate(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-r", "300", "-online", "300", "-sigma", "1",
+		"-fr", "0.02", "-pf", "adaptive:1", "-partial-list", "-seed", "3"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	want, err := experiments.SimulatePush(experiments.SimParams{
+		R: 300, ROn0: 300, Sigma: 1, Fr: 0.02, PartialList: true, Rounds: 60, Seed: 3,
+		NewPF: func() pf.Func { return pf.NewAdaptive(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("simulated: %.3f msgs/peer, F_aware=%.4f in %d rounds",
+		want.MessagesPerOnlinePeer, want.FinalAware, want.Rounds)
+	if !strings.Contains(out.String(), line) {
+		t.Fatalf("want %q in output:\n%s", line, out.String())
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	pushpull "github.com/p2pgossip/update"
 	"github.com/p2pgossip/update/internal/metrics"
+	"github.com/p2pgossip/update/internal/wire"
 )
 
 func main() {
@@ -76,8 +77,12 @@ func floodOnce(newPF func() pushpull.PFFunc, seedBase int64) (pushes, dupes floa
 		addrs[i] = fmt.Sprintf("replica-%02d", i)
 	}
 	for i := range nodes {
+		tr, err := hub.Attach(addrs[i])
+		if err != nil {
+			return 0, 0, err
+		}
 		node, err := pushpull.Open(
-			pushpull.WithHub(hub, addrs[i]),
+			pushpull.WithTransport(delayedLink{tr}),
 			pushpull.WithPF(newPF),
 			// Delivery is asynchronous: the flood needs real time to run its
 			// course, and a replica that learns the update by pull first
@@ -114,4 +119,23 @@ func floodOnce(newPF func() pushpull.PFFunc, seedBase int64) (pushes, dupes floa
 		time.Sleep(2 * time.Millisecond)
 	}
 	return 0, 0, fmt.Errorf("cluster did not converge")
+}
+
+// linkLatency is the one-way delay of every link in the example's cluster.
+// The in-memory hub has none, so on a busy CPU its replicas would handle the
+// flood one message at a time: each forwarder would already hold a nearly
+// complete flooding list, plain flooding would send almost no duplicates,
+// and the comparison would measure the scheduler. A delay well above the
+// handling time makes the pushes of one hop cross in flight, as the paper's
+// rounds do, however loaded the machine is.
+const linkLatency = 5 * time.Millisecond
+
+// delayedLink is a hub transport whose sends take linkLatency. Send runs on
+// the destination's own sender goroutine, so the delay holds up only that
+// link, and pushes queued behind it coalesce as they would on a slow wire.
+type delayedLink struct{ pushpull.Transport }
+
+func (l delayedLink) Send(to string, env wire.Envelope) error {
+	time.Sleep(linkLatency)
+	return l.Transport.Send(to, env)
 }

@@ -37,8 +37,11 @@ import (
 	"math"
 
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 )
+
+// EntryBytes is γ, the bytes to describe one replica in a partial list (the
+// paper suggests ~10: address + port).
+const EntryBytes = 10
 
 // DefaultMaxRounds bounds the push recursion when the rumor dies out before
 // full awareness (e.g. Fig. 1(a)'s tiny initial populations).
@@ -199,7 +202,7 @@ func Push(p PushParams) (PushResult, error) {
 
 	rOn0 := float64(p.ROn0)
 	fanout := p.Fanout()
-	gamma := float64(replicalist.EntryBytes)
+	gamma := float64(EntryBytes)
 
 	// Round 0: the initiator sends to R·f_r replicas.
 	aware := math.Min(1, p.Fr)

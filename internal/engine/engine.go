@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 )
@@ -90,11 +89,8 @@ type Config[ID comparable] struct {
 	// PartialList enables carrying the flooding list R_f on push messages.
 	PartialList bool
 	// ListMax caps the number of entries carried per push (the paper's
-	// L_thr·R); 0 means unlimited.
+	// L_thr·R); 0 means unlimited. Truncation drops random entries.
 	ListMax int
-	// TruncatePolicy selects which entries to drop when truncating; the
-	// zero value means replicalist.DropRandom.
-	TruncatePolicy replicalist.TruncatePolicy
 	// Population is the total replica count R used to normalise the
 	// flooding-list length for the §6 adaptive-PF feedback. 0 means
 	// dynamic: the membership view size plus one (the live runtime, where
@@ -344,9 +340,6 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 	}
 	if st == nil || w == nil {
 		return nil, fmt.Errorf("engine: nil store or writer")
-	}
-	if cfg.TruncatePolicy == 0 {
-		cfg.TruncatePolicy = replicalist.DropRandom
 	}
 	if cfg.PullGossipSample <= 0 {
 		cfg.PullGossipSample = defaultPullGossipSample
@@ -708,16 +701,16 @@ func (e *Engine[ID]) sendPushes(u store.Update, targets []ID, state *updateState
 }
 
 // Carried renders an accumulated flooding list (free of duplicates) for the
-// wire, applying the ListMax truncation (§4.2). The local list is never
-// truncated — only the transmitted copy. When no truncation applies the list
-// itself is returned: an orderedSet's View only ever grows behind an aliased
-// prefix, so sharing it stays valid.
+// wire, applying the ListMax truncation (§4.2) by dropping random entries.
+// The local list is never truncated — only the transmitted copy. When no
+// truncation applies the list itself is returned: an orderedSet's View only
+// ever grows behind an aliased prefix, so sharing it stays valid.
 func (e *Engine[ID]) Carried(list []ID) []ID {
 	if !e.cfg.PartialList {
 		return nil
 	}
 	if e.cfg.ListMax > 0 && len(list) > e.cfg.ListMax {
-		return replicalist.TruncatedCopy(list, e.cfg.ListMax, e.cfg.TruncatePolicy, e.ep.Rand())
+		return randomSubset(list, e.cfg.ListMax, e.ep.Rand())
 	}
 	return list
 }

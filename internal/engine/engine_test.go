@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 )
@@ -407,44 +406,20 @@ func TestAckPreferenceOrdersSample(t *testing.T) {
 
 func TestCarriedTruncationPolicies(t *testing.T) {
 	list := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tt := range []struct {
-		policy replicalist.TruncatePolicy
-		check  func(t *testing.T, got []int)
-	}{
-		{replicalist.DropTail, func(t *testing.T, got []int) {
-			for i, id := range []int{1, 2, 3} {
-				if got[i] != id {
-					t.Fatalf("drop-tail kept %v", got)
-				}
+	t.Run("drop-random", func(t *testing.T) {
+		e, _ := newTestEngine(t, 0, Config[int]{PartialList: true, ListMax: 3}, nil)
+		got := e.Carried(list)
+		if len(got) != 3 {
+			t.Fatalf("carried %d entries, want 3", len(got))
+		}
+		seen := map[int]bool{}
+		for _, id := range got {
+			if id < 1 || id > 10 || seen[id] {
+				t.Fatalf("drop-random kept %v", got)
 			}
-		}},
-		{replicalist.DropHead, func(t *testing.T, got []int) {
-			for i, id := range []int{8, 9, 10} {
-				if got[i] != id {
-					t.Fatalf("drop-head kept %v", got)
-				}
-			}
-		}},
-		{replicalist.DropRandom, func(t *testing.T, got []int) {
-			seen := map[int]bool{}
-			for _, id := range got {
-				if id < 1 || id > 10 || seen[id] {
-					t.Fatalf("drop-random kept %v", got)
-				}
-				seen[id] = true
-			}
-		}},
-	} {
-		t.Run(tt.policy.String(), func(t *testing.T) {
-			cfg := Config[int]{PartialList: true, ListMax: 3, TruncatePolicy: tt.policy}
-			e, _ := newTestEngine(t, 0, cfg, nil)
-			got := e.Carried(list)
-			if len(got) != 3 {
-				t.Fatalf("carried %d entries, want 3", len(got))
-			}
-			tt.check(t, got)
-		})
-	}
+			seen[id] = true
+		}
+	})
 }
 
 func TestCarriedDisabledAndUnlimited(t *testing.T) {
@@ -452,9 +427,11 @@ func TestCarriedDisabledAndUnlimited(t *testing.T) {
 	if got := e.Carried([]int{1, 2, 3}); got != nil {
 		t.Fatalf("carried = %v with partial lists disabled", got)
 	}
-	e2, _ := newTestEngine(t, 0, Config[int]{PartialList: true}, nil)
-	if got := e2.Carried([]int{1, 2, 3}); len(got) != 3 {
-		t.Fatalf("carried = %v, want full list", got)
+	for _, listMax := range []int{0, 3, 5} { // unlimited, or not past the cap
+		e2, _ := newTestEngine(t, 0, Config[int]{PartialList: true, ListMax: listMax}, nil)
+		if got := e2.Carried([]int{1, 2, 3}); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+			t.Fatalf("ListMax %d: carried = %v, want the full list", listMax, got)
+		}
 	}
 }
 

@@ -2,8 +2,9 @@ package engine
 
 // Tests for the O(k) partitioned peer sampler: uniformity of the steady
 // path, the §6 preferred/suspect behaviour under acks, the exclude-one fast
-// path, the stable ordering of the ack-bookkeeping accessors, and the
-// partition invariants of peerView under randomised operation sequences.
+// path, the empty-sample edges, the stable ordering of the ack-bookkeeping
+// accessors, and the partition invariants of peerView under randomised
+// operation sequences.
 
 import (
 	"math/rand"
@@ -111,6 +112,42 @@ func TestSamplePrefersAckedAndSkipsSuspects(t *testing.T) {
 	if len(full) != n {
 		t.Fatalf("after expiry sample has %d peers, want %d", len(full), n)
 	}
+}
+
+// TestLearnSkipsSelfAndDuplicates: the membership view never holds the
+// engine's own identity, and learning a known peer again is a no-op.
+func TestLearnSkipsSelfAndDuplicates(t *testing.T) {
+	e, _ := newTestEngine(t, 5, Config[int]{Fanout: 1}, nil)
+	if e.Learn(5) {
+		t.Fatal("view learned itself")
+	}
+	if !e.Learn(1) || e.Learn(1) {
+		t.Fatal("Learn dedup broken")
+	}
+	for _, id := range []int{1, 2, 3, 5} {
+		e.Learn(id)
+	}
+	if got := e.KnownPeers(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("KnownPeers = %v, want [1 2 3]", got)
+	}
+}
+
+// TestSampleEdgeCases: an empty view or k = 0 samples nothing, and so does
+// a view whose only peer is excluded.
+func TestSampleEdgeCases(t *testing.T) {
+	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
+	if got := e.SamplePeers(3); got != nil {
+		t.Fatalf("sample of empty view = %v", got)
+	}
+	e.Learn(1)
+	if got := e.SamplePeers(0); got != nil {
+		t.Fatalf("sample k=0 = %v", got)
+	}
+	out := e.sampleExcluding(3, 1)
+	if len(out) != 0 {
+		t.Fatalf("fully excluded sample = %v", out)
+	}
+	e.releaseScratch(out)
 }
 
 // TestSampleExcludingOmitsPeer pins the exclude-one fast path used by pull
@@ -257,5 +294,61 @@ func TestPeerViewInvariantsUnderRandomOps(t *testing.T) {
 			e.releaseScratch(out)
 		}
 		checkViewInvariants(t, e)
+	}
+}
+
+// TestPeerViewSampleExcluding: with half the view excluded, a sample asking
+// for more than is left returns exactly the rest, and a smaller sample holds
+// distinct peers.
+func TestPeerViewSampleExcluding(t *testing.T) {
+	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
+	for i := 1; i <= 10; i++ {
+		e.Learn(i)
+	}
+	exclude := map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}
+	for id := range exclude {
+		e.view.suspend(id)
+	}
+	got := e.SamplePeers(10)
+	if len(got) != 5 {
+		t.Fatalf("sample size = %d, want 5", len(got))
+	}
+	for _, id := range got {
+		if exclude[id] {
+			t.Fatalf("sample contains excluded id %d", id)
+		}
+	}
+	for id := range exclude {
+		e.view.release(id, false)
+	}
+	got = e.SamplePeers(4)
+	if len(got) != 4 {
+		t.Fatalf("sample size = %d, want 4", len(got))
+	}
+	seen := map[int]bool{}
+	for _, id := range got {
+		if seen[id] {
+			t.Fatalf("sample has duplicate %d", id)
+		}
+		seen[id] = true
+	}
+}
+
+// TestPeerViewSampleUniformity: each of 5 peers appears in roughly a fifth
+// of 1-peer samples.
+func TestPeerViewSampleUniformity(t *testing.T) {
+	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 1}, nil)
+	for i := 1; i <= 5; i++ {
+		e.Learn(i)
+	}
+	const trials = 5000
+	counts := countSamples(e, 1, trials)
+	if len(counts) != 5 {
+		t.Fatalf("only %d of 5 peers ever sampled", len(counts))
+	}
+	for id, c := range counts {
+		if frac := float64(c) / trials; frac < 0.15 || frac > 0.25 {
+			t.Fatalf("peer %d sampled with frequency %.3f, want ≈ 0.2", id, frac)
+		}
 	}
 }

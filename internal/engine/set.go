@@ -1,5 +1,7 @@
 package engine
 
+import "math/rand"
+
 // listMapThreshold is the length past which an orderedSet indexes its entries
 // in a map; shorter lists scan linearly and allocate nothing but the slice.
 const listMapThreshold = 16
@@ -67,4 +69,17 @@ func (s *orderedSet[ID]) Slice() []ID {
 // its length) while the set keeps growing. Callers must not mutate it.
 func (s *orderedSet[ID]) View() []ID {
 	return s.order[:len(s.order):len(s.order)]
+}
+
+// randomSubset returns a new slice holding n entries of list drawn uniformly
+// at random — the §4.2 truncation of a carried list longer than L_thr·R. A
+// partial Fisher–Yates makes n draws instead of shuffling the (much longer)
+// input, which is left unmodified. n must not exceed len(list).
+func randomSubset[T any](list []T, n int, rng *rand.Rand) []T {
+	out := append([]T(nil), list...)
+	for i := 0; i < n; i++ {
+		j := i + rng.Intn(len(out)-i)
+		out[i], out[j] = out[j], out[i]
+	}
+	return out[:n]
 }

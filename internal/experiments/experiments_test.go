@@ -198,6 +198,56 @@ func TestTable2MatchesPaperShape(t *testing.T) {
 	}
 }
 
+// TestTable2SimulatedOrdering cross-validates the analytical Table 2 with
+// the simulator over the shared scheme list: the message-cost ordering
+// ours < Haas < partial list ≤ Gnutella must hold, with high coverage for
+// the non-decaying schemes.
+func TestTable2SimulatedOrdering(t *testing.T) {
+	const (
+		r      = 200
+		fr     = 0.02 // fanout 4, as in Table 2 top (scaled population)
+		trials = 5
+	)
+	schemes := Table2Schemes()
+	msgs := make([]float64, len(schemes))
+	aware := make([]float64, len(schemes))
+	p := SimParams{R: r, ROn0: r, Sigma: 1, Fr: fr}
+	for i, s := range schemes {
+		p.NewPF, p.PartialList = s.NewPF, s.PartialList
+		for seed := int64(100); seed < 100+trials; seed++ {
+			p.Seed = seed
+			res, err := SimulatePush(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs[i] += res.MessagesPerOnlinePeer / trials
+			aware[i] += res.FinalAware / trials
+		}
+		t.Logf("%-22s msgs/peer=%.2f aware=%.3f", s.Scheme, msgs[i], aware[i])
+	}
+	gnutellaMsgs, partialMsgs, haasMsgs, oursMsgs := msgs[0], msgs[1], msgs[2], msgs[3]
+	gnutellaAware, partialAware, haasAware, oursAware := aware[0], aware[1], aware[2], aware[3]
+
+	if gnutellaAware < 0.95 || partialAware < 0.95 || haasAware < 0.9 {
+		t.Fatalf("baseline coverage too low")
+	}
+	if oursAware < 0.75 {
+		t.Fatalf("our scheme coverage %g collapsed", oursAware)
+	}
+	if !(oursMsgs < haasMsgs && haasMsgs < gnutellaMsgs) {
+		t.Fatalf("ordering violated: ours=%g haas=%g gnutella=%g",
+			oursMsgs, haasMsgs, gnutellaMsgs)
+	}
+	if partialMsgs > gnutellaMsgs {
+		t.Fatalf("partial list increased cost: %g > %g", partialMsgs, gnutellaMsgs)
+	}
+	// Gnutella with duplicate avoidance sends ≈ fanout per online peer
+	// (§5.6 closed form): everyone who gets the rumor pushes once.
+	if gnutellaMsgs < 2.5 || gnutellaMsgs > 4.5 {
+		t.Fatalf("Gnutella msgs/peer = %g, closed form says ≈ 4", gnutellaMsgs)
+	}
+}
+
 func TestSimulateValidation(t *testing.T) {
 	if _, err := SimulatePush(SimParams{R: 0}); err == nil {
 		t.Fatal("bad params accepted")

@@ -107,6 +107,28 @@ func Table2() ([]Table2Block, error) {
 	return blocks, nil
 }
 
+// Table2Scheme is one of the four §5.6 schemes Table 2 compares, as push
+// settings for the simulator.
+type Table2Scheme struct {
+	Scheme      analytic.Scheme
+	NewPF       func() pf.Func
+	PartialList bool
+}
+
+// Table2Schemes returns the four §5.6 schemes in Table 2's row order, with
+// the top block's schedules: Gnutella floods for a 12-round TTL without and
+// with the partial list, Haas et al. run GOSSIP1(0.8, 2) without it, and
+// ours decays as 0.9^t with it.
+func Table2Schemes() []Table2Scheme {
+	ttl := func() pf.Func { return pf.TTL{Rounds: 12} }
+	return []Table2Scheme{
+		{analytic.SchemeGnutella, ttl, false},
+		{analytic.SchemePartialList, ttl, true},
+		{analytic.SchemeHaas, func() pf.Func { return pf.Haas{P1: 0.8, K: 2} }, false},
+		{analytic.SchemeOurs, func() pf.Func { return pf.Geometric{Base: 0.9} }, true},
+	}
+}
+
 // RenderTable2 prints the comparison as text tables.
 func RenderTable2(blocks []Table2Block) string {
 	out := ""

@@ -24,33 +24,7 @@ import (
 	"fmt"
 
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 )
-
-// AckPolicy selects the acknowledgement optimisation of §6.
-type AckPolicy int
-
-// Acknowledgement policies.
-const (
-	// AckNone disables acknowledgements.
-	AckNone AckPolicy = iota + 1
-	// AckFirst replies to the first replica an update was received from.
-	// Ack senders are preferred as future push targets; peers that never
-	// ack are suspected offline and skipped for SuspectTTL rounds.
-	AckFirst
-)
-
-// String returns the policy name.
-func (a AckPolicy) String() string {
-	switch a {
-	case AckNone:
-		return "ack-none"
-	case AckFirst:
-		return "ack-first"
-	default:
-		return fmt.Sprintf("AckPolicy(%d)", int(a))
-	}
-}
 
 // Config parameterises a gossip peer. The zero value is not valid; use
 // DefaultConfig as a starting point.
@@ -65,11 +39,9 @@ type Config struct {
 	NewPF func() pf.Func
 	// PartialList enables carrying the flooding list R_f on push messages.
 	PartialList bool
-	// ListThreshold is the normalised cap L_thr on the carried list (§4.2);
-	// 0 disables truncation.
+	// ListThreshold is the normalised cap L_thr on the carried list (§4.2),
+	// enforced by dropping random entries; 0 disables truncation.
 	ListThreshold float64
-	// TruncatePolicy selects which entries to drop when truncating.
-	TruncatePolicy replicalist.TruncatePolicy
 	// PullAttempts is the number of known replicas contacted per pull
 	// batch. Zero disables the pull phase entirely (push-only experiments).
 	PullAttempts int
@@ -80,10 +52,13 @@ type Config struct {
 	// which an online peer proactively pulls ("no_updates_since(t)"). Zero
 	// disables timeout-driven pulls.
 	PullTimeout int
-	// Ack selects the acknowledgement optimisation.
-	Ack AckPolicy
+	// Acks enables the acknowledgement optimisation of §6: a peer acks the
+	// first replica it received an update from, ack senders are preferred
+	// as future push targets, and peers that never ack are suspected
+	// offline and skipped for SuspectTTL rounds.
+	Acks bool
 	// SuspectTTL is how many rounds a non-acking peer is skipped as a push
-	// target under AckFirst. Zero defaults to 10.
+	// target when Acks is on. Zero defaults to 10.
 	SuspectTTL int
 	// PullEvery makes every peer pull each time the round number is a
 	// multiple of it — the simulator's analogue of the live runtime's
@@ -126,14 +101,12 @@ type Config struct {
 // eager pull with three attempts.
 func DefaultConfig(r int) Config {
 	return Config{
-		R:              r,
-		Fr:             0.01,
-		NewPF:          func() pf.Func { return pf.Geometric{Base: 0.9} },
-		PartialList:    true,
-		TruncatePolicy: replicalist.DropRandom,
-		PullAttempts:   3,
-		PullTimeout:    50,
-		Ack:            AckNone,
+		R:            r,
+		Fr:           0.01,
+		NewPF:        func() pf.Func { return pf.Geometric{Base: 0.9} },
+		PartialList:  true,
+		PullAttempts: 3,
+		PullTimeout:  50,
 	}
 }
 

@@ -236,13 +236,12 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 		NewPF:            cfg.NewPF,
 		PartialList:      cfg.PartialList,
 		ListMax:          listMax,
-		TruncatePolicy:   cfg.TruncatePolicy,
 		Population:       cfg.R,
 		PullAttempts:     cfg.PullAttempts,
 		LazyPull:         cfg.LazyPull,
 		PullTimeout:      int64(cfg.PullTimeout),
 		PullGossipSample: pullGossipSample,
-		Acks:             cfg.Ack == AckFirst,
+		Acks:             cfg.Acks,
 		AckTimeout:       ackTimeoutRounds,
 		SuspectTTL:       int64(cfg.suspectTTL()),
 		SnapshotCatchUp:  cfg.SnapshotCatchUp,

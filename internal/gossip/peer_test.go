@@ -7,7 +7,6 @@ import (
 	"github.com/p2pgossip/update/internal/churn"
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/simnet"
 )
 
@@ -311,7 +310,6 @@ func TestListThresholdTruncatesWire(t *testing.T) {
 	cfg.NewPF = nil
 	cfg.PullAttempts = 0
 	cfg.ListThreshold = 0.05 // ≤5 entries on the wire
-	cfg.TruncatePolicy = replicalist.DropTail
 	net, en := buildEngine(t, 100, cfg, 100, churn.Static{}, 15)
 	en.Step()
 	net.Peers[0].Publish(envOf(t, en, 0), "k", []byte("v"))
@@ -338,14 +336,14 @@ func TestAckFirstPolicy(t *testing.T) {
 	cfg.Fr = 0.3
 	cfg.NewPF = nil
 	cfg.PullAttempts = 0
-	cfg.Ack = AckFirst
+	cfg.Acks = true
 	cfg.SuspectTTL = 5
 	net, en := buildEngine(t, 10, cfg, 5, churn.Static{}, 16)
 	en.Step()
 	net.Peers[0].Publish(envOf(t, en, 0), "k", []byte("v"))
 	en.Run(10)
 	if en.Metrics().Counter(MetricAcks) == 0 {
-		t.Fatal("no acks sent under AckFirst")
+		t.Fatal("no acks sent with acks on")
 	}
 	// Pushes to offline peers never ack: they must be suspected.
 	suspected := 0
@@ -382,15 +380,6 @@ func TestSimPathFeedsListFractionIntoAdaptivePF(t *testing.T) {
 	ad := captured[len(captured)-1]
 	if got := ad.P(2); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("sim-path adaptive PF = %g, want 0.5 from list-fraction feedback", got)
-	}
-}
-
-func TestAckPolicyString(t *testing.T) {
-	if AckNone.String() != "ack-none" || AckFirst.String() != "ack-first" {
-		t.Fatal("policy strings wrong")
-	}
-	if AckPolicy(9).String() != "AckPolicy(9)" {
-		t.Fatal("unknown policy string wrong")
 	}
 }
 

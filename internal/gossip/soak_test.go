@@ -40,7 +40,7 @@ func soakOnce(t *testing.T, seed int64) {
 	cfg.NewPF = func() pf.Func { return pf.Geometric{Base: 0.9} }
 	cfg.PullAttempts = 3
 	cfg.PullTimeout = 15
-	cfg.Ack = AckFirst
+	cfg.Acks = true
 
 	net, err := BuildNetwork(n, cfg, 20, seed) // partial views: bootstrap via gossip
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"github.com/p2pgossip/update/internal/engine"
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wal"
 	"github.com/p2pgossip/update/internal/wire"
@@ -231,7 +230,6 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		NewPF:           cfg.NewPF,
 		PartialList:     cfg.PartialList,
 		ListMax:         cfg.ListMax,
-		TruncatePolicy:  replicalist.DropRandom,
 		PullAttempts:    cfg.PullAttempts,
 		Acks:            cfg.Acks,
 		AckTimeout:      cfg.ackTimeout().Nanoseconds(),

@@ -1,5 +1,5 @@
-// Package metrics provides counters, per-round time series, and simple
-// table rendering used by the simulation engine and the experiment harness.
+// Package metrics provides counters and simple table rendering used by the
+// simulation engine and the experiment harness.
 //
 // The package is deliberately dependency-free and allocation-conscious: the
 // simulator updates counters on every message, so the hot path is a map
@@ -9,27 +9,22 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
 
-// Registry collects named counters and named per-round series.
+// Registry collects named counters.
 //
 // A Registry is safe for concurrent use. The zero value is not usable; call
 // NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]float64
-	series   map[string]*Series
 }
 
 // NewRegistry returns an empty Registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]float64),
-		series:   make(map[string]*Series),
-	}
+	return &Registry{counters: make(map[string]float64)}
 }
 
 // Add increments the named counter by delta.
@@ -58,77 +53,6 @@ func (r *Registry) Counters() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Observe appends (x, y) to the named series, creating it if necessary.
-func (r *Registry) Observe(name string, x, y float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		s = &Series{Name: name}
-		r.series[name] = s
-	}
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// Series returns a copy of the named series. The second return value reports
-// whether the series exists.
-func (r *Registry) Series(name string) (Series, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		return Series{Name: name}, false
-	}
-	return s.clone(), true
-}
-
-// SeriesNames returns the sorted names of all series.
-func (r *Registry) SeriesNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.series))
-	for k := range r.series {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset clears all counters and series.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]float64)
-	r.series = make(map[string]*Series)
-}
-
-// Series is an ordered sequence of (X, Y) observations, e.g. round number
-// versus fraction of aware peers.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-}
-
-func (s *Series) clone() Series {
-	out := Series{Name: s.Name}
-	out.X = append([]float64(nil), s.X...)
-	out.Y = append([]float64(nil), s.Y...)
-	return out
-}
-
-// Len returns the number of observations in the series.
-func (s Series) Len() int { return len(s.X) }
-
-// Last returns the final (x, y) pair. It returns zeros for an empty series.
-func (s Series) Last() (x, y float64) {
-	if len(s.X) == 0 {
-		return 0, 0
-	}
-	return s.X[len(s.X)-1], s.Y[len(s.Y)-1]
 }
 
 // Table renders labelled rows of numeric cells as a fixed-width text table.

@@ -27,56 +27,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Series("s"); ok {
-		t.Fatal("missing series reported present")
-	}
-	r.Observe("s", 0, 1)
-	r.Observe("s", 1, 2)
-	s, ok := r.Series("s")
-	if !ok || s.Len() != 2 {
-		t.Fatalf("series = %+v ok=%v", s, ok)
-	}
-	x, y := s.Last()
-	if x != 1 || y != 2 {
-		t.Fatalf("Last = %g,%g", x, y)
-	}
-	// Copy semantics.
-	s.Y[0] = 42
-	s2, _ := r.Series("s")
-	if s2.Y[0] != 1 {
-		t.Fatal("Series exposed internal slice")
-	}
-	var empty Series
-	if x, y := empty.Last(); x != 0 || y != 0 {
-		t.Fatal("empty Last should be zeros")
-	}
-}
-
-func TestSeriesNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Observe("b", 0, 0)
-	r.Observe("a", 0, 0)
-	names := r.SeriesNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("SeriesNames = %v", names)
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewRegistry()
-	r.Inc("x")
-	r.Observe("s", 1, 1)
-	r.Reset()
-	if r.Counter("x") != 0 {
-		t.Fatal("counter survived reset")
-	}
-	if _, ok := r.Series("s"); ok {
-		t.Fatal("series survived reset")
-	}
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -86,15 +36,18 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Inc("c")
-				r.Observe("s", float64(j), float64(j))
+				r.Add("d", 0.5)
 				_ = r.Counter("c")
-				_, _ = r.Series("s")
+				_ = r.Counters()
 			}
 		}()
 	}
 	wg.Wait()
 	if got := r.Counter("c"); got != 8000 {
 		t.Fatalf("concurrent counter = %g", got)
+	}
+	if got := r.Counter("d"); got != 4000 {
+		t.Fatalf("concurrent Add = %g", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/p2pgossip/update/internal/churn"
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/pf"
-	"github.com/p2pgossip/update/internal/replicalist"
 	"github.com/p2pgossip/update/internal/simnet"
 )
 
@@ -20,14 +19,12 @@ const catalogN = 60
 // recovery happens within a scenario's settle phase.
 func baseConfig(n int) gossip.Config {
 	return gossip.Config{
-		R:              n,
-		Fr:             0.08,
-		NewPF:          func() pf.Func { return pf.Geometric{Base: 0.9} },
-		PartialList:    true,
-		TruncatePolicy: replicalist.DropRandom,
-		PullAttempts:   3,
-		PullTimeout:    10,
-		Ack:            gossip.AckNone,
+		R:            n,
+		Fr:           0.08,
+		NewPF:        func() pf.Func { return pf.Geometric{Base: 0.9} },
+		PartialList:  true,
+		PullAttempts: 3,
+		PullTimeout:  10,
 	}
 }
 
@@ -423,7 +420,7 @@ func slowLinkSkewThrottled() Scenario {
 func combinedChaos() Scenario {
 	n := catalogN
 	cfg := baseConfig(n)
-	cfg.Ack = gossip.AckFirst
+	cfg.Acks = true
 	cfg.SuspectTTL = 8
 	// Standing loss plus a partition: give recovery the same five-attempt,
 	// short-timeout pull regime as the partition scenarios.

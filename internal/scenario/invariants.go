@@ -240,7 +240,7 @@ func checkRejoinBytes(sc Scenario, net *gossip.Network, online []int, res Result
 // update, and push traffic stays within the same factor of the analytic
 // byte cost Σ M(t)·S_M(t) — evaluated against the real binary-encoded sizes
 // the simulator now charges (the U term is each update's actual encoded
-// push message; the γ·R·L(t) list term uses γ = replicalist.EntryBytes,
+// push message; the γ·R·L(t) list term uses γ = analytic.EntryBytes,
 // an upper bound on an encoded "peer-<id>" entry). These are the tripwires
 // for dedup, flooding-list, and codec-bloat regressions, which show up as
 // traffic blowups long before they break convergence.

@@ -228,11 +228,6 @@ func (fp *FaultPlane) severed(from, to, round int) bool {
 	return false
 }
 
-// Crashes returns the crash schedule in crash order.
-func (fp *FaultPlane) Crashes() []CrashEvent {
-	return append([]CrashEvent(nil), fp.crashes...)
-}
-
 // LastEventRound returns the largest round at which a scheduled event
 // (partition start or heal, crash, restart) fires; -1 for an event-free
 // plane. Runners use it to avoid declaring a simulation finished while the
