@@ -350,7 +350,7 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 		self:        ep.Self(),
 		st:          st,
 		w:           w,
-		view:        newPeerView[ID](16),
+		view:        new(peerView[ID]),
 		cur:         make(map[store.Ref]*updateState[ID]),
 		old:         make(map[store.Ref]*updateState[ID]),
 		pullClocks:  make(map[ID]pullClock),
@@ -387,7 +387,6 @@ func (e *Engine[ID]) Self() ID { return e.self }
 // Adapters restore the store from its snapshot *before* calling Restart, and
 // resync their writer afterwards.
 func (e *Engine[ID]) Restart(bootstrap []ID) {
-	e.view = newPeerView[ID](16)
 	clear(e.cur)
 	clear(e.old)
 	e.ackedBy = make(map[ID]int64)
@@ -401,9 +400,7 @@ func (e *Engine[ID]) Restart(bootstrap []ID) {
 	e.streams = make(map[ID]snapshotStream)
 	e.notConfident = false
 	e.lastReceived = e.ep.Now()
-	for _, id := range bootstrap {
-		e.Learn(id)
-	}
+	e.Bootstrap(bootstrap)
 }
 
 // --- Membership -------------------------------------------------------
@@ -427,6 +424,23 @@ func (e *Engine[ID]) Learn(id ID) bool {
 		}
 	}
 	return true
+}
+
+// Bootstrap replaces the membership view with ids, leaving it as Learn
+// would on an empty view, one id at a time, but with one allocation and no
+// index until the first lookup. Self and ids rejected by Config.ValidID are
+// skipped; ids must otherwise be distinct, and a repeat panics when the
+// index is built. Every peer lands in the available segment, so the engine
+// must hold no ack history: call it on a new engine, as Restart does after
+// wiping that history.
+func (e *Engine[ID]) Bootstrap(ids []ID) {
+	order := make([]ID, 0, len(ids))
+	for _, id := range ids {
+		if id != e.self && e.validID(id) {
+			order = append(order, id)
+		}
+	}
+	e.view.seed(order)
 }
 
 // validID applies the configured identity filter.

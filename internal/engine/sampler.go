@@ -18,6 +18,10 @@ import "math/rand"
 //
 // Without the ack optimisation every peer lives in the available segment and
 // the view degenerates to a flat uniform sampler.
+//
+// pos is only the inverse of order, so a view seeded whole (seed) defers it
+// to the first lookup: a peer that never looks anything up never pays for
+// the map, and swap skips it while it is absent.
 type peerView[ID comparable] struct {
 	order  []ID
 	pos    map[ID]int
@@ -25,10 +29,28 @@ type peerView[ID comparable] struct {
 	nAvail int
 }
 
-func newPeerView[ID comparable](capacity int) *peerView[ID] {
-	return &peerView[ID]{
-		order: make([]ID, 0, capacity),
-		pos:   make(map[ID]int, capacity),
+// seed replaces the view with ids, all in the available segment in the
+// given order, as Add would leave them one at a time on an empty view. ids
+// must be distinct: a repeat panics when the index is first built.
+func (v *peerView[ID]) seed(ids []ID) {
+	*v = peerView[ID]{order: ids, nAvail: len(ids)}
+}
+
+// index returns pos, building it on first use.
+func (v *peerView[ID]) index() map[ID]int {
+	if v.pos == nil {
+		v.buildIndex()
+	}
+	return v.pos
+}
+
+func (v *peerView[ID]) buildIndex() {
+	v.pos = make(map[ID]int, len(v.order))
+	for i, id := range v.order {
+		if _, dup := v.pos[id]; dup {
+			panic("engine: a peer id was seeded twice into the view")
+		}
+		v.pos[id] = i
 	}
 }
 
@@ -37,7 +59,7 @@ func (v *peerView[ID]) Len() int { return len(v.order) }
 
 // Contains reports whether id is in the view.
 func (v *peerView[ID]) Contains(id ID) bool {
-	_, ok := v.pos[id]
+	_, ok := v.index()[id]
 	return ok
 }
 
@@ -52,13 +74,15 @@ func (v *peerView[ID]) swap(i, j int) {
 		return
 	}
 	v.order[i], v.order[j] = v.order[j], v.order[i]
-	v.pos[v.order[i]] = i
-	v.pos[v.order[j]] = j
+	if v.pos != nil {
+		v.pos[v.order[i]] = i
+		v.pos[v.order[j]] = j
+	}
 }
 
 // Add inserts id into the available segment and reports whether it was new.
 func (v *peerView[ID]) Add(id ID) bool {
-	if _, ok := v.pos[id]; ok {
+	if _, ok := v.index()[id]; ok {
 		return false
 	}
 	v.order = append(v.order, id)
@@ -72,7 +96,7 @@ func (v *peerView[ID]) Add(id ID) bool {
 // promote moves id into the preferred segment, from whichever segment it
 // currently occupies. Unknown ids are ignored.
 func (v *peerView[ID]) promote(id ID) {
-	i, ok := v.pos[id]
+	i, ok := v.index()[id]
 	if !ok {
 		return
 	}
@@ -89,7 +113,7 @@ func (v *peerView[ID]) promote(id ID) {
 
 // suspend moves id into the suspended segment. Unknown ids are ignored.
 func (v *peerView[ID]) suspend(id ID) {
-	i, ok := v.pos[id]
+	i, ok := v.index()[id]
 	if !ok || i >= v.nAvail {
 		return
 	}
@@ -107,7 +131,7 @@ func (v *peerView[ID]) suspend(id ID) {
 // preferred when it had acked before the suspicion). Non-suspended or
 // unknown ids are ignored.
 func (v *peerView[ID]) release(id ID, preferred bool) {
-	i, ok := v.pos[id]
+	i, ok := v.index()[id]
 	if !ok || i < v.nAvail {
 		return
 	}
@@ -124,7 +148,7 @@ func (v *peerView[ID]) release(id ID, preferred bool) {
 // membership, not order, is the invariant.
 func (v *peerView[ID]) drawFrom(out []ID, need, lo, hi int, rng *rand.Rand, exclude ID, haveExclude bool) []ID {
 	if haveExclude {
-		if e, ok := v.pos[exclude]; ok && e >= lo && e < hi {
+		if e, ok := v.index()[exclude]; ok && e >= lo && e < hi {
 			v.swap(e, hi-1)
 			hi--
 		}

@@ -29,7 +29,9 @@ type SimParams struct {
 	// ViewSize caps each peer's initial membership view; 0 gives complete
 	// knowledge (the analytic assumption). Large populations should use a
 	// sample (e.g. 500): target selection stays uniform in aggregate while
-	// network construction drops from O(R²) to O(R·ViewSize).
+	// the views hold R·ViewSize ids instead of R². Construction still draws
+	// a full shuffle per peer, R·(R−1) draws in all, so that a seed keeps
+	// building the network it always has (gossip.BuildNetwork).
 	ViewSize int
 	// TraceEvents, when positive, records the last N simulation events in
 	// the result's Trace recorder.

@@ -3,6 +3,7 @@ package gossip
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/p2pgossip/update/internal/simnet"
 )
@@ -23,6 +24,10 @@ type Network struct {
 // that push targets are uniform over all R replicas); smaller values give
 // each peer a uniform random sample, with the partial lists growing views
 // over time (name-dropper).
+//
+// Construction pays up front only for the views: each is seeded whole
+// (engine.Bootstrap) and indexed at its peer's first lookup, and each
+// writer's PRNG is seeded at its first draw.
 func BuildNetwork(n int, cfg Config, viewSize int, seed int64) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gossip: network size %d must be positive", n)
@@ -44,29 +49,56 @@ func BuildNetwork(n int, cfg Config, viewSize int, seed int64) (*Network, error)
 		perm[i] = i
 	}
 	for i, p := range peers {
-		if full {
-			for j := 0; j < n; j++ {
-				if j != i {
-					p.Learn(j)
-				}
-			}
-			continue
-		}
-		rng.Shuffle(n, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		learned := 0
-		for _, j := range perm {
-			if j == i {
-				continue
-			}
-			p.Learn(j)
-			learned++
-			if learned == viewSize {
-				break
+		view := perm // Bootstrap skips self
+		if !full {
+			// A full shuffle per peer: the draws are kept so that every
+			// simulated network stays the one its seed has always built.
+			shuffle(rng, perm)
+			if view = perm[:viewSize]; slices.Contains(view, i) {
+				view = perm[:viewSize+1]
 			}
 		}
+		p.eng.Bootstrap(view)
 	}
 	return &Network{Peers: peers, Nodes: nodes}, nil
 }
+
+// shuffle is rng.Shuffle(len(s), swap-in-s) without the per-swap call: the
+// same draws in the same order, leaving s and rng's stream exactly as
+// Shuffle would. It holds for len(s) < 2³¹, where Shuffle draws through
+// its unexported int31n (Lemire's multiply-and-reject over Uint32).
+func shuffle(rng *rand.Rand, s []int) {
+	for i := len(s) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			for thresh := -n % n; low < thresh; low = uint32(prod) {
+				prod = uint64(rng.Uint32()) * uint64(n)
+			}
+		}
+		j := int(prod >> 32)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// lazySource is a rand.Source64 that seeds rand.NewSource(seed) at its first
+// draw. Through rand.New it yields the same stream as the eager source, but
+// a writer that never publishes never pays for the seeded state (~4.9 KB).
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64    { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64  { return s.get().Uint64() }
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
 
 // CountAware returns how many peers have applied the given update.
 func (n *Network) CountAware(updateID string) int {

@@ -219,7 +219,7 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 	st := store.NewShardedWithRetention(4, retain)
 	p := &Peer{id: id, cfg: cfg, st: st}
 	w, err := store.NewWriter(fmt.Sprintf("peer-%d", id), st, p.now,
-		rand.New(rand.NewSource(int64(id)+1)))
+		rand.New(&lazySource{seed: int64(id) + 1}))
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +338,9 @@ func (p *Peer) Learn(id int) bool { return p.eng.Learn(id) }
 // Knows reports whether id is in the peer's membership view.
 func (p *Peer) Knows(id int) bool { return p.eng.Knows(id) }
 
-// KnownPeers returns a copy of the membership view in insertion order.
+// KnownPeers returns a copy of the membership view in the engine's
+// partition order: preferred, available, then suspended peers. Sampling
+// reorders each segment in place, so the order is not insertion order.
 func (p *Peer) KnownPeers() []int { return p.eng.KnownPeers() }
 
 // KnownCount returns the number of known replicas.
