@@ -1,7 +1,6 @@
 package pushpull
 
 import (
-	"github.com/p2pgossip/update/internal/analytic"
 	"github.com/p2pgossip/update/internal/live"
 	"github.com/p2pgossip/update/internal/pf"
 	"github.com/p2pgossip/update/internal/store"
@@ -42,23 +41,11 @@ type (
 type (
 	// PFFunc maps a push round to a forwarding probability.
 	PFFunc = pf.Func
-	// PFConstant is PF(t) = C.
-	PFConstant = pf.Constant
 	// PFGeometric is PF(t) = Base^t.
 	PFGeometric = pf.Geometric
-	// PFAffineGeometric is PF(t) = A·B^t + C (the paper's Fig. 5 schedule).
-	PFAffineGeometric = pf.AffineGeometric
 	// PFAdaptive is the self-tuning schedule driven by duplicate counts and
 	// partial-list length (§6).
 	PFAdaptive = pf.Adaptive
-)
-
-// Analytical model types.
-type (
-	// PushParams parameterises the push-phase recursion (§4.2).
-	PushParams = analytic.PushParams
-	// PushResult is the resulting trajectory.
-	PushResult = analytic.PushResult
 )
 
 // NewHub returns an in-memory transport fabric; attach nodes to it with
@@ -73,13 +60,3 @@ func ListenTCP(addr string) (*TCPTransport, error) { return live.ListenTCP(addr)
 // NewAdaptivePF returns the §6 self-tuning forwarding probability with the
 // given base.
 func NewAdaptivePF(base float64) *PFAdaptive { return pf.NewAdaptive(base) }
-
-// AnalyzePush evaluates the paper's push-phase recursion.
-func AnalyzePush(p PushParams) (PushResult, error) { return analytic.Push(p) }
-
-// PullSuccess returns the §4.3 pull success probability: the chance that a
-// replica coming online obtains the update within `attempts` random pulls
-// when fAware of the rOn online replicas (out of r) hold it.
-func PullSuccess(rOn int, fAware float64, r, attempts int) float64 {
-	return analytic.PullSuccess(rOn, fAware, r, attempts)
-}

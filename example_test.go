@@ -47,26 +47,3 @@ func ExampleOpen() {
 	}
 	// Output: r3 sees motd=hello
 }
-
-// ExampleAnalyzePush evaluates the paper's analytical push model for its
-// headline scenario: 10000 replicas, 1000 online, plain flooding.
-func ExampleAnalyzePush() {
-	res, err := pushpull.AnalyzePush(pushpull.PushParams{
-		R: 10_000, ROn0: 1000, Sigma: 0.95, Fr: 0.01,
-	})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("F_aware=%.2f msgs/online peer=%.0f\n",
-		res.FinalAware(), res.MessagesPerOnlinePeer())
-	// Output: F_aware=1.00 msgs/online peer=95
-}
-
-// ExamplePullSuccess shows the §4.3 pull analysis: the attempts needed for
-// high-probability retrieval at 10% availability.
-func ExamplePullSuccess() {
-	p := pushpull.PullSuccess(100, 1.0, 1000, 66)
-	fmt.Printf("66 attempts at 10%% availability: %.4f\n", p)
-	// Output: 66 attempts at 10% availability: 0.9990
-}

@@ -9,10 +9,9 @@
 //	p_on:      probability that an offline peer comes online in a round
 //	           (neglected in the push analysis, exercised by the pull phase).
 //
-// Besides the Bernoulli per-round process the package provides session-length
-// processes (geometric sessions, which in the limit reproduce the Poisson
-// online model of §5.6), a non-uniform per-peer process (§8 future work) and
-// a catastrophic-failure injector used by the robustness tests.
+// Besides the Bernoulli per-round process the package provides a non-uniform
+// per-peer process (§8 future work) and Schedule, which layers scheduled
+// knockouts and revivals — the catastrophic failures of §4.1 — on any of them.
 package churn
 
 import (
@@ -90,46 +89,6 @@ func (Static) Next(_ int, current State, _ *rand.Rand) State { return current }
 // String implements Process.
 func (Static) String() string { return "static" }
 
-// Sessions draws geometric session lengths: when a peer comes online it stays
-// for a geometric number of rounds with mean OnMean, then goes offline for a
-// geometric number of rounds with mean OffMean. With small per-round
-// probabilities this discretises exponential session lengths, i.e. the
-// Poisson online model the paper uses for the Gnutella analysis (§5.6).
-//
-// Sessions is stateless across calls because the geometric distribution is
-// memoryless: staying online with probability 1−1/OnMean each round yields
-// geometric sessions with the desired mean.
-type Sessions struct {
-	// OnMean is the mean online-session length in rounds (must be ≥ 1).
-	OnMean float64
-	// OffMean is the mean offline-gap length in rounds (must be ≥ 1).
-	OffMean float64
-}
-
-var _ Process = Sessions{}
-
-// Next implements Process.
-func (s Sessions) Next(_ int, current State, rng *rand.Rand) State {
-	if current == Online {
-		stay := 1 - 1/math.Max(1, s.OnMean)
-		return State(rng.Float64() < stay)
-	}
-	stayOff := 1 - 1/math.Max(1, s.OffMean)
-	return State(rng.Float64() >= stayOff)
-}
-
-// String implements Process.
-func (s Sessions) String() string {
-	return fmt.Sprintf("sessions(on=%g,off=%g)", s.OnMean, s.OffMean)
-}
-
-// StationaryOnline returns the long-run online fraction OnMean/(OnMean+OffMean).
-func (s Sessions) StationaryOnline() float64 {
-	on := math.Max(1, s.OnMean)
-	off := math.Max(1, s.OffMean)
-	return on / (on + off)
-}
-
 // NonUniform assigns each peer its own Bernoulli parameters. It models the
 // paper's future-work scenario (§8) of a relatively reliable backbone: a
 // fraction of peers with high availability and a long tail of flaky ones.
@@ -176,53 +135,6 @@ func (nu NonUniform) Next(peer int, current State, rng *rand.Rand) State {
 // String implements Process.
 func (nu NonUniform) String() string {
 	return fmt.Sprintf("nonuniform(%d classes)", len(nu.Procs))
-}
-
-// Catastrophe wraps a Process and, at round At, forcibly knocks offline a
-// Fraction of the population (chosen per-peer with independent coin flips).
-// It is used by the failure-injection tests: the paper argues the push phase
-// is robust unless "there is any kind of catastrophic failure" (§4.1), and we
-// verify that the pull phase recovers afterwards. Schedule generalises it to
-// arbitrary sequences of knockout and revival events.
-type Catastrophe struct {
-	// Base is the underlying availability process.
-	Base Process
-	// At is the round at which the catastrophe strikes.
-	At int
-	// Fraction of online peers to knock offline at round At.
-	Fraction float64
-
-	round int
-}
-
-var _ Process = (*Catastrophe)(nil)
-
-// Next implements Process. BeginRound must be called once per round before
-// the per-peer Next calls.
-func (c *Catastrophe) Next(peer int, current State, rng *rand.Rand) State {
-	next := c.Base.Next(peer, current, rng)
-	if c.round == c.At && next == Online && rng.Float64() < c.Fraction {
-		return Offline
-	}
-	return next
-}
-
-// BeginRound informs the process which round is being computed.
-func (c *Catastrophe) BeginRound(round int) { c.round = round }
-
-// LastEventRound implements EventSource: the catastrophe round, plus any
-// events of the base process.
-func (c *Catastrophe) LastEventRound() int {
-	last := c.At
-	if es, ok := c.Base.(EventSource); ok && es.LastEventRound() > last {
-		last = es.LastEventRound()
-	}
-	return last
-}
-
-// String implements Process.
-func (c *Catastrophe) String() string {
-	return fmt.Sprintf("catastrophe(at=%d,frac=%g,base=%s)", c.At, c.Fraction, c.Base)
 }
 
 // Population tracks the availability of a set of peers and advances it one
@@ -298,7 +210,7 @@ func (p *Population) SetOnline(i int, online bool) {
 }
 
 // Step advances every peer one round under the process. The round number is
-// forwarded to processes that care (Catastrophe). It returns the slice of
+// forwarded to processes that care (RoundAware). It returns the slice of
 // peers that came online this round (for the pull phase) — the returned slice
 // is valid until the next Step call.
 func (p *Population) Step(round int) (cameOnline []int) {

@@ -82,45 +82,6 @@ func TestStaticNeverChanges(t *testing.T) {
 	}
 }
 
-func TestSessionsStationary(t *testing.T) {
-	s := Sessions{OnMean: 10, OffMean: 90}
-	if got := s.StationaryOnline(); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("StationaryOnline = %v, want 0.1", got)
-	}
-	// Empirically the long-run fraction should approach 10%.
-	rng := rand.New(rand.NewSource(4))
-	pop, err := NewPopulation(5000, 500, s, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	const rounds = 400
-	for r := 0; r < rounds; r++ {
-		pop.Step(r)
-		if r >= 100 {
-			sum += float64(pop.OnlineCount()) / 5000
-		}
-	}
-	avg := sum / (rounds - 100)
-	if math.Abs(avg-0.1) > 0.02 {
-		t.Fatalf("long-run online fraction = %v, want ≈ 0.1", avg)
-	}
-}
-
-func TestSessionsDegenerateMeans(t *testing.T) {
-	// Means below 1 are clamped; OnMean=1 means "leave immediately".
-	s := Sessions{OnMean: 0.5, OffMean: 1}
-	rng := rand.New(rand.NewSource(5))
-	st := s.Next(0, Online, rng)
-	if st != Offline {
-		t.Fatalf("OnMean<=1 should always go offline, got %v", st)
-	}
-	st = s.Next(0, Offline, rng)
-	if st != Online {
-		t.Fatalf("OffMean<=1 should always come online, got %v", st)
-	}
-}
-
 func TestNonUniformBackbone(t *testing.T) {
 	nu := NewBackbone(10, 0.3, 1.0, 1.0, 0.0, 0.0)
 	if len(nu.Procs) != 10 {
@@ -156,43 +117,6 @@ func TestNonUniformNegativePeerIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	// Must not panic and must map into the palette.
 	_ = nu.Next(-3, Online, rng)
-}
-
-func TestCatastrophe(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	cat := &Catastrophe{Base: Static{}, At: 3, Fraction: 1.0}
-	pop, err := NewPopulation(1000, 1000, cat, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 3; r++ {
-		pop.Step(r)
-		if pop.OnlineCount() != 1000 {
-			t.Fatalf("round %d: online = %d before catastrophe", r, pop.OnlineCount())
-		}
-	}
-	pop.Step(3)
-	if pop.OnlineCount() != 0 {
-		t.Fatalf("catastrophe with fraction 1.0 left %d online", pop.OnlineCount())
-	}
-	pop.Step(4)
-	if pop.OnlineCount() != 0 {
-		t.Fatalf("static base resurrected %d peers", pop.OnlineCount())
-	}
-}
-
-func TestCatastrophePartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	cat := &Catastrophe{Base: Static{}, At: 0, Fraction: 0.5}
-	pop, err := NewPopulation(10000, 10000, cat, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pop.Step(0)
-	got := float64(pop.OnlineCount())
-	if math.Abs(got-5000)/5000 > 0.1 {
-		t.Fatalf("online after 50%% catastrophe = %v, want ≈ 5000", got)
-	}
 }
 
 func TestNewPopulationValidation(t *testing.T) {
@@ -263,9 +187,7 @@ func TestProcessStrings(t *testing.T) {
 	procs := []Process{
 		Bernoulli{Sigma: 0.9, POn: 0.1},
 		Static{},
-		Sessions{OnMean: 5, OffMean: 20},
 		NewBackbone(4, 0.5, 1, 1, 0, 0),
-		&Catastrophe{Base: Static{}, At: 1, Fraction: 0.5},
 	}
 	for _, p := range procs {
 		if p.String() == "" {

@@ -7,9 +7,8 @@ import (
 )
 
 // RoundAware is implemented by availability processes whose behaviour depends
-// on the round being computed (Catastrophe, Schedule, and wrappers around
-// them). Population.Step calls BeginRound once per round before the per-peer
-// Next calls.
+// on the round being computed, such as Schedule. Population.Step calls
+// BeginRound once per round before the per-peer Next calls.
 type RoundAware interface {
 	BeginRound(round int)
 }
@@ -105,8 +104,8 @@ func NewSchedule(base Process, events ...Event) (*Schedule, error) {
 func (s *Schedule) Events() []Event { return append([]Event(nil), s.events...) }
 
 // LastEventRound implements EventSource. The events are round-sorted, so it
-// is the last entry's round; base-process events (a Schedule stacked on a
-// Catastrophe) count too.
+// is the last entry's round; base-process events (a Schedule stacked on
+// another) count too.
 func (s *Schedule) LastEventRound() int {
 	last := -1
 	if len(s.events) > 0 {

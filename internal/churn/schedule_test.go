@@ -132,7 +132,10 @@ func TestSchedulePopulation(t *testing.T) {
 // TestScheduleForwardsBeginRound checks that a Schedule stacked on another
 // round-aware process forwards BeginRound to it.
 func TestScheduleForwardsBeginRound(t *testing.T) {
-	inner := &Catastrophe{Base: Static{}, At: 1, Fraction: 1}
+	inner, err := NewSchedule(Static{}, Event{Round: 1, Kind: Knockout, Fraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewSchedule(inner, Event{Round: 3, Kind: Revive, Fraction: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -142,13 +145,50 @@ func TestScheduleForwardsBeginRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop.Step(1) // inner catastrophe fires only if BeginRound reached it
+	pop.Step(1) // the inner knockout fires only if BeginRound reached it
 	if got := pop.OnlineCount(); got != 0 {
-		t.Fatalf("round 1: %d online, want 0 (catastrophe missed BeginRound)", got)
+		t.Fatalf("round 1: %d online, want 0 (inner schedule missed BeginRound)", got)
 	}
 	pop.Step(2)
 	pop.Step(3) // schedule's own revival
 	if got := pop.OnlineCount(); got != 4 {
 		t.Fatalf("round 3: %d online, want 4", got)
+	}
+}
+
+// TestScheduleKnockoutGolden pins the draws of a one-knockout Schedule: per
+// peer the base process draws first, then one coin against Fraction in the
+// event round, for a peer the base left online. The per-round online sets
+// below were recorded from the single-knockout wrapper this Schedule
+// replaced, at Bernoulli{Sigma: 0.8, POn: 0.4}, At 2, Fraction 0.5, 10 peers
+// of which 7 start online; one string per round 0-5, '1' for online.
+func TestScheduleKnockoutGolden(t *testing.T) {
+	want := map[int64][]string{
+		1: {"1011111111", "1011111111", "0000001011", "1011001011", "1010101011", "1110101110"},
+		2: {"1111101111", "1011101110", "0010001010", "0011101011", "1001111111", "1101100111"},
+		3: {"1101011010", "1101011010", "1101100010", "0101110111", "0011110111", "1001110011"},
+	}
+	for seed, rows := range want {
+		s, err := NewSchedule(Bernoulli{Sigma: 0.8, POn: 0.4}, Event{Round: 2, Kind: Knockout, Fraction: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pop, err := NewPopulation(10, 7, s, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, row := range rows {
+			pop.Step(round)
+			got := make([]byte, pop.Len())
+			for i := range got {
+				got[i] = '0'
+				if pop.Online(i) {
+					got[i] = '1'
+				}
+			}
+			if string(got) != row {
+				t.Fatalf("seed %d round %d: online %s, want %s", seed, round, got, row)
+			}
+		}
 	}
 }

@@ -107,9 +107,6 @@ type Config[ID comparable] struct {
 	// which Tick triggers a pull ("no_updates_since(t)"). Zero disables
 	// timeout-driven pulls.
 	PullTimeout int64
-	// PullGossipSample is the number of peer ids piggybacked on pull
-	// responses; 0 means 16.
-	PullGossipSample int
 	// SnapshotCatchUp is the delta-size threshold of the snapshot catch-up
 	// path: a pull request missing more than this many updates is answered
 	// with the responder's live cut instead of the entry-by-entry delta —
@@ -341,9 +338,6 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 	if st == nil || w == nil {
 		return nil, fmt.Errorf("engine: nil store or writer")
 	}
-	if cfg.PullGossipSample <= 0 {
-		cfg.PullGossipSample = defaultPullGossipSample
-	}
 	e := &Engine[ID]{
 		cfg:         cfg,
 		ep:          ep,
@@ -366,7 +360,7 @@ func New[ID comparable](cfg Config[ID], ep Endpoint[ID], st store.Backend, w *st
 }
 
 // defaultPullGossipSample is the number of peer ids piggybacked on pull
-// responses when the configuration does not say otherwise.
+// responses.
 const defaultPullGossipSample = 16
 
 // Store returns the engine's replica store.
@@ -786,7 +780,7 @@ func (e *Engine[ID]) sendPull() {
 func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 	e.Learn(from)
 	e.recordPullClock(from, m.Clock)
-	sample := e.sampleExcluding(e.cfg.PullGossipSample, from)
+	sample := e.sampleExcluding(defaultPullGossipSample, from)
 	// The sample aliases the engine's scratch buffer; the message escapes to
 	// the adapter, so it gets its own copy.
 	var peers []ID

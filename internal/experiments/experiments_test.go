@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/p2pgossip/update/internal/analytic"
 	"github.com/p2pgossip/update/internal/pf"
 )
 
@@ -294,7 +295,7 @@ func TestSimulationMatchesAnalyticModel(t *testing.T) {
 			for i := 0; i < seedRuns; i++ {
 				p := tc.p
 				p.Seed = tc.p.Seed + int64(i*100)
-				ana, sim, anaAw, simAw, err := CrossCheck(p)
+				ana, sim, anaAw, simAw, err := crossCheck(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -312,4 +313,27 @@ func TestSimulationMatchesAnalyticModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// crossCheck runs the simulator against the analytical model for the same
+// parameters and returns (analytic msgs/peer, simulated msgs/peer,
+// analytic F_aware, simulated F_aware).
+func crossCheck(p SimParams) (analyticMsgs, simMsgs, analyticAware, simAware float64, err error) {
+	sim, err := SimulatePush(p)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	var fn pf.Func
+	if p.NewPF != nil {
+		fn = p.NewPF()
+	}
+	ana, err := analytic.Push(analytic.PushParams{
+		R: p.R, ROn0: p.ROn0, Sigma: p.Sigma, Fr: p.Fr,
+		PF: fn, PartialList: p.PartialList,
+	})
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	return ana.MessagesPerOnlinePeer(), sim.MessagesPerOnlinePeer,
+		ana.FinalAware(), sim.FinalAware, nil
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/p2pgossip/update/internal/analytic"
-
 	"github.com/p2pgossip/update/internal/churn"
 	"github.com/p2pgossip/update/internal/gossip"
 	"github.com/p2pgossip/update/internal/pf"
@@ -124,32 +122,4 @@ func SimulatePush(p SimParams) (SimResult, error) {
 		res.FinalAware = pts[len(pts)-1].X
 	}
 	return res, nil
-}
-
-// CrossCheck runs the simulator against the analytical model for the same
-// parameters and returns (analytic msgs/peer, simulated msgs/peer,
-// analytic F_aware, simulated F_aware). The validation tests assert the
-// relative gap.
-func CrossCheck(p SimParams) (analyticMsgs, simMsgs, analyticAware, simAware float64, err error) {
-	sim, err := SimulatePush(p)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	var fn pf.Func
-	if p.NewPF != nil {
-		fn = p.NewPF()
-	}
-	ana, err := analyticPush(p, fn)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return ana.MessagesPerOnlinePeer(), sim.MessagesPerOnlinePeer,
-		ana.FinalAware(), sim.FinalAware, nil
-}
-
-func analyticPush(p SimParams, fn pf.Func) (analytic.PushResult, error) {
-	return analytic.Push(analytic.PushParams{
-		R: p.R, ROn0: p.ROn0, Sigma: p.Sigma, Fr: p.Fr,
-		PF: fn, PartialList: p.PartialList,
-	})
 }

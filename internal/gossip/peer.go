@@ -232,22 +232,21 @@ func NewPeer(id int, cfg Config) (*Peer, error) {
 		}
 	}
 	eng, err := engine.New(engine.Config[int]{
-		Fanout:           float64(cfg.R) * cfg.Fr,
-		NewPF:            cfg.NewPF,
-		PartialList:      cfg.PartialList,
-		ListMax:          listMax,
-		Population:       cfg.R,
-		PullAttempts:     cfg.PullAttempts,
-		LazyPull:         cfg.LazyPull,
-		PullTimeout:      int64(cfg.PullTimeout),
-		PullGossipSample: pullGossipSample,
-		Acks:             cfg.Acks,
-		AckTimeout:       ackTimeoutRounds,
-		SuspectTTL:       int64(cfg.suspectTTL()),
-		SnapshotCatchUp:  cfg.SnapshotCatchUp,
-		FrontierTTL:      int64(cfg.FrontierTTL),
-		QueryTimeout:     queryTimeoutRounds,
-		DeferPullRender:  cfg.LinkBudget > 0,
+		Fanout:          float64(cfg.R) * cfg.Fr,
+		NewPF:           cfg.NewPF,
+		PartialList:     cfg.PartialList,
+		ListMax:         listMax,
+		Population:      cfg.R,
+		PullAttempts:    cfg.PullAttempts,
+		LazyPull:        cfg.LazyPull,
+		PullTimeout:     int64(cfg.PullTimeout),
+		Acks:            cfg.Acks,
+		AckTimeout:      ackTimeoutRounds,
+		SuspectTTL:      int64(cfg.suspectTTL()),
+		SnapshotCatchUp: cfg.SnapshotCatchUp,
+		FrontierTTL:     int64(cfg.FrontierTTL),
+		QueryTimeout:    queryTimeoutRounds,
+		DeferPullRender: cfg.LinkBudget > 0,
 		Hooks: engine.Hooks[int]{
 			OnLearned: func(n int) {
 				p.env.Metrics().Add(MetricReplicasLearned, float64(n))
@@ -449,6 +448,3 @@ func (p *Peer) PublishDelete(env *simnet.Env, key string) store.Update {
 	p.eng.PublishApplied(u, branches)
 	return u
 }
-
-// pullGossipSample is the number of peer ids piggybacked on pull responses.
-const pullGossipSample = 16

@@ -46,16 +46,16 @@ func soakOnce(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := &churn.Catastrophe{
-		Base:     churn.Bernoulli{Sigma: 0.93, POn: 0.07},
-		At:       200,
-		Fraction: 0.7,
+	proc, err := churn.NewSchedule(churn.Bernoulli{Sigma: 0.93, POn: 0.07},
+		churn.Event{Round: 200, Kind: churn.Knockout, Fraction: 0.7})
+	if err != nil {
+		t.Fatal(err)
 	}
 	en, err := simnet.NewEngine(simnet.Config{
 		Nodes:         net.Nodes,
 		InitialOnline: n / 3,
 		Churn:         proc,
-		MessageLoss:   0.05,
+		Faults:        simnet.NewFaultPlane().SetDefault(simnet.EdgeFault{Drop: 0.05}),
 		Seed:          seed,
 	})
 	if err != nil {

@@ -50,7 +50,7 @@ const connBufBytes = 32 << 10
 // sending goroutine, so a stalled link parks that goroutine alone while its
 // outbound state merges instead of queueing. Failed dials stay cheap (one
 // timeout, reported synchronously); when a pooled connection turns out to
-// be stale the sender redials once and replays the unflushed frames, so a
+// be stale, SendFrames evicts it, dials once and replays the batch, so a
 // single peer outage costs one redial rather than a lost batch.
 type TCPTransport struct {
 	listener net.Listener
@@ -84,11 +84,12 @@ var (
 // maxIngestRun caps the pushes one inbound run hands the batch handler.
 const maxIngestRun = 256
 
-// pooledConn is one outbound connection. Writers serialise on wmu and write
-// their frames synchronously — the socket itself is the queue, and a slow
-// peer blocks its (single, coalescing) sender goroutine rather than growing
-// a frame backlog. The state mutex only guards the pointer swaps (the one
-// redial, shutdown's unblocking Close) and the terminal flags.
+// pooledConn is one outbound connection; its socket is fixed for its whole
+// life. Writers serialise on wmu and write their frames synchronously — the
+// socket itself is the queue, and a slow peer blocks its (single,
+// coalescing) sender goroutine rather than growing a frame backlog. A failed
+// write or a shutdown marks the connection dead; SendFrames then evicts it
+// and dials a fresh one.
 type pooledConn struct {
 	to string
 
@@ -97,15 +98,10 @@ type pooledConn struct {
 	// contend (one goroutine per destination).
 	wmu sync.Mutex
 
-	mu      sync.Mutex
-	dead    bool // terminal: no further sends accepted
-	stopped bool // shutdown requested (Close, eviction)
+	dead atomic.Bool // terminal: a write failed, or shutdown was requested
 
-	// conn and bw belong to the current wmu holder; the mutex above guards
-	// the pointer swaps.
-	conn     net.Conn
-	bw       *bufio.Writer
-	redialed bool
+	conn net.Conn
+	bw   *bufio.Writer // belongs to the wmu holder
 	// lastArm is when the write deadline was last armed (UnixNano). Arming
 	// costs a runtime timer update per call, so the owner re-arms only once
 	// the previous arm has aged writeTimeout/2 — stall detection within
@@ -124,10 +120,8 @@ func newPooledConn(to string, conn net.Conn) *pooledConn {
 
 // shutdown closes the socket, unblocking any in-flight write; idempotent.
 func (pc *pooledConn) shutdown() {
-	pc.mu.Lock()
-	pc.stopped = true
+	pc.dead.Store(true)
 	pc.conn.Close()
-	pc.mu.Unlock()
 }
 
 // send writes one batch of frames, blocking until the socket has absorbed
@@ -135,66 +129,14 @@ func (pc *pooledConn) shutdown() {
 func (pc *pooledConn) send(frames []*wire.Frame) error {
 	pc.wmu.Lock()
 	defer pc.wmu.Unlock()
-	pc.mu.Lock()
-	if pc.dead || pc.stopped {
-		pc.mu.Unlock()
+	if pc.dead.Load() {
 		return errConnDead
 	}
-	pc.mu.Unlock()
-	err := pc.writeOwned(frames)
+	err := pc.writeBatch(frames)
 	if err != nil {
-		pc.mu.Lock()
-		pc.dead = true
-		pc.mu.Unlock()
+		pc.dead.Store(true)
 	}
 	return err
-}
-
-// writeOwned writes one batch as the socket's current owner, redialling
-// once on failure and replaying the batch on the fresh connection (the
-// receiver dedups any envelope that did arrive before the failure). The
-// redial allowance renews with every successful batch, so each distinct
-// outage gets exactly one.
-func (pc *pooledConn) writeOwned(batch []*wire.Frame) error {
-	pc.mu.Lock()
-	conn, bw := pc.conn, pc.bw
-	stopped := pc.stopped
-	pc.mu.Unlock()
-	if stopped {
-		return errConnDead
-	}
-	if err := pc.writeBatch(conn, bw, batch); err == nil {
-		pc.mu.Lock()
-		pc.redialed = false
-		pc.mu.Unlock()
-		return nil
-	} else {
-		pc.mu.Lock()
-		if pc.stopped || pc.dead || pc.redialed {
-			pc.mu.Unlock()
-			return err
-		}
-		pc.redialed = true
-		pc.mu.Unlock()
-	}
-	fresh, derr := net.DialTimeout("tcp", pc.to, dialTimeout)
-	if derr != nil {
-		return derr
-	}
-	pc.mu.Lock()
-	if pc.stopped || pc.dead {
-		pc.mu.Unlock()
-		fresh.Close()
-		return errConnDead
-	}
-	old := pc.conn
-	pc.conn = fresh
-	fbw := bufio.NewWriterSize(fresh, connBufBytes)
-	pc.bw = fbw
-	pc.lastArm = 0
-	pc.mu.Unlock()
-	old.Close()
-	return pc.writeBatch(fresh, fbw, batch)
 }
 
 // ListenTCP starts a transport on the given address ("127.0.0.1:0" picks a
@@ -346,18 +288,18 @@ func (t *TCPTransport) evictConn(pc *pooledConn) {
 // healthy link keeps extending its deadline with progress (only a link
 // absorbing nothing for writeTimeout fails), while the fast path pays one
 // clock read per frame and a timer update only every writeTimeout/2.
-func (pc *pooledConn) writeBatch(conn net.Conn, bw *bufio.Writer, frames []*wire.Frame) error {
+func (pc *pooledConn) writeBatch(frames []*wire.Frame) error {
 	for _, f := range frames {
 		now := time.Now()
 		if now.UnixNano()-pc.lastArm > int64(writeTimeout/2) {
-			conn.SetWriteDeadline(now.Add(writeTimeout))
+			pc.conn.SetWriteDeadline(now.Add(writeTimeout))
 			pc.lastArm = now.UnixNano()
 		}
-		if _, err := bw.Write(f.Bytes()); err != nil {
+		if _, err := pc.bw.Write(f.Bytes()); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return pc.bw.Flush()
 }
 
 // Close implements Transport: stops accepting, tears down pooled and

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"bufio"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,95 @@ func TestTCPTruncatedFrameDropsConnCleanly(t *testing.T) {
 	case <-echoed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("victim's outbound pool wedged after truncated inbound frame")
+	}
+}
+
+// TestTCPSendResumesAfterReceiverRestart restarts a receiver on the same
+// address: the sender's pooled connection is now stale, and sends must
+// resume over exactly one new connection — one eviction and one redial, not
+// a redial per layer.
+func TestTCPSendResumesAfterReceiverRestart(t *testing.T) {
+	sender, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	first, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := first.Addr()
+	got := make(chan int64, 16)
+	first.SetHandler(func(env wire.Envelope) { got <- env.QID })
+	if err := sender.Send(addr, wire.Envelope{Kind: wire.KindQuery, QID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no delivery before the restart")
+	}
+	first.Close()
+
+	// The restarted receiver counts the connections it accepts.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var accepted atomic.Int32
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted.Add(1)
+			go func() {
+				defer conn.Close()
+				fr := wire.NewFrameReader(bufio.NewReader(conn))
+				var env wire.Envelope
+				for fr.ReadEnvelope(&env) == nil {
+					got <- env.QID
+				}
+			}()
+		}
+	}()
+
+	// The first send after the restart may vanish into the stale socket;
+	// keep sending until one arrives.
+	deadline := time.Now().Add(5 * time.Second)
+	var qid int64 = 1
+	for resumed := false; !resumed; {
+		if time.Now().After(deadline) {
+			t.Fatal("sends did not resume after the receiver restarted")
+		}
+		qid++
+		_ = sender.Send(addr, wire.Envelope{Kind: wire.KindQuery, QID: qid})
+		select {
+		case <-got:
+			resumed = true
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	for i := 0; i < 3; i++ {
+		qid++
+		if err := sender.Send(addr, wire.Envelope{Kind: wire.KindQuery, QID: qid}); err != nil {
+			t.Fatalf("send after resuming: %v", err)
+		}
+	}
+	for received := 0; received < 3; {
+		select {
+		case q := <-got:
+			if q > qid-3 {
+				received++
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("sends after resuming were lost")
+		}
+	}
+	if n := accepted.Load(); n != 1 {
+		t.Fatalf("receiver accepted %d connections after its restart, want 1", n)
 	}
 }
 

@@ -132,7 +132,6 @@ type Engine struct {
 	pending []Message // messages awaiting delivery at their DeliverAt round
 	due     []Message // reusable per-round delivery buffer
 	outbox  []Message // messages produced this round
-	loss    float64
 	faults  *FaultPlane
 	crashed []bool        // peers currently down from a FaultPlane crash
 	proc    churn.Process // the availability process, for event scheduling
@@ -150,10 +149,6 @@ type Config struct {
 	Churn churn.Process
 	// Seed seeds the engine's random source.
 	Seed int64
-	// MessageLoss is an independent per-message drop probability, used by
-	// the failure-injection tests. Zero disables loss. The FaultPlane
-	// subsumes it with per-edge control; both compose when set.
-	MessageLoss float64
 	// Faults, if non-nil, injects per-edge loss, delay, reordering,
 	// scheduled partitions, and crash/restart events. A plane belongs to
 	// exactly one engine.
@@ -169,9 +164,6 @@ type Config struct {
 func NewEngine(cfg Config) (*Engine, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("simnet: no nodes")
-	}
-	if cfg.MessageLoss < 0 || cfg.MessageLoss > 1 {
-		return nil, fmt.Errorf("simnet: message loss %g out of [0,1]", cfg.MessageLoss)
 	}
 	proc := cfg.Churn
 	if proc == nil {
@@ -197,7 +189,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		rng:     rng,
 		reg:     reg,
 		tracer:  cfg.Trace,
-		loss:    cfg.MessageLoss,
 		faults:  cfg.Faults,
 		crashed: make([]bool, len(cfg.Nodes)),
 		proc:    proc,
@@ -230,13 +221,6 @@ func (en *Engine) send(from, to int, payload any, bytes int) {
 		Round: en.round, Kind: trace.KindSend, From: from, To: to,
 		Note: fmt.Sprintf("%T %dB", payload, bytes),
 	})
-	if en.loss > 0 && en.rng.Float64() < en.loss {
-		en.reg.Inc(MetricMessagesDropped)
-		en.tracer.Record(trace.Event{
-			Round: en.round, Kind: trace.KindDrop, From: from, To: to,
-		})
-		return
-	}
 	delay, reorder := 0, false
 	if en.faults != nil {
 		if en.faults.severed(from, to, en.round) {
@@ -270,9 +254,6 @@ func (en *Engine) send(from, to int, payload any, bytes int) {
 }
 
 func (en *Engine) env(self int) *Env { return &Env{engine: en, self: self} }
-
-// SetMessageLoss adjusts the loss probability mid-run (failure injection).
-func (en *Engine) SetMessageLoss(p float64) { en.loss = p }
 
 // Step executes one round and returns the number of messages delivered.
 //

@@ -61,9 +61,6 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(Config{Nodes: nodes, InitialOnline: 5}); err == nil {
 		t.Fatal("initial online > n should error")
 	}
-	if _, err := NewEngine(Config{Nodes: nodes, InitialOnline: 1, MessageLoss: 2}); err == nil {
-		t.Fatal("loss > 1 should error")
-	}
 }
 
 func TestChainPropagation(t *testing.T) {
@@ -118,7 +115,9 @@ func TestMessagesToOfflinePeersAreCountedNotDelivered(t *testing.T) {
 
 func TestMessageLossDropsEverything(t *testing.T) {
 	nodes, raw := newChain(3)
-	en, err := NewEngine(Config{Nodes: nodes, InitialOnline: 3, MessageLoss: 1})
+	en, err := NewEngine(Config{
+		Nodes: nodes, InitialOnline: 3, Faults: NewFaultPlane().SetDefault(EdgeFault{Drop: 1}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +249,7 @@ func TestEngineTracingChurnAndDrops(t *testing.T) {
 	en, err := NewEngine(Config{
 		Nodes: nodes, InitialOnline: 0,
 		Churn: churn.Bernoulli{Sigma: 1, POn: 1},
-		Trace: rec, MessageLoss: 1,
+		Trace: rec, Faults: NewFaultPlane().SetDefault(EdgeFault{Drop: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,20 +294,5 @@ func TestEnvAccessorsAndEngineIntrospection(t *testing.T) {
 	}
 	if en.Node(1) != nodes[1] {
 		t.Fatal("Node accessor wrong")
-	}
-}
-
-func TestSetMessageLossMidRun(t *testing.T) {
-	nodes := []Node{&selfSpammer{}}
-	en, err := NewEngine(Config{Nodes: nodes, InitialOnline: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en.Step() // sends one message, no loss
-	en.SetMessageLoss(1)
-	en.Step() // the next send is dropped
-	en.Step()
-	if got := en.Metrics().Counter(MetricMessagesDropped); got == 0 {
-		t.Fatal("mid-run loss not applied")
 	}
 }

@@ -53,21 +53,6 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	t.Fatal("facade quickstart did not converge")
 }
 
-func TestPublicAnalyticAPI(t *testing.T) {
-	res, err := pushpull.AnalyzePush(pushpull.PushParams{
-		R: 10000, ROn0: 1000, Sigma: 0.95, Fr: 0.01,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalAware() < 0.99 {
-		t.Fatalf("FinalAware = %g", res.FinalAware())
-	}
-	if p := pushpull.PullSuccess(100, 1, 1000, 66); p < 0.999 {
-		t.Fatalf("PullSuccess = %g", p)
-	}
-}
-
 func TestPublicAdaptivePF(t *testing.T) {
 	ad := pushpull.NewAdaptivePF(1.0)
 	before := ad.P(0)
