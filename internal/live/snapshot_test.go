@@ -191,6 +191,34 @@ func TestSnapshotCatchUpPastFrameCeiling(t *testing.T) {
 	}
 }
 
+// TestDeltaCatchUpPastFrameCeiling: with snapshot catch-up off, a delta that
+// encodes to more than wire.MaxFrameBytes — which as a single frame could
+// never be sent — reaches the rejoiner over TCP as many pull responses.
+func TestDeltaCatchUpPastFrameCeiling(t *testing.T) {
+	a := tcpReplica(t, Config{Fanout: 0, SnapshotCatchUp: 0, Seed: 1})
+	const keys = 24
+	value := make([]byte, wire.MaxFrameBytes/keys+4096)
+	for k := 0; k < keys; k++ {
+		a.Publish(fmt.Sprintf("big-%02d", k), value)
+	}
+
+	b := tcpReplica(t, Config{Fanout: 0, PullAttempts: 1, Seed: 2})
+	var resps atomic.Int64
+	b.transport.SetHandler(func(env wire.Envelope) {
+		if env.Kind == wire.KindPullResp {
+			resps.Add(1)
+		}
+		b.handle(env)
+	})
+	b.AddPeers(a.Addr())
+	b.PullNow()
+	eventually(t, 20*time.Second, func() bool { return caughtUp(a, b) },
+		"rejoiner not caught up by a delta past the single-frame ceiling")
+	if got := resps.Load(); got < keys {
+		t.Fatalf("delta of %d oversized values arrived in %d pull responses", keys, got)
+	}
+}
+
 // snapshotEnvelopes renders a's live cut as the wire envelopes of one stream.
 func snapshotEnvelopes(a *Replica) []wire.Envelope {
 	cut, frontier := a.Store().LiveCut()
