@@ -50,7 +50,7 @@
 // server-sent-events watch stream, §4.4 queries, snapshot
 // download/restore, and Prometheus /metrics — with graceful
 // snapshot-on-shutdown; see the "Serving surface" section of DESIGN.md and
-// examples/httpcluster for a curl-level session.
+// docs/OPERATIONS.md for running and operating it.
 //
 // See the examples/ directory for complete programs and DESIGN.md for the
 // architecture.

@@ -8,8 +8,8 @@
 // the same invariants — eventual delivery, clock/store convergence, no
 // duplicate application — against state scraped over HTTP (/v1/state).
 //
-// The package is also the example substrate: examples/httpcluster uses
-// BuildDaemon and Proc to run a two-daemon demo session.
+// The daemon it drives is cmd/pushpulld; docs/OPERATIONS.md describes
+// running a fleet of it by hand.
 package cluster
 
 import (

@@ -816,14 +816,14 @@ func (e *Engine[ID]) handlePullReq(from ID, m Message[ID]) {
 // RenderPullResp renders the reply to a pull request that presented the
 // given clock, at whatever moment the adapter transmits it. It is the
 // snapshot-vs-delta decision of the pull phase. A nil frontier means updates
-// is the exact missing run (possibly empty) and goes out as one
-// KindPullResp. A non-nil frontier means updates is the store's live cut and
-// goes out as a KindSnapshot stream (StreamSnapshot) that ends with the
-// frontier: the only answer left when compaction has dropped part of the
-// gap, and the cheaper one when the gap exceeds SnapshotCatchUp and the live
-// state is smaller than it. A complete delta is never replaced by a larger
-// cut — a requester merely a burst behind a busy responder is not sent the
-// whole store.
+// is the exact missing run (possibly empty), ordered by origin and sequence,
+// and goes out as KindPullResp chunks (AnswerPull). A non-nil frontier means
+// updates is the store's live cut and goes out as a KindSnapshot stream
+// (StreamSnapshot) that ends with the frontier: the only answer left when
+// compaction has dropped part of the gap, and the cheaper one when the gap
+// exceeds SnapshotCatchUp and the live state is smaller than it. A complete
+// delta is never replaced by a larger cut — a requester merely a burst
+// behind a busy responder is not sent the whole store.
 //
 // It reads only the store and immutable configuration, so a live adapter may
 // call it without holding its engine lock.
@@ -860,29 +860,57 @@ func (e *Engine[ID]) RenderPullResp(clock version.Clock) (updates []store.Update
 }
 
 // AnswerPull renders the answer to a pull request that presented clock and
-// hands it to send in its message shape: one KindPullResp carrying the exact
-// missing run, or — when RenderPullResp returns a live cut — the KindSnapshot
-// chunks of one StreamSnapshot. peers rides on the response or on the
-// stream's last chunk. Every pull answer leaves through here: handlePullReq
-// calls it in place, and with Config.DeferPullRender the adapter calls it
-// for the intent (Message.IsPullIntent) at the moment of transmission. A
-// stream stops at the first chunk send reports undelivered. Like
-// RenderPullResp it needs no engine serialisation.
+// hands it to send one message at a time: the exact missing run as
+// consecutive KindPullResp chunks, or — when RenderPullResp returns a live
+// cut — the KindSnapshot chunks of one StreamSnapshot. Either way a chunk
+// holds at most SnapshotChunkBytes of records, so the adapter encodes chunk
+// k+1 while the requester applies chunk k and no delta outgrows a frame. A
+// delta chunk applies on its own: a prefix of a run ordered by origin and
+// sequence leaves every origin's clock contiguous. peers rides on the last
+// message; an empty delta is one empty response. Every pull answer leaves
+// through here: handlePullReq calls it in place, and with
+// Config.DeferPullRender the adapter calls it for the intent
+// (Message.IsPullIntent) at the moment of transmission. It stops at the
+// first message send reports undelivered. Like RenderPullResp it needs no
+// engine serialisation.
 func (e *Engine[ID]) AnswerPull(clock version.Clock, peers []ID, send func(Message[ID]) bool) {
 	updates, frontier := e.RenderPullResp(clock)
-	if frontier == nil {
-		send(Message[ID]{Kind: KindPullResp, Updates: updates, Peers: peers})
+	if frontier != nil {
+		e.StreamSnapshot(updates, frontier, peers, send)
 		return
 	}
-	e.StreamSnapshot(updates, frontier, peers, send)
+	for {
+		n := chunkLen(updates)
+		m := Message[ID]{Kind: KindPullResp, Updates: updates[:n]}
+		updates = updates[n:]
+		last := len(updates) == 0
+		if last {
+			m.Peers = peers
+		}
+		if !send(m) || last {
+			return
+		}
+	}
 }
 
-// SnapshotChunkBytes bounds the update records of one snapshot chunk, by
-// store.Update.SizeBytes. It keeps a chunk's frame within the transport's
-// pooled buffer size, so a catch-up of any length encodes and decodes in
-// recycled memory, and far below wire.MaxFrameBytes. A single update larger
-// than the bound travels in a chunk of its own.
+// SnapshotChunkBytes bounds the update records of one pull-answer chunk —
+// a delta's or a snapshot stream's — by store.Update.SizeBytes. It keeps a
+// chunk's frame within the transport's pooled buffer size, so a catch-up of
+// any length encodes and decodes in recycled memory, and far below
+// wire.MaxFrameBytes. A single update larger than the bound travels in a
+// chunk of its own.
 const SnapshotChunkBytes = 48 << 10
+
+// chunkLen returns how many leading updates of run make one chunk: as many
+// as fit in SnapshotChunkBytes, and at least one when run is not empty.
+func chunkLen(run []store.Update) int {
+	n, size := 0, 0
+	for n < len(run) && (n == 0 || size+run[n].SizeBytes() <= SnapshotChunkBytes) {
+		size += run[n].SizeBytes()
+		n++
+	}
+	return n
+}
 
 // StreamSnapshot sends a live cut (RenderPullResp with a non-nil frontier)
 // as one snapshot stream: KindSnapshot chunks of at most SnapshotChunkBytes
@@ -897,11 +925,7 @@ const SnapshotChunkBytes = 48 << 10
 func (e *Engine[ID]) StreamSnapshot(cut []store.Update, frontier version.Clock, peers []ID, send func(Message[ID]) bool) bool {
 	stream := e.streamSeq.Add(1)
 	for chunk := 0; ; chunk++ {
-		n, size := 0, 0
-		for n < len(cut) && (n == 0 || size+cut[n].SizeBytes() <= SnapshotChunkBytes) {
-			size += cut[n].SizeBytes()
-			n++
-		}
+		n := chunkLen(cut)
 		m := Message[ID]{Kind: KindSnapshot, Updates: cut[:n], Stream: stream, Chunk: chunk}
 		if cut = cut[n:]; len(cut) == 0 {
 			m.Last, m.Clock, m.Peers = true, frontier, peers

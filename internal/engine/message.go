@@ -73,8 +73,8 @@ type Message[ID comparable] struct {
 	// deferred pull answer (IsPullIntent) and, on the Last chunk of a
 	// KindSnapshot stream, the responder's frontier.
 	Clock version.Clock
-	// Updates are the missing updates for KindPullResp and the records of
-	// one KindSnapshot chunk.
+	// Updates are the missing updates, or one chunk of them, for
+	// KindPullResp and the records of one KindSnapshot chunk.
 	Updates []store.Update
 	// Peers is a membership sample piggybacked on KindPullResp and
 	// KindSnapshot — the name-dropper effect applied to the pull phase.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/p2pgossip/update/internal/store"
@@ -8,9 +10,10 @@ import (
 )
 
 // The tests below cover the two late-binding render hooks the coalescing
-// senders rely on (RenderPush, RenderPullResp) and the DeferPullRender
-// contract: an unrendered pull-response intent must, when rendered later,
-// serve exactly what the eager path would have.
+// senders rely on (RenderPush, RenderPullResp), the chunks AnswerPull sends
+// a pull answer in, and the DeferPullRender contract: an unrendered
+// pull-response intent must, when rendered later, serve exactly what the
+// eager path would have.
 
 func TestRenderPushLateBoundList(t *testing.T) {
 	cfg := Config[int]{Fanout: 1, PartialList: true}
@@ -203,6 +206,133 @@ func TestEagerSnapshotAnswerIsOneStream(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("stream carried %d updates, want the 3-entry cut", total)
 	}
+}
+
+// TestDeltaAnswerChunks is the contract of a delta answered in chunks, on
+// random deltas over three origins with values up to twice a chunk: the
+// chunks concatenate to RenderPullResp's run in order, each fits
+// SnapshotChunkBytes or is one oversized update alone, only the last carries
+// the peer sample, an undelivered chunk ends the answer, and applying the
+// chunks one at a time — each leaving contiguous clocks — ends in the store,
+// clock and confidence that the whole delta as one message does.
+func TestDeltaAnswerChunks(t *testing.T) {
+	peers := []int{7, 8}
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		src, _ := newTestEngine(t, 1, Config[int]{}, nil)
+		for id := 2; id <= 3; id++ {
+			o, _ := newTestEngine(t, id, Config[int]{}, nil)
+			for i := rng.Intn(40); i > 0; i-- {
+				publish(o, fmt.Sprintf("k%d", rng.Intn(20)), randomValue(rng))
+			}
+			deliver(src, id, Message[int]{Kind: KindPullResp, Updates: o.Store().MissingFor(nil)})
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			publish(src, fmt.Sprintf("k%d", rng.Intn(20)), randomValue(rng))
+		}
+		all := src.Store().MissingFor(nil)
+		clock := version.Clock{}
+		for origin, have := range src.Store().Clock() {
+			if c := uint64(rng.Int63n(int64(have) + 1)); c > 0 {
+				clock[origin] = c
+			}
+		}
+		want, frontier := src.RenderPullResp(clock)
+		if frontier != nil {
+			t.Fatalf("trial %d: a cut with snapshot catch-up off", trial)
+		}
+
+		var chunks []Message[int]
+		src.AnswerPull(clock, peers, func(m Message[int]) bool {
+			chunks = append(chunks, m)
+			return true
+		})
+		var got []store.Update
+		for i, m := range chunks {
+			last := i == len(chunks)-1
+			if m.Kind != KindPullResp || m.IsPullIntent() || (m.Peers != nil) != last {
+				t.Fatalf("trial %d: chunk %d of %d: %+v", trial, i, len(chunks), m)
+			}
+			size := 0
+			for _, u := range m.Updates {
+				size += u.SizeBytes()
+			}
+			if len(m.Updates) == 0 && len(want) > 0 || size > SnapshotChunkBytes && len(m.Updates) != 1 {
+				t.Fatalf("trial %d: chunk %d has %d updates of %d bytes", trial, i, len(m.Updates), size)
+			}
+			got = append(got, m.Updates...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: chunks carry %d updates, the delta %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Ref() != want[i].Ref() {
+				t.Fatalf("trial %d: update %d is %v, want %v", trial, i, got[i].Ref(), want[i].Ref())
+			}
+		}
+
+		// Two requesters at clock, both waiting to be synchronised: one
+		// takes the chunks, one the whole delta.
+		requester := func(id int) *Engine[int] {
+			e, _ := newTestEngine(t, id, Config[int]{PullAttempts: 1, LazyPull: true}, nil)
+			for _, u := range all {
+				if u.Seq <= clock.Get(u.Origin) {
+					deliver(e, 1, Message[int]{Kind: KindPullResp, Updates: []store.Update{u}})
+				}
+			}
+			e.CameOnline()
+			return e
+		}
+		chunked, whole := requester(10), requester(11)
+		for i, m := range chunks {
+			deliver(chunked, 1, m)
+			c := chunked.Store().Clock()
+			for _, u := range m.Updates {
+				if c.Get(u.Origin) < u.Seq {
+					t.Fatalf("trial %d: after chunk %d the clock %v does not cover %v", trial, i, c, u.Ref())
+				}
+			}
+		}
+		deliver(whole, 1, Message[int]{Kind: KindPullResp, Updates: want, Peers: peers})
+		if !chunked.Store().Equal(whole.Store()) ||
+			chunked.Store().Clock().Compare(whole.Store().Clock()) != version.Equal ||
+			chunked.NotConfident() != whole.NotConfident() {
+			t.Fatalf("trial %d: chunk by chunk (confident %v) differs from the whole delta (confident %v)",
+				trial, !chunked.NotConfident(), !whole.NotConfident())
+		}
+
+		// An undelivered chunk ends the answer.
+		if len(chunks) > 1 {
+			stop, calls := rng.Intn(len(chunks)-1), 0
+			src.AnswerPull(clock, peers, func(Message[int]) bool {
+				calls++
+				return calls <= stop
+			})
+			if calls != stop+1 {
+				t.Fatalf("trial %d: send refused message %d, AnswerPull made %d calls", trial, stop, calls)
+			}
+		}
+	}
+
+	// An empty delta is one empty response with the peers.
+	src, _ := newTestEngine(t, 1, Config[int]{}, nil)
+	publish(src, "k", []byte("v"))
+	var msgs []Message[int]
+	src.AnswerPull(src.Store().Clock(), peers, func(m Message[int]) bool {
+		msgs = append(msgs, m)
+		return true
+	})
+	if len(msgs) != 1 || msgs[0].Kind != KindPullResp || len(msgs[0].Updates) != 0 || len(msgs[0].Peers) != 2 {
+		t.Fatalf("empty delta answered with %+v, want one empty response with the peers", msgs)
+	}
+}
+
+// randomValue is a value of up to twice SnapshotChunkBytes, mostly small.
+func randomValue(rng *rand.Rand) []byte {
+	if rng.Intn(8) == 0 {
+		return make([]byte, rng.Intn(2*SnapshotChunkBytes))
+	}
+	return make([]byte, rng.Intn(SnapshotChunkBytes/4))
 }
 
 // TestDeferPullRenderIntentMatchesEagerPath: with DeferPullRender the engine

@@ -165,8 +165,8 @@ func (p *Peer) PeakPendingPerDest() int { return p.peakPending }
 // emit puts one engine message on the simulated wire, charging the byte
 // size the live binary codec would. A deferred pull answer — the intent of
 // Config.DeferPullRender, on exactly when LinkBudget is — is rendered here,
-// at transmission time; a snapshot stream's chunks together spend the one
-// link token the intent was admitted on.
+// at transmission time; the answer's chunks, of a delta or of a snapshot
+// stream, together spend the one link token the intent was admitted on.
 func (p *Peer) emit(to int, m engine.Message[int]) {
 	if m.IsPullIntent() {
 		p.eng.AnswerPull(m.Clock, m.Peers, func(answer engine.Message[int]) bool {

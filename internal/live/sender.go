@@ -144,13 +144,13 @@ func (s *peerSender) deliver() {
 // flush transmits one taken batch — its pushes already rendered into s.envs,
 // m the first message after them — late-binding everything else that depends
 // on current state: the pull-request clock from the store, and the pull
-// answer from the coalesced minimum requester clock. The answer goes last: a
-// delta, or the first chunk of a snapshot stream, closes the batch; a
-// stream's remaining chunks follow one per transport write — the receiver
-// applies chunk k while chunk k+1 is encoded here, and neither side holds
-// more than a chunk of encoding — stopping at the first write that fails, so
-// a frontier never follows a hole the sender knows of. Protocol counters fire
-// here — at actual transmission — not at deposit.
+// answer from the coalesced minimum requester clock. The answer goes last:
+// its first chunk, of a delta or of a snapshot stream, closes the batch; the
+// remaining chunks follow one per transport write — the receiver applies
+// chunk k while chunk k+1 is encoded here, and neither side holds more than a
+// chunk of encoding — stopping at the first write that fails, so a frontier
+// never follows a hole the sender knows of. Protocol counters fire here — at
+// actual transmission — not at deposit.
 func (s *peerSender) flush(p *engine.Pending[string], m engine.Message[string], ok bool) {
 	r := s.r
 	envs := s.envs
@@ -181,19 +181,22 @@ func (s *peerSender) flush(p *engine.Pending[string], m engine.Message[string], 
 		// AnswerPull reads only the store and immutable config, so it runs
 		// without the replica lock — cutting the live state for a far-behind
 		// peer never stalls the protocol.
+		delta := false
 		r.eng.AnswerPull(intent.Clock, intent.Peers, func(m engine.Message[string]) bool {
 			envs = append(envs, envelopeFromEngine(r.addr, m))
 			sent := s.send(envs)
 			used, envs = max(used, len(envs)), envs[:0]
-			switch {
-			case m.Kind == engine.KindPullResp:
-				r.inc(MetricPullServed)
-			case m.Last && sent:
+			delta = m.Kind == engine.KindPullResp
+			if m.Last && sent {
 				// A catch-up counts as served once its last chunk went out.
 				r.inc(MetricSnapshotServed)
 			}
 			return sent
 		})
+		if delta {
+			// One answer, however many chunks carried it.
+			r.inc(MetricPullServed)
+		}
 	}
 	s.envs = recycle(envs, max(used, len(envs)))
 }

@@ -17,7 +17,8 @@ import (
 
 // Tests for snapshot catch-up as a chunked stream of the responder's live
 // cut: safety of the cut under concurrent applies, the 16 MiB single-frame
-// ceiling gone, and the torn-stream rule on both ends of the link.
+// ceiling gone for cuts and deltas alike, and the torn-stream rule on both
+// ends of the link.
 
 func testWriter(t *testing.T, origin string) *store.Writer {
 	t.Helper()
