@@ -9,14 +9,17 @@ BASE ?= HEAD
 build:
 	go build ./...
 
+# test and race run through scripts/gotest.sh: it keeps the `go test -json`
+# stream in test-logs/ and, when a test fails, prints the failing tests' names
+# and the tail of their output.
 test:
-	go test ./...
+	scripts/gotest.sh test-logs/test.json ./...
 
 # The sharded store's stress/property tests, the live ingest pipeline and the
 # write-ahead log's concurrent appends are the main race surfaces; run them
 # with real scheduler parallelism even on constrained runners.
 race:
-	GOMAXPROCS=4 go test -race . ./internal/live/... ./internal/gossip/... \
+	GOMAXPROCS=4 scripts/gotest.sh test-logs/race.json -race . ./internal/live/... ./internal/gossip/... \
 		./internal/engine/... ./internal/store/... ./internal/wal/...
 
 # bench-smoke is the CI guard: every hot-path benchmark compiles and runs
@@ -75,7 +78,7 @@ loc:
 # exceeds LOC_CEILING, the total of the last PR that lowered it. A PR that
 # deletes code lowers the ceiling to its own total; one that must add code
 # raises it in the open, in the same diff.
-LOC_CEILING := 17596
+LOC_CEILING := 17392
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -52,6 +52,7 @@
 // snapshot-on-shutdown; see the "Serving surface" section of DESIGN.md and
 // docs/OPERATIONS.md for running and operating it.
 //
-// See the examples/ directory for complete programs and DESIGN.md for the
-// architecture.
+// ExampleOpen and ExampleNode_Pull show a Watch seeing a pushed update and an
+// offline node catching up by Pull; the examples/ directory has longer
+// programs, and DESIGN.md describes the architecture.
 package pushpull

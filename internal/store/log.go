@@ -77,9 +77,17 @@ func (g *seqLog) at(i int) *Update {
 	return &g.more[i/logPage-1][i%logPage]
 }
 
-// search returns the index of the first entry with Seq >= seq.
+// search returns the index of the first entry with Seq >= seq, in O(1) for a
+// sequence at or past the tail: in-order replay, pull chunks and pushes.
 func (g *seqLog) search(seq uint64) int {
-	return sort.Search(g.len(), func(i int) bool { return g.at(i).Seq >= seq })
+	n := g.len()
+	if n == 0 || g.at(n-1).Seq < seq {
+		return n
+	}
+	if g.at(n-1).Seq == seq { // sequences are unique
+		return n - 1
+	}
+	return sort.Search(n-1, func(i int) bool { return g.at(i).Seq >= seq })
 }
 
 // contiguous returns the highest sequence reached from cur by consecutive
@@ -160,9 +168,8 @@ func (l *originLog) have(origin string, seq uint64) bool {
 // segment over the contiguous prefix of received sequence numbers. A gap
 // (update lost in flight) keeps the clock low so that a later pull
 // re-fetches the hole. The log is Seq-sorted, so the walk starts at the
-// binary-searched frontier and covers only the newly contiguous run —
-// in-order delivery advances in O(log n) + O(1) instead of rescanning the
-// whole log.
+// searched frontier and covers only the newly contiguous run — in-order
+// delivery advances in O(1) instead of rescanning the whole log.
 func (l *originLog) record(u Update) {
 	if u.Seq <= l.compacted.Get(u.Origin) {
 		// Covered by the compaction watermark: a straggling copy of history

@@ -245,3 +245,27 @@ func TestOneEntryLog(t *testing.T) {
 		t.Fatal("a delta across the compacted entry reported exact")
 	}
 }
+
+// TestSeqLogSearch checks search against a linear scan on an empty log and
+// on a gapped log of several pages: mid-log sequences, present and absent,
+// take the binary search, and the tail, one past it and far past it take
+// the constant-time answer.
+func TestSeqLogSearch(t *testing.T) {
+	var g seqLog
+	if got := g.search(1); got != 0 {
+		t.Fatalf("search(1) on an empty log = %d, want 0", got)
+	}
+	for s := uint64(2); s <= 2*(2*logPage+7); s += 2 {
+		g.insert(g.len(), Update{Seq: s})
+	}
+	tail := g.at(g.len() - 1).Seq
+	for _, seq := range []uint64{0, 1, 2, 3, logPage, 2*logPage + 1, tail - 1, tail, tail + 1, tail + 1000} {
+		want := 0
+		for want < g.len() && g.at(want).Seq < seq {
+			want++
+		}
+		if got := g.search(seq); got != want {
+			t.Fatalf("search(%d) = %d, want %d", seq, got, want)
+		}
+	}
+}

@@ -154,10 +154,11 @@ func scanSegment(path string) (scanResult, error) {
 }
 
 // replaySegment streams the records of one segment up to limit (the replay
-// horizon frozen at Open), decoding bodies and invoking fn. The records
-// were checksum-validated by scanSegment; a framing or checksum failure
-// here means the file changed under us and is an error, not salvage.
-func replaySegment(path string, limit int64, st *ReplayStats, fn func(Record) error) error {
+// horizon frozen at Open), decoding bodies and invoking fn, with the zero
+// Record for a body that does not decode. The records were
+// checksum-validated by scanSegment; a framing or checksum failure here
+// means the file changed under us and is an error, not salvage.
+func replaySegment(path string, limit int64, fn func(Record) error) error {
 	if limit <= headerSize {
 		return nil
 	}
@@ -191,38 +192,26 @@ func replaySegment(path string, limit int64, st *ReplayStats, fn func(Record) er
 		if crc32.Checksum(body, crcTable) != crc {
 			return fmt.Errorf("wal: replay %s: checksum mismatch inside validated region", path)
 		}
-		rec, ok := decodeRecord(body)
-		if !ok {
-			st.Skipped++
-			continue
-		}
-		st.Records++
-		if err := fn(rec); err != nil {
+		if err := fn(decodeRecord(body)); err != nil {
 			return err
 		}
 	}
 }
 
-// decodeRecord parses a checksum-valid record body. ok is false when the
-// kind is unknown or the payload does not decode — the record is skipped,
-// never delivered half-parsed.
-func decodeRecord(body []byte) (Record, bool) {
-	kind := RecordKind(body[0])
+// decodeRecord parses a checksum-valid record body. It returns the zero
+// Record when the kind is unknown or the payload does not decode — the
+// record is skipped, never delivered half-parsed.
+func decodeRecord(body []byte) Record {
 	payload := body[1:]
-	switch kind {
+	switch RecordKind(body[0]) {
 	case RecordUpdate:
-		u, err := wire.DecodeStoreUpdate(payload)
-		if err != nil {
-			return Record{}, false
+		if u, err := wire.DecodeStoreUpdate(payload); err == nil {
+			return Record{Kind: RecordUpdate, Update: u}
 		}
-		return Record{Kind: RecordUpdate, Update: u}, true
 	case RecordFrontier:
-		c, err := wire.DecodeClock(payload)
-		if err != nil {
-			return Record{}, false
+		if c, err := wire.DecodeClock(payload); err == nil {
+			return Record{Kind: RecordFrontier, Frontier: c}
 		}
-		return Record{Kind: RecordFrontier, Frontier: c}, true
-	default:
-		return Record{}, false
 	}
+	return Record{}
 }

@@ -779,21 +779,84 @@ func (l *Log) pruneBefore(boundary uint64) (int, error) {
 // first, stopping at the first callback error. Records appended after Open
 // are not visited, so recovery can overlap live traffic without replaying
 // it into itself. Checksum-valid bodies that fail to decode are skipped and
-// counted, never delivered.
+// counted, never delivered. A reader goroutine decodes the next batches while
+// fn runs on the caller's goroutine, and has exited when Replay returns.
 func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	l.mu.Lock()
 	segs := append([]replaySeg(nil), l.replaySegs...)
 	l.mu.Unlock()
-	for _, seg := range segs {
-		if err := replaySegment(segmentPath(l.dir, seg.idx), seg.limit, &st, fn); err != nil {
-			return st, err
+	// Three recycled batches of 256 records: the reader runs at most three
+	// batches ahead, and as either channel holds all of them no send blocks.
+	free, full := make(chan []Record, 3), make(chan []Record, 3)
+	for i := 0; i < cap(free); i++ {
+		free <- make([]Record, 0, 256)
+	}
+	var err, readErr error
+	go l.readBatches(segs, free, full, &readErr)
+	for b := range full {
+		if err != nil {
+			continue // drain until the reader has exited
 		}
+		for _, rec := range b {
+			if rec.Kind == 0 {
+				st.Skipped++
+				continue
+			}
+			st.Records++
+			if err = fn(rec); err != nil {
+				close(free) // stops the reader
+				break
+			}
+		}
+		if err == nil {
+			clear(b)
+			free <- b[:0]
+		}
+	}
+	if err == nil {
+		err = readErr
+	}
+	if err != nil {
+		return st, err
 	}
 	if st.Skipped > 0 {
 		l.count(MetricRecoverSkippedRecords, float64(st.Skipped))
 	}
 	return st, nil
+}
+
+// errReplayStopped ends the reader once Replay has closed the free channel.
+var errReplayStopped = errors.New("wal: replay stopped")
+
+// readBatches is Replay's reader: it decodes the records of segs, the zero
+// Record for a body that does not decode, into batches taken from free and
+// sends them on full in log order. It stops when the segments end, one fails
+// to read, or free is closed, then sets *errp and closes full.
+func (l *Log) readBatches(segs []replaySeg, free <-chan []Record, full chan<- []Record, errp *error) {
+	b := <-free
+	add := func(rec Record) error {
+		if b = append(b, rec); len(b) < cap(b) {
+			return nil
+		}
+		full <- b
+		var ok bool
+		if b, ok = <-free; !ok {
+			return errReplayStopped
+		}
+		return nil
+	}
+	var err error
+	for _, seg := range segs {
+		if err = replaySegment(segmentPath(l.dir, seg.idx), seg.limit, add); err != nil {
+			break
+		}
+	}
+	if len(b) > 0 {
+		full <- b
+	}
+	*errp = err
+	close(full)
 }
 
 // CheckpointPath is where Checkpoint writes the application snapshot.
