@@ -14,6 +14,11 @@ import (
 // zero.
 const DefaultWALCheckpointBytes = 16 << 20
 
+// walCheckpointSegments is the segment count past which the janitor
+// checkpoints whatever the log's size: every restart starts a segment, so a
+// node that restarts often but writes little would otherwise pile up files.
+const walCheckpointSegments = 64
+
 // WALRecovery reports what RecoverWAL restored from disk.
 type WALRecovery struct {
 	// CheckpointRestored is the number of updates the checkpoint snapshot
@@ -27,7 +32,8 @@ type WALRecovery struct {
 	Duplicates int
 	// Frontiers is the number of frontier-adoption records replayed.
 	Frontiers int
-	// TruncatedBytes is how many torn-tail bytes recovery dropped.
+	// TruncatedBytes is how many bytes of torn or damaged segments recovery
+	// did not replay.
 	TruncatedBytes int64
 }
 
@@ -99,7 +105,7 @@ func (r *Replica) RecoverWAL() (WALRecovery, error) {
 		}
 		rec.CheckpointRestored = r.st.UpdateCount()
 	}
-	_, err := l.Replay(func(record wal.Record) error {
+	st, err := l.Replay(func(record wal.Record) error {
 		switch record.Kind {
 		case wal.RecordUpdate:
 			res, _ := r.st.ApplyObserved(record.Update)
@@ -120,7 +126,7 @@ func (r *Replica) RecoverWAL() (WALRecovery, error) {
 	// The log may carry our own origin past the writer's counter; never
 	// reuse sequence numbers after a restart.
 	r.writer.Resync()
-	rec.TruncatedBytes = l.Stats().TruncatedBytes
+	rec.TruncatedBytes = st.TruncatedBytes
 	r.add(wal.MetricReplayed, rec.Replayed)
 	r.add(wal.MetricReplayDuplicates, rec.Duplicates)
 	return rec, nil
@@ -139,8 +145,9 @@ func (r *Replica) CheckpointWAL() (int, error) {
 }
 
 // maybeCheckpointWAL runs a checkpoint when the log has outgrown the
-// configured threshold. Failures are latched and counted by the log
-// itself; the janitor retries on its next pass.
+// configured threshold or holds more than walCheckpointSegments segments.
+// Failures are latched and counted by the log itself; the janitor retries
+// on its next pass.
 func (r *Replica) maybeCheckpointWAL() {
 	l := r.cfg.WAL
 	if l == nil {
@@ -150,7 +157,7 @@ func (r *Replica) maybeCheckpointWAL() {
 	if limit <= 0 {
 		limit = DefaultWALCheckpointBytes
 	}
-	if l.Size() < limit {
+	if l.Size() < limit && l.Segments() <= walCheckpointSegments {
 		return
 	}
 	_, _ = r.CheckpointWAL()

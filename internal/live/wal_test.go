@@ -337,3 +337,39 @@ func TestSnapshotCatchUpLogsFrontier(t *testing.T) {
 		t.Fatalf("recovered clock %v, want the adopted %v", c.Store().Clock(), want)
 	}
 }
+
+// TestWALJanitorCheckpointsManySegments: every restart starts a segment, so
+// a replica reopened often without writing piles up files far below the
+// byte threshold. One janitor pass past walCheckpointSegments brings the
+// log back to one segment.
+func TestWALJanitorCheckpointsManySegments(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 70; i++ {
+		if err := openWAL(t, dir, wal.Options{}).Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := openWAL(t, dir, wal.Options{})
+	defer l.Close()
+	if l.Segments() <= walCheckpointSegments {
+		t.Fatalf("%d segments after 70 reopens, want more than %d", l.Segments(), walCheckpointSegments)
+	}
+	tr, err := NewHub().Attach("restarts-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := walConfig()
+	cfg.WAL = l
+	r, err := NewReplica(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	if _, err := r.RecoverWAL(); err != nil {
+		t.Fatalf("RecoverWAL: %v", err)
+	}
+	r.RunJanitor()
+	if got := l.Segments(); got != 1 {
+		t.Fatalf("%d segments after one janitor pass, want 1", got)
+	}
+}

@@ -43,19 +43,19 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("wal: renaming %s: %w", path, err)
 	}
-	return SyncDir(dir)
+	return syncPath(dir)
 }
 
-// SyncDir fsyncs a directory, making its entries (renames, creations,
-// removals) durable.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncPath fsyncs a file, or a directory, which makes its entries
+// (renames, creations, removals) durable.
+func syncPath(path string) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("wal: opening dir %s: %w", dir, err)
+		return fmt.Errorf("wal: opening %s: %w", path, err)
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: syncing dir %s: %w", dir, err)
+	defer f.Close()
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("wal: syncing %s: %w", path, err)
 	}
 	return nil
 }

@@ -68,12 +68,11 @@ func decodeOracle(body []byte) (Record, bool) {
 	}
 }
 
-// FuzzWALRecover feeds arbitrary bytes to recovery as a lone tail segment.
-// Recovery must never panic, must accept any tail damage (Open error is a
-// bug for a single segment in salvage mode), must deliver exactly the
-// oracle's record sequence — so no record failing its checksum is ever
-// replayed — and must leave a log that accepts appends and recovers
-// stably a second time.
+// FuzzWALRecover feeds arbitrary bytes to recovery as a lone segment.
+// Recovery must never panic, must accept any damage (an Open or Replay
+// error is a bug), must deliver exactly the oracle's record sequence — so
+// no record failing its checksum is ever replayed — and must leave a log
+// that accepts appends and recovers the same way a second time.
 func FuzzWALRecover(f *testing.F) {
 	// Seed: a clean log, then truncations and bit flips at interesting
 	// offsets.
@@ -118,7 +117,7 @@ func FuzzWALRecover(f *testing.F) {
 
 		l, err := Open(Options{Dir: dir, Policy: SyncNever})
 		if err != nil {
-			t.Fatalf("Open rejected tail damage: %v", err)
+			t.Fatalf("Open rejected a damaged segment: %v", err)
 		}
 		var got []Record
 		st, err := l.Replay(func(r Record) error {
@@ -138,8 +137,8 @@ func FuzzWALRecover(f *testing.F) {
 			}
 		}
 
-		// Recovery repaired the file: it must accept appends and recover
-		// the same records plus the new one next time.
+		// The log must accept appends, and the next recovery must see the
+		// same records plus the new one and report the same damage.
 		if err := l.Append(testUpdate(999)); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
@@ -160,9 +159,8 @@ func FuzzWALRecover(f *testing.F) {
 			t.Fatalf("second recovery saw %d records (skipped %d), want %d (%d)",
 				n, st2.Skipped, len(wantRecs)+1, wantSkipped)
 		}
-		if l2.Stats().TruncatedBytes != 0 {
-			t.Fatalf("second recovery truncated again (%d bytes): repair did not persist",
-				l2.Stats().TruncatedBytes)
+		if st2.TruncatedBytes != st.TruncatedBytes {
+			t.Fatalf("second recovery TruncatedBytes = %d, first %d", st2.TruncatedBytes, st.TruncatedBytes)
 		}
 	})
 }

@@ -1,13 +1,16 @@
 package wal
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
+	"time"
 
 	"github.com/p2pgossip/update/internal/wire"
 )
@@ -93,17 +96,17 @@ func frameRecord(body []byte) []byte {
 
 // TestRecoverCrashPoints drives the torn-write/corruption matrix: each case
 // damages a clean 5-record segment at a chosen byte and asserts how many
-// records survive recovery. Recovery must never error on tail damage —
-// that is the expected crash artifact — and must drop everything from the
+// records survive recovery and how many bytes it reports not replaying.
+// Recovery must never error on damage, and must drop everything from the
 // first bad record onward (fsync ordering means no later record was ever
 // acknowledged durable).
 func TestRecoverCrashPoints(t *testing.T) {
 	const n = 5
 	cases := []struct {
-		name    string
-		damage  func(t *testing.T, path string, offs []int64)
-		want    int   // records recovered
-		minTrim int64 // minimum TruncatedBytes reported
+		name   string
+		damage func(t *testing.T, path string, offs []int64)
+		want   int                      // records recovered
+		trim   func(offs []int64) int64 // TruncatedBytes reported
 	}{
 		{
 			name:   "clean",
@@ -115,32 +118,32 @@ func TestRecoverCrashPoints(t *testing.T) {
 			damage: func(t *testing.T, path string, offs []int64) {
 				truncateAt(t, path, offs[n]-3)
 			},
-			want:    n - 1,
-			minTrim: 1,
+			want: n - 1,
+			trim: func(offs []int64) int64 { return offs[n] - 3 - offs[n-1] },
 		},
 		{
 			name: "torn-record-header",
 			damage: func(t *testing.T, path string, offs []int64) {
 				truncateAt(t, path, offs[n-1]+4)
 			},
-			want:    n - 1,
-			minTrim: 1,
+			want: n - 1,
+			trim: func(offs []int64) int64 { return 4 },
 		},
 		{
 			name: "corrupt-last-crc",
 			damage: func(t *testing.T, path string, offs []int64) {
 				flipByte(t, path, offs[n-1]+recordHeaderSize) // first body byte
 			},
-			want:    n - 1,
-			minTrim: 1,
+			want: n - 1,
+			trim: func(offs []int64) int64 { return offs[n] - offs[n-1] },
 		},
 		{
 			name: "corrupt-mid-record",
 			damage: func(t *testing.T, path string, offs []int64) {
 				flipByte(t, path, offs[1]+recordHeaderSize+2)
 			},
-			want:    1, // records after the bad one were never acked durable
-			minTrim: 1,
+			want: 1, // records after the bad one were never acked durable
+			trim: func(offs []int64) int64 { return offs[n] - offs[1] },
 		},
 		{
 			name: "implausible-length",
@@ -156,24 +159,41 @@ func TestRecoverCrashPoints(t *testing.T) {
 					t.Fatalf("WriteAt: %v", err)
 				}
 			},
-			want:    n - 1,
-			minTrim: 1,
+			want: n - 1,
+			trim: func(offs []int64) int64 { return offs[n] - offs[n-1] },
 		},
 		{
 			name: "garbage-tail",
 			damage: func(t *testing.T, path string, offs []int64) {
 				appendRaw(t, path, []byte("\x00\x00\x00\x0bnot a frame"))
 			},
-			want:    n,
-			minTrim: 1,
+			want: n,
+			trim: func(offs []int64) int64 { return 15 },
+		},
+		{
+			name: "bad-segment-header",
+			damage: func(t *testing.T, path string, offs []int64) {
+				flipByte(t, path, 0)
+			},
+			want: 0,
+			trim: func(offs []int64) int64 { return offs[n] },
+		},
+		{
+			// No longer than its header, so never opened: the bad magic
+			// goes unread and uncounted.
+			name: "header-only-bad-magic",
+			damage: func(t *testing.T, path string, offs []int64) {
+				truncateAt(t, path, headerSize)
+				flipByte(t, path, 0)
+			},
+			want: 0,
 		},
 		{
 			name: "torn-segment-header",
 			damage: func(t *testing.T, path string, offs []int64) {
 				truncateAt(t, path, 3)
 			},
-			want:    0,
-			minTrim: 1,
+			want: 0,
 		},
 		{
 			name: "empty-file",
@@ -189,24 +209,30 @@ func TestRecoverCrashPoints(t *testing.T) {
 			path := buildLog(t, dir, n)
 			offs := recordOffsets(t, path)
 			tc.damage(t, path, offs)
+			var trim int64
+			if tc.trim != nil {
+				trim = tc.trim(offs)
+			}
 
-			l := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
+			cm := &countingMetrics{}
+			l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, Metrics: cm})
 			recs, st := replayAll(t, l)
 			if len(recs) != tc.want {
-				t.Fatalf("recovered %d records, want %d (stats %+v, open %+v)",
-					len(recs), tc.want, st, l.Stats())
+				t.Fatalf("recovered %d records, want %d (stats %+v)", len(recs), tc.want, st)
 			}
 			for i, r := range recs {
 				if !reflect.DeepEqual(r.Update, testUpdate(i)) {
 					t.Fatalf("recovered record %d = %+v, want testUpdate(%d)", i, r.Update, i)
 				}
 			}
-			if got := l.Stats().TruncatedBytes; got < tc.minTrim {
-				t.Fatalf("TruncatedBytes = %d, want >= %d", got, tc.minTrim)
+			if st.TruncatedBytes != trim || cm.get(MetricRecoverTruncatedBytes) != float64(trim) {
+				t.Fatalf("TruncatedBytes = %d, %s = %v; want %d",
+					st.TruncatedBytes, MetricRecoverTruncatedBytes, cm.get(MetricRecoverTruncatedBytes), trim)
 			}
 			// The log must accept appends after recovery, and a second
-			// recovery must see old + new records: truncation repaired the
-			// file, not just skipped the damage.
+			// recovery must see old + new records and report the same
+			// damage: recovery repairs nothing, so the damaged bytes stay
+			// until a checkpoint prunes their segment.
 			if err := l.Append(testUpdate(100)); err != nil {
 				t.Fatalf("Append after recovery: %v", err)
 			}
@@ -215,12 +241,12 @@ func TestRecoverCrashPoints(t *testing.T) {
 			}
 			l2 := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
 			defer l2.Close()
-			recs2, _ := replayAll(t, l2)
-			if len(recs2) != tc.want+1 {
-				t.Fatalf("second recovery saw %d records, want %d", len(recs2), tc.want+1)
+			recs2, st2 := replayAll(t, l2)
+			if len(recs2) != tc.want+1 || !reflect.DeepEqual(recs2[tc.want].Update, testUpdate(100)) {
+				t.Fatalf("second recovery saw %d records, want %d ending in the appended one", len(recs2), tc.want+1)
 			}
-			if got := l2.Stats().TruncatedBytes; got != 0 {
-				t.Fatalf("second recovery still truncating (%d bytes); repair was not persisted", got)
+			if st2.TruncatedBytes != trim {
+				t.Fatalf("second recovery TruncatedBytes = %d, want the first's %d", st2.TruncatedBytes, trim)
 			}
 		})
 	}
@@ -297,11 +323,11 @@ func TestRecoverEmptySegments(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	idxs, err := listSegments(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatalf("listSegments: %v", err)
 	}
-	max := idxs[len(idxs)-1]
+	max := segs[len(segs)-1].idx
 	// A sealed header-only segment (a rotation that never took appends).
 	if err := os.WriteFile(segmentPath(dir, max+1), segmentHeader(), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -331,44 +357,145 @@ func TestRecoverEmptySegments(t *testing.T) {
 	}
 }
 
-// TestRecoverSealedDamageStrictVsSalvage: damage outside the tail segment
-// is not a crash artifact (sealed segments are fsynced before a successor
-// exists). Strict mode refuses to open; salvage mode keeps the valid
-// prefix and counts the segment.
-func TestRecoverSealedDamageStrictVsSalvage(t *testing.T) {
+// TestRecoverDamagedMiddleSegment: damage in a segment that is neither the
+// first nor the last stops that segment only. Replay delivers the valid
+// prefix, drops the rest of the damaged segment, goes on with the later
+// segments, and reports exactly the dropped bytes.
+func TestRecoverDamagedMiddleSegment(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
 	appendN(t, l, 0, 40)
-	if segs := l.Segments(); segs < 3 {
-		t.Fatalf("want multiple segments, got %d", segs)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	firstOffs := recordOffsets(t, segmentPath(dir, 1))
-	flipByte(t, segmentPath(dir, 1), firstOffs[1]+recordHeaderSize+1)
-
-	if _, err := Open(Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256, Strict: true}); err == nil {
-		t.Fatalf("Strict open accepted a damaged sealed segment")
-	} else if !strings.Contains(err.Error(), "sealed segment") {
-		t.Fatalf("Strict open error = %v, want sealed-segment mention", err)
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(segs) < 3 {
+		t.Fatalf("want several segments, got %d", len(segs))
+	}
+	// Corrupt the second record of the second segment.
+	before := len(recordOffsets(t, segmentPath(dir, segs[0].idx))) - 1
+	path := segmentPath(dir, segs[1].idx)
+	offs := recordOffsets(t, path)
+	flipByte(t, path, offs[1]+recordHeaderSize+1)
+	lost := len(offs) - 2 // records at offs[1:len-1]
 
 	l2 := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
 	defer l2.Close()
-	recs, _ := replayAll(t, l2)
-	if len(recs) >= 40 || len(recs) < 1 {
-		t.Fatalf("salvage recovered %d records, want a strict subset keeping the valid prefix", len(recs))
+	recs, st := replayAll(t, l2)
+	var want []int
+	for i := 0; i < 40; i++ {
+		if i <= before || i >= before+1+lost {
+			want = append(want, i)
+		}
 	}
-	if !reflect.DeepEqual(recs[0].Update, testUpdate(0)) {
-		t.Fatalf("salvaged prefix lost record 0: %+v", recs[0].Update)
+	if len(recs) != len(want) {
+		t.Fatalf("recovered %d records, want %d", len(recs), len(want))
 	}
-	if got := l2.Stats().SkippedSegments; got != 1 {
-		t.Fatalf("SkippedSegments = %d, want 1", got)
+	for j, i := range want {
+		if !reflect.DeepEqual(recs[j].Update, testUpdate(i)) {
+			t.Fatalf("record %d = %+v, want testUpdate(%d)", j, recs[j].Update, i)
+		}
 	}
-	// Ensure the damaged file itself was not modified: salvage is
-	// read-only outside the tail.
-	if _, err := os.Stat(filepath.Join(dir, "wal-00000001.seg")); err != nil {
-		t.Fatalf("sealed segment removed by salvage: %v", err)
+	if got, want := st.TruncatedBytes, offs[len(offs)-1]-offs[1]; got != want {
+		t.Fatalf("TruncatedBytes = %d, want %d", got, want)
+	}
+}
+
+// fileDigests maps every file in dir to its size and SHA-256.
+func fileDigests(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fmt.Sprintf("%d:%x", len(data), sha256.Sum256(data))
+	}
+	return out
+}
+
+// TestRecoverReadOnly: Open + Replay of a log with a torn tail and a
+// corrupted middle segment changes no existing file, not even to repair
+// it. The one file added is the segment the new process appends to.
+func TestRecoverReadOnly(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
+	appendN(t, l, 0, 40)
+	if _, err := l.Checkpoint(func(w io.Writer) error {
+		_, err := io.WriteString(w, "snapshot")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 40, 40)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := segmentPath(dir, segs[len(segs)/2].idx)
+	flipByte(t, mid, headerSize+recordHeaderSize)
+	tail := segmentPath(dir, segs[len(segs)-1].idx)
+	offs := recordOffsets(t, tail)
+	truncateAt(t, tail, offs[len(offs)-1]-3)
+
+	before := fileDigests(t, dir)
+	l2 := mustOpen(t, Options{Dir: dir, Policy: SyncAlways, SegmentBytes: 256})
+	_, st := replayAll(t, l2)
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st.TruncatedBytes == 0 {
+		t.Fatal("recovery reported no damage")
+	}
+	after := fileDigests(t, dir)
+	added := segmentPath(dir, segs[len(segs)-1].idx+1)
+	for name, d := range before {
+		if after[name] != d {
+			t.Errorf("%s changed: %s -> %q", name, d, after[name])
+		}
+	}
+	for name, d := range after {
+		if _, ok := before[name]; !ok && filepath.Join(dir, name) != added {
+			t.Errorf("recovery added %s (%s); only %s may be new", name, d, filepath.Base(added))
+		}
+	}
+	if len(after) != len(before)+1 {
+		t.Fatalf("%d files after recovery, want %d", len(after), len(before)+1)
+	}
+}
+
+// TestOpenSyncsInheritedSegment: opening an existing log fsyncs its newest
+// segment once, which the previous process may have left in the page
+// cache, unless the policy never fsyncs.
+func TestOpenSyncsInheritedSegment(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
+	appendN(t, l, 0, 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		policy SyncPolicy
+		want   float64
+	}{{SyncInterval, 1}, {SyncNever, 0}} {
+		cm := &countingMetrics{}
+		l := mustOpen(t, Options{Dir: dir, Policy: tc.policy, Interval: time.Hour, Metrics: cm})
+		if got := cm.get(MetricFsyncs); got != tc.want {
+			t.Errorf("%v: %s = %v after Open, want %v", tc.policy, MetricFsyncs, got, tc.want)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

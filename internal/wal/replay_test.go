@@ -36,20 +36,20 @@ func replayLog(t *testing.T, dir string) []Record {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	idxs, err := listSegments(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body := append([]byte{byte(RecordUpdate)}, wire.AppendStoreUpdate(nil, testUpdate(9))...)
-	appendRaw(t, segmentPath(dir, idxs[len(idxs)-1]), frameRecord(append(body, 0xde, 0xad)))
+	appendRaw(t, segmentPath(dir, segs[len(segs)-1].idx), frameRecord(append(body, 0xde, 0xad)))
 	want = append(want, Record{})
 	l = mustOpen(t, o)
 	appendUpdates(l, 600, 400)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if segs := len(idxs); segs < 4 {
-		t.Fatalf("log spans %d segments, want several", segs)
+	if len(segs) < 4 {
+		t.Fatalf("log spans %d segments, want several", len(segs))
 	}
 	return want
 }
@@ -143,38 +143,50 @@ func TestReplayStopsAtCallbackError(t *testing.T) {
 	}
 }
 
+// TestReplayReportsCorruptionAfterEarlierRecords: a record corrupted on
+// disk after Open is salvaged like any other damage. The records before it
+// are delivered, the rest of its segment is dropped and counted, the later
+// segments are delivered, and Replay returns no error.
 func TestReplayReportsCorruptionAfterEarlierRecords(t *testing.T) {
 	dir := t.TempDir()
 	want := delivered(replayLog(t, dir))
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
 	defer l.Close()
 	// Corrupt the body of the 850th record on disk, past the reader's
-	// head start, after Open validated it.
+	// head start.
 	const target = 850
-	idxs, err := listSegments(dir)
+	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
-	for _, idx := range idxs {
-		offs := recordOffsets(t, segmentPath(dir, idx))
-		if n := len(offs) - 1; seen+n <= target {
+	var segEnd int
+	var dropped int64
+	for _, seg := range segs {
+		offs := recordOffsets(t, segmentPath(dir, seg.idx))
+		n := len(offs) - 1
+		if seen+n <= target {
 			seen += n
 			continue
 		}
-		flipByte(t, segmentPath(dir, idx), offs[target-seen]+recordHeaderSize)
+		flipByte(t, segmentPath(dir, seg.idx), offs[target-seen]+recordHeaderSize)
+		segEnd, dropped = seen+n, offs[n]-offs[target-seen]
 		break
 	}
 	base := runtime.NumGoroutine()
 	var got []Record
-	_, err = l.Replay(func(r Record) error {
+	st, err := l.Replay(func(r Record) error {
 		got = append(got, r)
 		return nil
 	})
-	if err == nil {
-		t.Fatal("Replay over a corrupted record succeeded")
+	if err != nil {
+		t.Fatalf("Replay over a corrupted record: %v", err)
 	}
-	// One record before the target is the skipped one.
-	sameRecords(t, got, want[:target-1])
+	// One record before the target is the skipped one, so on-disk record
+	// i is want[i-1].
+	sameRecords(t, got, append(want[:target-1:target-1], want[segEnd-1:]...))
+	if st.TruncatedBytes != dropped {
+		t.Fatalf("TruncatedBytes = %d, want %d", st.TruncatedBytes, dropped)
+	}
 	waitGoroutines(t, base)
 }

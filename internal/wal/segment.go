@@ -46,13 +46,14 @@ func segmentPath(dir string, idx uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.seg", idx))
 }
 
-// listSegments returns the segment indexes present in dir, ascending.
-func listSegments(dir string) ([]uint64, error) {
+// listSegments returns the segments present in dir and their sizes,
+// ascending by index.
+func listSegments(dir string) ([]sealedSeg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: listing %s: %w", dir, err)
 	}
-	var idxs []uint64
+	var segs []sealedSeg
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
@@ -62,140 +63,73 @@ func listSegments(dir string) ([]uint64, error) {
 		if err != nil || idx == 0 {
 			continue
 		}
-		idxs = append(idxs, idx)
+		fi, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("wal: stat %s: %w", segmentPath(dir, idx), err)
+		}
+		segs = append(segs, sealedSeg{idx: idx, size: fi.Size()})
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	return idxs, nil
+	sort.Slice(segs, func(i, j int) bool { return segs[i].idx < segs[j].idx })
+	return segs, nil
 }
 
 // putU32 writes x big-endian into b[:4].
 func putU32(b []byte, x uint32) { binary.BigEndian.PutUint32(b, x) }
 
-// scanResult is what scanSegment found.
-type scanResult struct {
-	// fileSize is the raw on-disk size.
-	fileSize int64
-	// validLen is the offset just past the last checksum-valid record (or
-	// past the header when no record is valid; zero when the header itself
-	// is damaged).
-	validLen int64
-	// records is the number of checksum-valid records.
-	records int
-	// damage describes why scanning stopped before fileSize; empty means
-	// the segment is clean to the end.
-	damage string
-}
-
-// scanSegment walks a segment's records, validating framing and checksums,
-// and reports the last valid boundary. It never modifies the file.
-func scanSegment(path string) (scanResult, error) {
-	var res scanResult
+// replaySegment streams the records of one segment of size bytes, decoding
+// bodies and invoking fn, with the zero Record for a body that does not
+// decode. It stops at the first invalid record — a bad segment header, a
+// torn record header or body, an implausible length, or a checksum mismatch
+// — and returns the offset where the valid records end. Only a read error or
+// fn's error is returned as an error.
+func replaySegment(path string, size int64, fn func(Record) error) (valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return res, fmt.Errorf("wal: opening %s: %w", path, err)
+		return 0, fmt.Errorf("wal: replay opening %s: %w", path, err)
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return res, fmt.Errorf("wal: stat %s: %w", path, err)
-	}
-	res.fileSize = fi.Size()
 	br := bufio.NewReaderSize(f, 64<<10)
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			res.damage = "short header"
-			return res, nil
-		}
-		return res, fmt.Errorf("wal: reading %s: %w", path, err)
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil || !bytes.Equal(hdr[:], segmentHeader()) {
+		return 0, readError(path, err)
 	}
-	if !bytes.Equal(hdr, segmentHeader()) {
-		res.damage = "bad header magic"
-		return res, nil
-	}
-	res.validLen = headerSize
+	valid = headerSize
 	var pre [recordHeaderSize]byte
 	var body []byte
 	for {
 		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			if err == io.EOF {
-				return res, nil // clean end on a record boundary
-			}
-			if err == io.ErrUnexpectedEOF {
-				res.damage = "torn record header"
-				return res, nil
-			}
-			return res, fmt.Errorf("wal: reading %s: %w", path, err)
+			return valid, readError(path, err)
 		}
-		n := binary.BigEndian.Uint32(pre[0:4])
-		crc := binary.BigEndian.Uint32(pre[4:8])
-		if n == 0 || n > MaxRecordBytes {
-			res.damage = fmt.Sprintf("implausible record length %d", n)
-			return res, nil
+		n := int64(binary.BigEndian.Uint32(pre[0:4]))
+		// A length past the segment's end is a torn body; checking it
+		// first keeps a garbage length from sizing the buffer.
+		if n == 0 || n > MaxRecordBytes || valid+recordHeaderSize+n > size {
+			return valid, nil
 		}
-		if cap(body) < int(n) {
+		if int64(cap(body)) < n {
 			body = make([]byte, n)
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(br, body); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				res.damage = "torn record body"
-				return res, nil
-			}
-			return res, fmt.Errorf("wal: reading %s: %w", path, err)
+			return valid, readError(path, err)
 		}
-		if crc32.Checksum(body, crcTable) != crc {
-			res.damage = "crc mismatch"
-			return res, nil
-		}
-		res.validLen += recordHeaderSize + int64(n)
-		res.records++
-	}
-}
-
-// replaySegment streams the records of one segment up to limit (the replay
-// horizon frozen at Open), decoding bodies and invoking fn, with the zero
-// Record for a body that does not decode. The records were
-// checksum-validated by scanSegment; a framing or checksum failure here
-// means the file changed under us and is an error, not salvage.
-func replaySegment(path string, limit int64, fn func(Record) error) error {
-	if limit <= headerSize {
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: replay opening %s: %w", path, err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(io.NewSectionReader(f, headerSize, limit-headerSize), 64<<10)
-	var pre [recordHeaderSize]byte
-	var body []byte
-	for {
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("wal: replay %s: %w", path, err)
-		}
-		n := binary.BigEndian.Uint32(pre[0:4])
-		crc := binary.BigEndian.Uint32(pre[4:8])
-		if n == 0 || n > MaxRecordBytes {
-			return fmt.Errorf("wal: replay %s: implausible record length %d inside validated region", path, n)
-		}
-		if cap(body) < int(n) {
-			body = make([]byte, n)
-		}
-		body = body[:n]
-		if _, err := io.ReadFull(br, body); err != nil {
-			return fmt.Errorf("wal: replay %s: %w", path, err)
-		}
-		if crc32.Checksum(body, crcTable) != crc {
-			return fmt.Errorf("wal: replay %s: checksum mismatch inside validated region", path)
+		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(pre[4:8]) {
+			return valid, nil
 		}
 		if err := fn(decodeRecord(body)); err != nil {
-			return err
+			return valid, err
 		}
+		valid += recordHeaderSize + n
 	}
+}
+
+// readError maps a short read, the end of a segment's valid records, to nil
+// and names the segment in any other read error.
+func readError(path string, err error) error {
+	if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		return nil
+	}
+	return fmt.Errorf("wal: replay %s: %w", path, err)
 }
 
 // decodeRecord parses a checksum-valid record body. It returns the zero

@@ -12,9 +12,10 @@
 // internal/wire binary codec (a logged update is the same bytes it
 // travelled as). Records accumulate in numbered segment files
 // (wal-00000001.seg, wal-00000002.seg, ...), each starting with an 8-byte
-// magic header; a segment is sealed — fsynced, closed, never written again
-// — before its successor is created, so only the newest segment can ever
-// hold a torn tail.
+// magic header. A segment is sealed — fsynced, closed, never written again
+// — before its successor is created, and every Open starts a fresh segment,
+// so only a segment that was newest when its process died can hold a torn
+// tail, and recovery never writes to one.
 //
 // Durability is a policy, not a constant: SyncAlways fsyncs before every
 // append acknowledges (group commit batches concurrent appenders under one
@@ -24,14 +25,16 @@
 // kills under every policy; fsync only widens the crash types covered to
 // power loss and kernel panics.
 //
-// Open scans existing segments, truncates a torn tail (short record, bad
-// CRC, implausible length) at the last valid boundary, and freezes the
-// replay horizon: Replay visits exactly the records that were valid at Open
-// time, so appends racing recovery are never replayed into themselves.
-// Checkpoint bounds the log: it seals the active segment, writes an
-// application snapshot atomically next to the segments, and prunes every
-// segment older than the seal — recovery is then snapshot + surviving
-// segments.
+// Recovery is one read-only pass. Open reads no record and changes no
+// existing file: it lists the segments and their sizes and appends to a new
+// one. Replay reads the segments that existed at Open; each replays up to
+// its first invalid record (bad header, short record, implausible length,
+// bad CRC), and the bytes from there to its end are counted, not repaired.
+// Appends racing recovery land in later segments and are never replayed
+// into themselves. Checkpoint bounds the log: it seals the active segment,
+// writes an application snapshot atomically next to the segments, and
+// prunes every segment older than the seal — recovery is then snapshot +
+// surviving segments.
 package wal
 
 import (
@@ -132,11 +135,9 @@ const (
 	// MetricReplayDuplicates counts recovery records the store already
 	// covered (reported by the live adapter during RecoverWAL).
 	MetricReplayDuplicates = "wal.replay_duplicates"
-	// MetricRecoverTruncatedBytes counts torn-tail bytes dropped at Open.
+	// MetricRecoverTruncatedBytes counts the segment bytes Replay did not
+	// replay: each segment's bytes from its first invalid record to its end.
 	MetricRecoverTruncatedBytes = "wal.recover_truncated_bytes"
-	// MetricRecoverSkippedSegments counts damaged non-tail segments whose
-	// suffix was skipped at Open (salvage mode; Strict refuses instead).
-	MetricRecoverSkippedSegments = "wal.recover_skipped_segments"
 	// MetricRecoverSkippedRecords counts checksum-valid records whose body
 	// failed to decode during Replay and were skipped.
 	MetricRecoverSkippedRecords = "wal.recover_skipped_records"
@@ -156,7 +157,6 @@ var CounterNames = []string{
 	MetricReplayed,
 	MetricReplayDuplicates,
 	MetricRecoverTruncatedBytes,
-	MetricRecoverSkippedSegments,
 	MetricRecoverSkippedRecords,
 }
 
@@ -192,27 +192,8 @@ type Options struct {
 	// SegmentBytes is the size at which the active segment is sealed and a
 	// new one started; zero means DefaultSegmentBytes.
 	SegmentBytes int64
-	// Strict makes Open refuse a log with damage outside the tail of the
-	// newest segment (which is always truncated — that is the expected
-	// crash artifact). Without Strict such damage is salvaged: the valid
-	// prefix of a damaged sealed segment replays, the rest is skipped and
-	// counted.
-	Strict bool
 	// Metrics receives the wal.* counters; nil discards them.
 	Metrics Metrics
-}
-
-// OpenStats reports what Open found on disk.
-type OpenStats struct {
-	// Segments is the number of segment files present after recovery.
-	Segments int
-	// Records is the number of checksum-valid records found.
-	Records int
-	// TruncatedBytes is how many torn-tail bytes were dropped.
-	TruncatedBytes int64
-	// SkippedSegments is how many damaged sealed segments were salvaged
-	// (valid prefix kept, suffix skipped). Always zero under Strict.
-	SkippedSegments int
 }
 
 // ReplayStats reports what Replay visited.
@@ -222,6 +203,9 @@ type ReplayStats struct {
 	// Skipped is the number of checksum-valid records whose body failed to
 	// decode and were skipped.
 	Skipped int
+	// TruncatedBytes is how many bytes of the replayed segments lie at or
+	// past each one's first invalid record and were not replayed.
+	TruncatedBytes int64
 }
 
 // RecordKind discriminates WAL record bodies.
@@ -247,14 +231,8 @@ type Record struct {
 	Frontier version.Clock
 }
 
-// replaySeg freezes a segment's replay horizon at Open time: Replay reads
-// idx only up to limit, so records appended after Open are invisible to it.
-type replaySeg struct {
-	idx   uint64
-	limit int64
-}
-
-// sealedSeg is a sealed segment and the byte size Size() accounts for it.
+// sealedSeg is a segment no longer appended to and the byte size Size()
+// accounts for it.
 type sealedSeg struct {
 	idx  uint64
 	size int64
@@ -268,9 +246,10 @@ type Log struct {
 	interval time.Duration
 	segBytes int64
 	metrics  Metrics
-	stats    OpenStats
 
-	replaySegs []replaySeg
+	// openIdx is the first segment this Open created; Replay reads the
+	// segments below it.
+	openIdx uint64
 
 	// failed latches the first unrecoverable I/O error; once set, every
 	// append fails fast with it. Stored as error via atomic.Value.
@@ -305,11 +284,10 @@ type Log struct {
 	intervalDone chan struct{}
 }
 
-// Open creates or recovers the log in o.Dir. Existing segments are scanned
-// record by record; a torn tail on the newest segment is truncated at the
-// last valid record boundary, and damage anywhere else either fails Open
-// (Strict) or is salvaged with the damage counted. The returned log is
-// ready for Append; call Replay first when recovering state.
+// Open creates the log in o.Dir, or opens the one there without reading or
+// changing any existing segment: appends go to a new segment numbered one
+// past the highest on disk. The returned log is ready for Append; call
+// Replay first when recovering state.
 func Open(o Options) (*Log, error) {
 	if o.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -332,25 +310,31 @@ func Open(o Options) (*Log, error) {
 		interval: o.Interval,
 		segBytes: o.SegmentBytes,
 		metrics:  o.Metrics,
+		openIdx:  1,
 	}
 	l.syncCond = sync.NewCond(&l.sm)
-	idxs, err := listSegments(o.Dir)
+	segs, err := listSegments(o.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(idxs) == 0 {
-		if err := l.startSegment(1); err != nil {
-			return nil, err
+	if n := len(segs); n > 0 {
+		// The process that last appended to the newest segment may have
+		// died with its bytes in the page cache, and no append of ours will
+		// fsync that file, so make it durable now.
+		if l.policy != SyncNever {
+			if err := syncPath(segmentPath(o.Dir, segs[n-1].idx)); err != nil {
+				return nil, err
+			}
+			l.inc(MetricFsyncs)
 		}
-	} else if err := l.recoverSegments(idxs, o.Strict); err != nil {
+		l.openIdx = segs[n-1].idx + 1
+	}
+	l.sealed = segs
+	for _, s := range segs {
+		l.total += s.size
+	}
+	if err := l.startSegment(l.openIdx); err != nil {
 		return nil, err
-	}
-	l.stats.Segments = len(l.sealed) + 1
-	if l.stats.TruncatedBytes > 0 {
-		l.count(MetricRecoverTruncatedBytes, float64(l.stats.TruncatedBytes))
-	}
-	if l.stats.SkippedSegments > 0 {
-		l.count(MetricRecoverSkippedSegments, float64(l.stats.SkippedSegments))
 	}
 	if l.policy == SyncInterval {
 		l.stopInterval = make(chan struct{})
@@ -358,73 +342,6 @@ func Open(o Options) (*Log, error) {
 		go l.intervalLoop()
 	}
 	return l, nil
-}
-
-// recoverSegments scans the existing segment files in index order,
-// truncates tail damage on the newest, and reopens it for append.
-func (l *Log) recoverSegments(idxs []uint64, strict bool) error {
-	for i, idx := range idxs {
-		path := segmentPath(l.dir, idx)
-		res, err := scanSegment(path)
-		if err != nil {
-			return err
-		}
-		last := i == len(idxs)-1
-		if res.damage != "" && !last {
-			if strict {
-				return fmt.Errorf("wal: sealed segment %s: %s at offset %d", path, res.damage, res.validLen)
-			}
-			l.stats.SkippedSegments++
-		}
-		limit := res.validLen
-		l.stats.Records += res.records
-		if !last {
-			l.replaySegs = append(l.replaySegs, replaySeg{idx: idx, limit: limit})
-			l.sealed = append(l.sealed, sealedSeg{idx: idx, size: limit})
-			l.total += limit
-			continue
-		}
-		if res.damage != "" {
-			l.stats.TruncatedBytes += res.fileSize - limit
-		}
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			return fmt.Errorf("wal: reopening %s: %w", path, err)
-		}
-		if limit < headerSize {
-			// The header itself is damaged: nothing in this segment is
-			// recoverable, so rebuild it empty.
-			limit = 0
-		}
-		if limit != res.fileSize {
-			if err := f.Truncate(limit); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: truncating %s to %d: %w", path, limit, err)
-			}
-		}
-		if limit == 0 {
-			if _, err := f.Write(segmentHeader()); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: rewriting header of %s: %w", path, err)
-			}
-			limit = headerSize
-		} else if _, err := f.Seek(limit, io.SeekStart); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: seeking %s: %w", path, err)
-		}
-		if res.damage != "" && l.policy != SyncNever {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return fmt.Errorf("wal: syncing truncation of %s: %w", path, err)
-			}
-		}
-		l.replaySegs = append(l.replaySegs, replaySeg{idx: idx, limit: limit})
-		l.f = f
-		l.segIdx = idx
-		l.segSize = limit
-		l.total += limit
-	}
-	return nil
 }
 
 // maxRetainedScratch caps the framing buffer kept between appends.
@@ -679,7 +596,7 @@ func (l *Log) startSegment(idx uint64) error {
 		return fmt.Errorf("wal: writing header of %s: %w", path, err)
 	}
 	if l.policy != SyncNever {
-		if err := SyncDir(l.dir); err != nil {
+		if err := syncPath(l.dir); err != nil {
 			f.Close()
 			return err
 		}
@@ -739,13 +656,6 @@ func (l *Log) pruneBefore(boundary uint64) (int, error) {
 		}
 	}
 	l.sealed = keep
-	replayKeep := l.replaySegs[:0]
-	for _, rs := range l.replaySegs {
-		if rs.idx >= boundary {
-			replayKeep = append(replayKeep, rs)
-		}
-	}
-	l.replaySegs = replayKeep
 	l.mu.Unlock()
 	var firstErr error
 	removed := 0
@@ -763,7 +673,7 @@ func (l *Log) pruneBefore(boundary uint64) (int, error) {
 	}
 	if removed > 0 {
 		if l.policy != SyncNever {
-			if err := SyncDir(l.dir); err != nil && firstErr == nil {
+			if err := syncPath(l.dir); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
@@ -775,16 +685,24 @@ func (l *Log) pruneBefore(boundary uint64) (int, error) {
 	return removed, firstErr
 }
 
-// Replay streams every record that was valid on disk when Open ran, oldest
-// first, stopping at the first callback error. Records appended after Open
-// are not visited, so recovery can overlap live traffic without replaying
-// it into itself. Checksum-valid bodies that fail to decode are skipped and
+// Replay streams the records of every segment that existed when Open ran,
+// oldest first, stopping at the first callback error. Records appended after
+// Open are not visited, so recovery can overlap live traffic without
+// replaying it into itself. Each segment replays up to its first invalid
+// record; the bytes from there to its end are counted in TruncatedBytes and
+// are reported again at every recovery until a checkpoint prunes their
+// segment. Checksum-valid bodies that fail to decode are skipped and
 // counted, never delivered. A reader goroutine decodes the next batches while
 // fn runs on the caller's goroutine, and has exited when Replay returns.
 func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	l.mu.Lock()
-	segs := append([]replaySeg(nil), l.replaySegs...)
+	var segs []sealedSeg
+	for _, s := range l.sealed {
+		if s.idx < l.openIdx {
+			segs = append(segs, s)
+		}
+	}
 	l.mu.Unlock()
 	// Three recycled batches of 256 records: the reader runs at most three
 	// batches ahead, and as either channel holds all of them no send blocks.
@@ -793,7 +711,11 @@ func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 		free <- make([]Record, 0, 256)
 	}
 	var err, readErr error
-	go l.readBatches(segs, free, full, &readErr)
+	var truncated int64
+	go func() {
+		truncated, readErr = l.readBatches(segs, free, full)
+		close(full)
+	}()
 	for b := range full {
 		if err != nil {
 			continue // drain until the reader has exited
@@ -817,11 +739,15 @@ func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 	if err == nil {
 		err = readErr
 	}
+	st.TruncatedBytes = truncated
 	if err != nil {
 		return st, err
 	}
 	if st.Skipped > 0 {
 		l.count(MetricRecoverSkippedRecords, float64(st.Skipped))
+	}
+	if st.TruncatedBytes > 0 {
+		l.count(MetricRecoverTruncatedBytes, float64(st.TruncatedBytes))
 	}
 	return st, nil
 }
@@ -831,9 +757,10 @@ var errReplayStopped = errors.New("wal: replay stopped")
 
 // readBatches is Replay's reader: it decodes the records of segs, the zero
 // Record for a body that does not decode, into batches taken from free and
-// sends them on full in log order. It stops when the segments end, one fails
-// to read, or free is closed, then sets *errp and closes full.
-func (l *Log) readBatches(segs []replaySeg, free <-chan []Record, full chan<- []Record, errp *error) {
+// sends them on full in log order, and returns the bytes it did not replay.
+// It stops when the segments end, one fails to read, or free is closed. A
+// segment no longer than its header holds no record and is not opened.
+func (l *Log) readBatches(segs []sealedSeg, free <-chan []Record, full chan<- []Record) (truncated int64, err error) {
 	b := <-free
 	add := func(rec Record) error {
 		if b = append(b, rec); len(b) < cap(b) {
@@ -846,17 +773,20 @@ func (l *Log) readBatches(segs []replaySeg, free <-chan []Record, full chan<- []
 		}
 		return nil
 	}
-	var err error
 	for _, seg := range segs {
-		if err = replaySegment(segmentPath(l.dir, seg.idx), seg.limit, add); err != nil {
+		if seg.size <= headerSize {
+			continue
+		}
+		var valid int64
+		if valid, err = replaySegment(segmentPath(l.dir, seg.idx), seg.size, add); err != nil {
 			break
 		}
+		truncated += seg.size - valid
 	}
 	if len(b) > 0 {
 		full <- b
 	}
-	*errp = err
-	close(full)
+	return truncated, err
 }
 
 // CheckpointPath is where Checkpoint writes the application snapshot.
@@ -891,9 +821,6 @@ func (l *Log) Segments() int {
 	defer l.mu.Unlock()
 	return len(l.sealed) + 1
 }
-
-// Stats reports what Open found on disk.
-func (l *Log) Stats() OpenStats { return l.stats }
 
 // Dir is the directory the log lives in.
 func (l *Log) Dir() string { return l.dir }

@@ -167,7 +167,7 @@ func (n *Node) Delete(ctx context.Context, key string) (Update, error) {
 
 // WALRecovery reports what crash recovery restored when the node was opened
 // with WithWAL: checkpoint updates, replayed records, absorbed duplicates,
-// and torn-tail bytes dropped. ok is false when no WAL is configured.
+// and damaged bytes not replayed. ok is false when no WAL is configured.
 func (n *Node) WALRecovery() (stats WALRecoveryStats, ok bool) {
 	return n.walRec, n.hasWAL
 }
@@ -288,16 +288,18 @@ func (n *Node) onApply(u store.Update, res store.ApplyResult, src Source, branch
 		if !strings.HasPrefix(u.Key, w.prefix) {
 			continue
 		}
-		select {
-		case w.ch <- ev:
-			if n.metrics != nil {
-				n.metrics.Inc(MetricWatchEvents)
-			}
-		default:
+		if len(w.ch) == cap(w.ch) {
 			if n.metrics != nil {
 				n.metrics.Inc(MetricWatchDropped)
 			}
+			continue
 		}
+		// Count first, so a subscriber that has the event sees it counted.
+		// The send cannot block: only onApply sends, always under n.mu.
+		if n.metrics != nil {
+			n.metrics.Inc(MetricWatchEvents)
+		}
+		w.ch <- ev
 	}
 }
 

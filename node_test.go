@@ -402,7 +402,9 @@ func TestNodeMetrics(t *testing.T) {
 	reg := pushpull.NewMetrics()
 	a := openHubNode(t, hub, "metrics-a", 1,
 		pushpull.WithMetrics(reg), pushpull.WithPeers("metrics-b"))
-	b := openHubNode(t, hub, "metrics-b", 2, pushpull.WithMetrics(reg))
+	// b never pulls, so the update reaches it by push and the push
+	// counters are bumped before its event.
+	b := openHubNode(t, hub, "metrics-b", 2, pushpull.WithMetrics(reg), pushpull.WithPullInterval(time.Hour))
 
 	events, err := b.Watch(ctx, "")
 	if err != nil {
@@ -422,6 +424,36 @@ func TestNodeMetrics(t *testing.T) {
 	} {
 		if reg.Counter(name) == 0 {
 			t.Fatalf("counter %s not incremented; counters: %v", name, reg.Counters())
+		}
+	}
+}
+
+// TestWatchEventCountedBeforeDelivery: a subscriber that has received an
+// event also sees it counted. The event comes from a remote apply, so the
+// receive races the applying goroutine. Each round watches only its own
+// key, and waits for the previous watcher to close.
+func TestWatchEventCountedBeforeDelivery(t *testing.T) {
+	hub := pushpull.NewHub()
+	reg := pushpull.NewMetrics()
+	a := openHubNode(t, hub, "count-a", 1, pushpull.WithPeers("count-b"))
+	b := openHubNode(t, hub, "count-b", 2, pushpull.WithMetrics(reg))
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("k%04d", i)
+		ctx, cancel := context.WithCancel(context.Background())
+		events, err := b.Watch(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reg.Counter(pushpull.MetricWatchEvents)
+		if _, err := a.Publish(context.Background(), key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		nextEvent(t, events)
+		if got := reg.Counter(pushpull.MetricWatchEvents); got <= before {
+			t.Fatalf("round %d: %s = %v after the event arrived, want above %v", i, pushpull.MetricWatchEvents, got, before)
+		}
+		cancel()
+		for range events {
 		}
 	}
 }
