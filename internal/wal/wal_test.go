@@ -275,6 +275,35 @@ func TestReplayHorizonExcludesPostOpenAppends(t *testing.T) {
 	}
 }
 
+// TestRestartWithoutWritesAddsNoSegment: a log opened and closed without an
+// append leaves the segment files as they were, however often it restarts,
+// on an empty directory and on one holding records.
+func TestRestartWithoutWritesAddsNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	restarts := func(want int) {
+		t.Helper()
+		for i := 0; i < 70; i++ {
+			if err := mustOpen(t, Options{Dir: dir}).Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) != want {
+			t.Fatalf("%d segments after 70 restarts without writes, want %d", len(segs), want)
+		}
+	}
+	restarts(0)
+	l := mustOpen(t, Options{Dir: dir})
+	appendN(t, l, 0, 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarts(1)
+}
+
 func TestSizeShrinksAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
