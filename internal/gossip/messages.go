@@ -36,6 +36,21 @@ func peerListSize(ids []int) int {
 	return n
 }
 
+// listSizes sizes push flooding lists, remembering the last. A push batch
+// shares one append-only orderedSet view or fresh randomSubset copy, so the
+// same first element and length mean the same ids; last keeps them alive.
+type listSizes struct {
+	last []int
+	size int
+}
+
+func (c *listSizes) of(ids []int) int {
+	if len(ids) == 0 || len(ids) != len(c.last) || &ids[0] != &c.last[0] {
+		c.last, c.size = ids, peerListSize(ids)
+	}
+	return c.size
+}
+
 // frameBytes is the fixed per-message cost: the frame overhead (length
 // prefix, format version, kind) plus the sender's address.
 func frameBytes(from int) int {
@@ -48,16 +63,16 @@ func frameBytes(from int) int {
 // term is charged separately (γ per carried entry).
 func PushBaseBytes(u store.Update, from int) int {
 	// T = 3: a typical 1-byte round counter.
-	return frameBytes(from) + messageBytes(engine.Message[int]{Kind: engine.KindPush, Update: u, T: 3})
+	return frameBytes(from) + messageBytes(engine.Message[int]{Kind: engine.KindPush, Update: u, T: 3}, new(listSizes))
 }
 
 // messageBytes is the payload size of m's wire envelope: everything behind
 // the per-frame fixed cost (frameBytes). Clock origins are the writers'
 // "peer-<id>" strings, so only peer lists need index translation.
-func messageBytes(m engine.Message[int]) int {
+func messageBytes(m engine.Message[int], lists *listSizes) int {
 	switch m.Kind {
 	case engine.KindPush:
-		return wire.StoreUpdateSize(m.Update) + peerListSize(m.RF) + wire.UvarintSize(uint64(m.T))
+		return wire.StoreUpdateSize(m.Update) + lists.of(m.RF) + wire.UvarintSize(uint64(m.T))
 	case engine.KindPullReq:
 		return wire.ClockSize(m.Clock)
 	case engine.KindPullResp, engine.KindSnapshot:

@@ -40,7 +40,7 @@ func TestMessageBytesMatchWire(t *testing.T) {
 		{"snapshot trailer", engine.Message[int]{Kind: engine.KindSnapshot, Updates: []store.Update{put},
 			Stream: 1 << 40, Chunk: 130, Last: true, Clock: clock, Peers: []int{3, 12}}},
 	} {
-		if got, want := frameBytes(from)+messageBytes(tc.m), wire.EncodedSize(envelopeOf(from, tc.m)); got != want {
+		if got, want := frameBytes(from)+messageBytes(tc.m, new(listSizes)), wire.EncodedSize(envelopeOf(from, tc.m)); got != want {
 			t.Errorf("%s: simulator charges %dB, the codec frames %dB", tc.name, got, want)
 		}
 	}
@@ -74,4 +74,33 @@ func envelopeOf(from int, m engine.Message[int]) *wire.Envelope {
 		env.Updates = append(env.Updates, wire.FromStore(u))
 	}
 	return env
+}
+
+// TestListSizesReuse: the cache answers every list with its own size and
+// sizes a slice seen last once.
+func TestListSizesReuse(t *testing.T) {
+	ids := []int{1, 22, 333, 4444}
+	var c listSizes
+	for _, step := range []struct {
+		name string
+		ids  []int
+	}{
+		{"first list", ids[:2]},
+		{"the same slice", ids[:2]},
+		{"a longer view of the same array", ids},
+		{"a different slice of equal length", []int{100000, 2, 3, 4}},
+		{"an empty list", nil},
+		{"the first list again", ids[:2]},
+	} {
+		if got, want := c.of(step.ids), peerListSize(step.ids); got != want {
+			t.Errorf("%s: sized %dB, want %dB", step.name, got, want)
+		}
+	}
+	// Rewriting a sized list breaks the contract on purpose: the size
+	// returned is the one cached.
+	before := c.of(ids[:2])
+	ids[0] = 123456
+	if got := c.of(ids[:2]); got != before {
+		t.Errorf("the same slice re-sized: %dB, cached %dB", got, before)
+	}
 }

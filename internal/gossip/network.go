@@ -27,12 +27,12 @@ type Network struct {
 //
 // Construction pays up front only for the views: each is seeded whole
 // (engine.Bootstrap) and indexed at its peer's first lookup, and each
-// writer's PRNG is seeded at its first draw.
+// writer's PRNG is seeded at its first draw. A sampled view costs a full
+// shuffle of all n ids (stream), most of the construction at n = 10,000.
 func BuildNetwork(n int, cfg Config, viewSize int, seed int64) (*Network, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gossip: network size %d must be positive", n)
 	}
-	rng := rand.New(rand.NewSource(seed))
 	peers := make([]*Peer, n)
 	nodes := make([]simnet.Node, n)
 	for i := 0; i < n; i++ {
@@ -43,42 +43,83 @@ func BuildNetwork(n int, cfg Config, viewSize int, seed int64) (*Network, error)
 		peers[i] = p
 		nodes[i] = p
 	}
-	full := viewSize <= 0 || viewSize >= n-1
-	perm := make([]int, n)
+	perm := make([]int32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
+	rng, full := newStream(seed), viewSize <= 0 || viewSize >= n-1
+	if full {
+		viewSize = n // Bootstrap skips self
+	}
+	view := make([]int, 0, viewSize+1)
 	for i, p := range peers {
-		view := perm // Bootstrap skips self
 		if !full {
 			// A full shuffle per peer: the draws are kept so that every
 			// simulated network stays the one its seed has always built.
-			shuffle(rng, perm)
-			if view = perm[:viewSize]; slices.Contains(view, i) {
-				view = perm[:viewSize+1]
-			}
+			rng.shuffle(perm)
+		}
+		view = view[:0]
+		for _, id := range perm[:viewSize] {
+			view = append(view, int(id))
+		}
+		if !full && slices.Contains(perm[:viewSize], int32(i)) {
+			view = append(view, int(perm[viewSize]))
 		}
 		p.eng.Bootstrap(view)
 	}
 	return &Network{Peers: peers, Nodes: nodes}, nil
 }
 
-// shuffle is rng.Shuffle(len(s), swap-in-s) without the per-swap call: the
-// same draws in the same order, leaving s and rng's stream exactly as
-// Shuffle would. It holds for len(s) < 2³¹, where Shuffle draws through
-// its unexported int31n (Lemire's multiply-and-reject over Uint32).
-func shuffle(rng *rand.Rand, s []int) {
-	for i := len(s) - 1; i > 0; i-- {
+// stream continues rand.NewSource(seed)'s outputs, x(n) = x(n−607) + x(n−273)
+// mod 2⁶⁴, from the first 607 (the source's whole state), a ring at a time: a
+// draw is a load, not a call through rand.Rand into the source.
+type stream struct {
+	ring [607]uint64 // x(n) at n mod 607
+	pos  int         // index of the next output; 607 means refill first
+}
+
+func newStream(seed int64) *stream {
+	src, s := rand.NewSource(seed).(rand.Source64), &stream{}
+	for i := range s.ring {
+		s.ring[i] = src.Uint64()
+	}
+	return s
+}
+
+// refill computes the next 607 outputs: x(n−273) is at i+334, then at i−273.
+func (s *stream) refill() {
+	for i := 0; i < 273; i++ {
+		s.ring[i] += s.ring[i+334]
+	}
+	for i := 273; i < 607; i++ {
+		s.ring[i] += s.ring[i-273]
+	}
+}
+
+// shuffle draws what rand.Rand.Shuffle(len(p), swap) would, for len(p) < 2³¹:
+// Lemire's multiply-and-reject over Rand.Uint32, bits 31–62 of an output.
+func (s *stream) shuffle(p []int32) {
+	pos := s.pos
+	draw := func(n uint32) uint64 {
+		if pos == len(s.ring) {
+			s.refill()
+			pos = 0
+		}
+		pos++
+		return uint64(uint32(s.ring[pos-1]>>31)) * uint64(n)
+	}
+	for i := len(p) - 1; i > 0; i-- {
 		n := uint32(i + 1)
-		prod := uint64(rng.Uint32()) * uint64(n)
+		prod := draw(n)
 		if low := uint32(prod); low < n {
 			for thresh := -n % n; low < thresh; low = uint32(prod) {
-				prod = uint64(rng.Uint32()) * uint64(n)
+				prod = draw(n)
 			}
 		}
-		j := int(prod >> 32)
-		s[i], s[j] = s[j], s[i]
+		j := prod >> 32
+		p[i], p[j] = p[j], p[i]
 	}
+	s.pos = pos
 }
 
 // lazySource is a rand.Source64 that seeds rand.NewSource(seed) at its first

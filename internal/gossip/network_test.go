@@ -9,22 +9,27 @@ import (
 	"testing"
 )
 
+// goldenNetworks are TestBuildNetworkGolden's cases. The digests were
+// computed before construction learned to defer its per-peer costs, and the
+// 10,000-peer one (sim_flood's shape) before views were drawn from a stream
+// continuation: any change to the draws, their order or the view order
+// fails.
+var goldenNetworks = []struct {
+	n, view int
+	seed    int64
+	want    string
+}{
+	{3000, 100, 1, "ce0bbf51723db143"},
+	{3000, 100, 7, "49cd2370082d54ab"},
+	{10_000, 500, 1, "1f2c13ce7cd243f4"},
+	{40, 0, 1, "33e6ddd364934af8"},
+	{2, 0, 5, "cf88bf6c26cc69cb"},
+}
+
 // TestBuildNetworkGolden pins every peer's initial view, in view order, for
-// complete and sampled construction. The digests were computed before
-// construction learned to defer its per-peer costs: any change to the draws,
-// their order or the view order fails here.
+// complete and sampled construction.
 func TestBuildNetworkGolden(t *testing.T) {
-	cases := []struct {
-		n, view int
-		seed    int64
-		want    string
-	}{
-		{3000, 100, 1, "ce0bbf51723db143"},
-		{3000, 100, 7, "49cd2370082d54ab"},
-		{40, 0, 1, "33e6ddd364934af8"},
-		{2, 0, 5, "cf88bf6c26cc69cb"},
-	}
-	for _, c := range cases {
+	for _, c := range goldenNetworks {
 		net, err := BuildNetwork(c.n, DefaultConfig(c.n), c.view, c.seed)
 		if err != nil {
 			t.Fatal(err)
@@ -40,23 +45,73 @@ func TestBuildNetworkGolden(t *testing.T) {
 	}
 }
 
-// TestShuffleMatchesRandShuffle checks the inline shuffle against
-// rand.Shuffle: the same permutation, and the stream left at the same place.
+// TestGoldenNetworksReject checks that the sampled golden networks make
+// rejected draws in Shuffle's multiply-and-reject, so that their digests pin
+// that branch too. It counts with rand.Rand, independently of stream.
+func TestGoldenNetworksReject(t *testing.T) {
+	rejects := 0
+	for _, c := range goldenNetworks {
+		if c.view <= 0 || c.view >= c.n-1 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(c.seed))
+		for peer := 0; peer < c.n; peer++ {
+			for i := c.n - 1; i > 0; i-- {
+				n := uint64(i + 1)
+				for uint32(uint64(rng.Uint32())*n) < -uint32(n)%uint32(n) {
+					rejects++
+				}
+			}
+		}
+	}
+	if rejects == 0 {
+		t.Error("the sampled golden networks draw no rejected value")
+	}
+	t.Logf("%d rejected draws", rejects)
+}
+
+// Uint64 returns the stream's next output, which should be the one
+// rand.NewSource(seed).(rand.Source64) returns.
+func (s *stream) Uint64() uint64 {
+	if s.pos == len(s.ring) {
+		s.refill()
+		s.pos = 0
+	}
+	s.pos++
+	return s.ring[s.pos-1]
+}
+
+// TestStreamMatchesSource checks stream's raw outputs against the source it
+// continues, across many refills of the ring.
+func TestStreamMatchesSource(t *testing.T) {
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		s, src := newStream(seed), rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 1_000_000; i++ {
+			if got, want := s.Uint64(), src.Uint64(); got != want {
+				t.Fatalf("seed %d output %d: %d, want %d", seed, i, got, want)
+			}
+		}
+	}
+}
+
+// TestShuffleMatchesRandShuffle checks the stream's shuffle against
+// rand.Shuffle on the same seed: the same permutation twice in a row, so the
+// second also checks that the stream continued where Shuffle left its
+// source.
 func TestShuffleMatchesRandShuffle(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 17, 10000} {
+	for _, n := range []int{0, 1, 2, 3, 17, 607, 608, 10000} {
 		for seed := int64(1); seed <= 5; seed++ {
-			a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			got, want := make([]int, n), make([]int, n)
+			a, b := newStream(seed), rand.New(rand.NewSource(seed))
+			got, want := make([]int32, n), make([]int32, n)
 			for i := range got {
-				got[i], want[i] = i, i
+				got[i], want[i] = int32(i), int32(i)
 			}
-			shuffle(a, got)
-			b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
-			if !slices.Equal(got, want) {
-				t.Fatalf("n=%d seed=%d: permutations differ", n, seed)
-			}
-			if x, y := a.Int63(), b.Int63(); x != y {
-				t.Fatalf("n=%d seed=%d: next Int63 %d, want %d", n, seed, x, y)
+			for round := 0; round < 2; round++ {
+				a.shuffle(got)
+				b.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+				if !slices.Equal(got, want) {
+					t.Fatalf("n=%d seed=%d shuffle %d: permutations differ", n, seed, round)
+				}
 			}
 		}
 	}

@@ -28,11 +28,12 @@ const (
 // type only translates between simnet's message/round model (int peer
 // indices, engine messages charged their wire size) and the engine.
 type Peer struct {
-	id  int
-	cfg Config
-	eng *engine.Engine[int]
-	st  *store.Sharded
-	w   *store.Writer
+	id    int
+	cfg   Config
+	eng   *engine.Engine[int]
+	st    *store.Sharded
+	w     *store.Writer
+	lists listSizes // the last flooding list emit sized
 
 	// env is the simulation environment of the callback currently running;
 	// the engine reaches time, randomness, and delivery through it.
@@ -175,7 +176,7 @@ func (p *Peer) emit(to int, m engine.Message[int]) {
 		})
 		return
 	}
-	bytes := frameBytes(p.id) + messageBytes(m)
+	bytes := frameBytes(p.id) + messageBytes(m, &p.lists)
 	p.env.Send(to, m, bytes)
 	reg := p.env.Metrics()
 	switch m.Kind {

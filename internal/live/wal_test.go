@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/p2pgossip/update/internal/pf"
+	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 )
@@ -224,8 +225,8 @@ func TestWALJanitorCheckpointBoundsLogAndRecovers(t *testing.T) {
 	}
 	grown := l.Size()
 	r.RunJanitor()
-	if l.Segments() != 1 {
-		t.Fatalf("checkpoint left %d resident segments, want 1", l.Segments())
+	if l.Segments() != 0 {
+		t.Fatalf("checkpoint left %d resident segments, want 0", l.Segments())
 	}
 	if l.Size() >= grown {
 		t.Fatalf("checkpoint did not shrink the log: %d -> %d bytes", grown, l.Size())
@@ -338,21 +339,30 @@ func TestSnapshotCatchUpLogsFrontier(t *testing.T) {
 	}
 }
 
-// TestWALJanitorCheckpointsManySegments: every restart starts a segment, so
-// a replica reopened often without writing piles up files far below the
-// byte threshold. One janitor pass past walCheckpointSegments brings the
-// log back to one segment.
+// TestWALJanitorCheckpointsManySegments: every restart that writes starts a
+// segment, so a replica restarted often with a write or two in between piles
+// up files far below the byte threshold. One janitor pass past
+// walCheckpointSegments checkpoints them all away.
 func TestWALJanitorCheckpointsManySegments(t *testing.T) {
 	dir := t.TempDir()
-	for i := 0; i < 70; i++ {
-		if err := openWAL(t, dir, wal.Options{}).Close(); err != nil {
+	w, err := store.NewWriter("restarts", store.NewSharded(1), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const restarts = 70
+	for i := 0; i < restarts; i++ {
+		l := openWAL(t, dir, wal.Options{})
+		if err := l.Append(w.Put(fmt.Sprintf("k-%02d", i), []byte("v"))); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l := openWAL(t, dir, wal.Options{})
 	defer l.Close()
-	if l.Segments() <= walCheckpointSegments {
-		t.Fatalf("%d segments after 70 reopens, want more than %d", l.Segments(), walCheckpointSegments)
+	if l.Segments() != restarts {
+		t.Fatalf("%d segments after %d restarts that wrote, want %d", l.Segments(), restarts, restarts)
 	}
 	tr, err := NewHub().Attach("restarts-0")
 	if err != nil {
@@ -365,11 +375,11 @@ func TestWALJanitorCheckpointsManySegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Stop()
-	if _, err := r.RecoverWAL(); err != nil {
-		t.Fatalf("RecoverWAL: %v", err)
+	if got, err := r.RecoverWAL(); err != nil || got.Replayed != restarts {
+		t.Fatalf("RecoverWAL = %+v, %v; want %d replayed", got, err, restarts)
 	}
 	r.RunJanitor()
-	if got := l.Segments(); got != 1 {
-		t.Fatalf("%d segments after one janitor pass, want 1", got)
+	if got := l.Segments(); got != 0 {
+		t.Fatalf("%d segments after one janitor pass, want 0", got)
 	}
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"os"
 	"testing"
 	"time"
 )
@@ -86,7 +85,6 @@ func BenchmarkRecovery(b *testing.B) {
 			if err := warm.Close(); err != nil {
 				b.Fatalf("Close: %v", err)
 			}
-			dropOpenSegment(b, warm)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var elapsed time.Duration
@@ -110,21 +108,10 @@ func BenchmarkRecovery(b *testing.B) {
 				if err := rl.Close(); err != nil {
 					b.Fatalf("Close: %v", err)
 				}
-				dropOpenSegment(b, rl)
 				b.StartTimer()
 			}
 			b.ReportMetric(elapsed.Seconds()*1e3/float64(b.N), "recovery-ms/op")
 			b.ReportMetric(float64(n)*float64(b.N)/elapsed.Seconds(), "records/s")
 		})
-	}
-}
-
-// dropOpenSegment removes the empty segment a benchmark's Open of a closed
-// log added, so that every iteration recovers the same log rather than one
-// more segment file per iteration.
-func dropOpenSegment(b *testing.B, l *Log) {
-	b.Helper()
-	if err := os.Remove(segmentPath(l.Dir(), l.openIdx)); err != nil {
-		b.Fatal(err)
 	}
 }

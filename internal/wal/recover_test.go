@@ -424,7 +424,7 @@ func fileDigests(t *testing.T, dir string) map[string]string {
 
 // TestRecoverReadOnly: Open + Replay of a log with a torn tail and a
 // corrupted middle segment changes no existing file, not even to repair
-// it. The one file added is the segment the new process appends to.
+// it, and adds none: a process creates its segment at its first append.
 func TestRecoverReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
@@ -459,19 +459,15 @@ func TestRecoverReadOnly(t *testing.T) {
 		t.Fatal("recovery reported no damage")
 	}
 	after := fileDigests(t, dir)
-	added := segmentPath(dir, segs[len(segs)-1].idx+1)
 	for name, d := range before {
 		if after[name] != d {
 			t.Errorf("%s changed: %s -> %q", name, d, after[name])
 		}
 	}
 	for name, d := range after {
-		if _, ok := before[name]; !ok && filepath.Join(dir, name) != added {
-			t.Errorf("recovery added %s (%s); only %s may be new", name, d, filepath.Base(added))
+		if _, ok := before[name]; !ok {
+			t.Errorf("recovery added %s (%s)", name, d)
 		}
-	}
-	if len(after) != len(before)+1 {
-		t.Fatalf("%d files after recovery, want %d", len(after), len(before)+1)
 	}
 }
 

@@ -13,9 +13,9 @@
 // travelled as). Records accumulate in numbered segment files
 // (wal-00000001.seg, wal-00000002.seg, ...), each starting with an 8-byte
 // magic header. A segment is sealed — fsynced, closed, never written again
-// — before its successor is created, and every Open starts a fresh segment,
-// so only a segment that was newest when its process died can hold a torn
-// tail, and recovery never writes to one.
+// — before its successor is created, and each process's first write creates
+// one past all on disk: only the newest segment at a crash can hold a torn
+// tail, recovery never writes to one, and a restart without writes adds none.
 //
 // Durability is a policy, not a constant: SyncAlways fsyncs before every
 // append acknowledges (group commit batches concurrent appenders under one
@@ -26,10 +26,10 @@
 // power loss and kernel panics.
 //
 // Recovery is one read-only pass. Open reads no record and changes no
-// existing file: it lists the segments and their sizes and appends to a new
-// one. Replay reads the segments that existed at Open; each replays up to
-// its first invalid record (bad header, short record, implausible length,
-// bad CRC), and the bytes from there to its end are counted, not repaired.
+// existing file: it lists the segments and their sizes. Replay reads the
+// segments that existed at Open; each replays up to its first invalid
+// record (bad header, short record, implausible length, bad CRC), and the
+// bytes from there to its end are counted, not repaired.
 // Appends racing recovery land in later segments and are never replayed
 // into themselves. Checkpoint bounds the log: it seals the active segment,
 // writes an application snapshot atomically next to the segments, and
@@ -261,7 +261,7 @@ type Log struct {
 	// mu guards the append state: the active file, sizes, sequence
 	// numbers, and the sealed-segment list.
 	mu      sync.Mutex
-	f       *os.File
+	f       *os.File // nil until a write after Open or a seal creates segIdx
 	segIdx  uint64
 	segSize int64
 	total   int64
@@ -285,9 +285,9 @@ type Log struct {
 }
 
 // Open creates the log in o.Dir, or opens the one there without reading or
-// changing any existing segment: appends go to a new segment numbered one
-// past the highest on disk. The returned log is ready for Append; call
-// Replay first when recovering state.
+// changing any existing segment: the first append creates a new segment
+// numbered one past the highest on disk. The returned log is ready for
+// Append; call Replay first when recovering state.
 func Open(o Options) (*Log, error) {
 	if o.Dir == "" {
 		return nil, errors.New("wal: Options.Dir is required")
@@ -333,9 +333,7 @@ func Open(o Options) (*Log, error) {
 	for _, s := range segs {
 		l.total += s.size
 	}
-	if err := l.startSegment(l.openIdx); err != nil {
-		return nil, err
-	}
+	l.segIdx, l.segSize = l.openIdx, headerSize
 	if l.policy == SyncInterval {
 		l.stopInterval = make(chan struct{})
 		l.intervalDone = make(chan struct{})
@@ -383,9 +381,9 @@ func (l *Log) appendRecords(n int, mk func(dst []byte, i int) []byte) error {
 	records, size, refused, err := l.writeRecordsLocked(n, mk)
 	l.seq += uint64(records)
 	seq := l.seq
+	l.fail(err) // under mu: syncOnce never sees a failed write unlatched
 	l.mu.Unlock()
 	if err != nil {
-		l.fail(err)
 		l.inc(MetricAppendErrors)
 		return err
 	}
@@ -439,8 +437,17 @@ func (l *Log) writeRecordsLocked(n int, mk func(dst []byte, i int) []byte) (reco
 	return records, size, refused, l.writeLocked(b)
 }
 
-// writeLocked writes framed records to the active segment. Callers hold l.mu.
+// writeLocked writes framed records to the active segment, creating it if
+// they are its first. Callers hold l.mu.
 func (l *Log) writeLocked(b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
+	if l.f == nil {
+		if err := l.createSegmentLocked(); err != nil {
+			return err
+		}
+	}
 	if _, err := l.f.Write(b); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
@@ -500,14 +507,16 @@ func (l *Log) waitSynced(seq uint64) error {
 // syncOnce fsyncs the active segment and advances syncedSeq to cover every
 // record appended before it started. A sealer racing us closes the file
 // under fsyncMu after syncing it, so ErrClosed here means the records are
-// already durable.
+// already durable; without an active segment, all are in sealed segments.
 func (l *Log) syncOnce() error {
 	l.mu.Lock()
-	f := l.f
-	seq := l.seq
-	closed := l.closed.Load()
+	f, seq, closed, failed := l.f, l.seq, l.closed.Load(), l.loadFailed()
 	l.mu.Unlock()
-	if closed || f == nil {
+	if closed || failed != nil {
+		return nil
+	}
+	if f == nil {
+		l.advanceSynced(seq)
 		return nil
 	}
 	l.fsyncMu.Lock()
@@ -555,10 +564,13 @@ func (l *Log) intervalLoop() {
 	}
 }
 
-// sealLocked makes the active segment durable, closes it, and starts its
-// successor. Callers hold l.mu. On error the log has no active segment and
-// must be wedged by the caller.
+// sealLocked makes the active segment, if any, durable and closes it; the
+// next write creates its successor. Callers hold l.mu. On error the log
+// must be wedged by the caller before it releases l.mu.
 func (l *Log) sealLocked() error {
+	if l.f == nil {
+		return nil
+	}
 	l.fsyncMu.Lock()
 	var err error
 	if l.policy != SyncNever {
@@ -580,13 +592,14 @@ func (l *Log) sealLocked() error {
 	}
 	l.sealed = append(l.sealed, sealedSeg{idx: l.segIdx, size: l.segSize})
 	l.inc(MetricRotations)
-	return l.startSegment(l.segIdx + 1)
+	l.segIdx, l.segSize = l.segIdx+1, headerSize
+	return nil
 }
 
-// startSegment creates segment idx and makes it active. Callers hold l.mu
-// (or have exclusive access during Open).
-func (l *Log) startSegment(idx uint64) error {
-	path := segmentPath(l.dir, idx)
+// createSegmentLocked creates segment segIdx, header only, and makes it
+// active. Callers hold l.mu.
+func (l *Log) createSegmentLocked() error {
+	path := segmentPath(l.dir, l.segIdx)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: creating %s: %w", path, err)
@@ -602,8 +615,6 @@ func (l *Log) startSegment(idx uint64) error {
 		}
 	}
 	l.f = f
-	l.segIdx = idx
-	l.segSize = headerSize
 	l.total += headerSize
 	return nil
 }
@@ -631,8 +642,8 @@ func (l *Log) checkpoint(write func(io.Writer) error) (int, error) {
 		return 0, ErrClosed
 	}
 	if err := l.sealLocked(); err != nil {
-		l.mu.Unlock()
 		l.fail(err)
+		l.mu.Unlock()
 		return 0, err
 	}
 	boundary := l.segIdx
@@ -819,14 +830,17 @@ func (l *Log) Size() int64 {
 func (l *Log) Segments() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.f == nil {
+		return len(l.sealed)
+	}
 	return len(l.sealed) + 1
 }
 
 // Dir is the directory the log lives in.
 func (l *Log) Dir() string { return l.dir }
 
-// Close syncs and closes the active segment. Further appends return
-// ErrClosed; Close is idempotent.
+// Close syncs and closes the active segment, if one was created. Further
+// appends return ErrClosed; Close is idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed.Load() {
@@ -835,7 +849,6 @@ func (l *Log) Close() error {
 	}
 	l.closed.Store(true)
 	f := l.f
-	l.f = nil
 	seq := l.seq
 	l.mu.Unlock()
 	if l.stopInterval != nil {

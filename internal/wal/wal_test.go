@@ -304,6 +304,50 @@ func TestRestartWithoutWritesAddsNoSegment(t *testing.T) {
 	restarts(1)
 }
 
+// TestNoActiveSegmentYet: Sync, Checkpoint and Close work on a log whose
+// active segment does not exist yet, after Open and after a checkpoint's
+// seal, under a policy that fsyncs and one that does not.
+func TestNoActiveSegmentYet(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncNever} {
+		dir := t.TempDir()
+		l := mustOpen(t, Options{Dir: dir, Policy: policy})
+		appendN(t, l, 0, 3)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l = mustOpen(t, Options{Dir: dir, Policy: policy})
+		if err := l.Sync(); err != nil {
+			t.Fatalf("%v: Sync before any append: %v", policy, err)
+		}
+		if n, err := l.Checkpoint(func(io.Writer) error { return nil }); err != nil || n != 1 {
+			t.Fatalf("%v: Checkpoint before any append pruned %d, %v; want 1", policy, n, err)
+		}
+		appendN(t, l, 3, 2)
+		if _, err := l.Checkpoint(func(io.Writer) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatalf("%v: Sync after a checkpoint sealed the last write: %v", policy, err)
+		}
+		if segs, err := listSegments(dir); err != nil || len(segs) != 0 || l.Segments() != 0 || l.Size() != 0 {
+			t.Fatalf("%v: after the checkpoints %d segments on disk (%v), Segments() %d, Size() %d; want none",
+				policy, len(segs), err, l.Segments(), l.Size())
+		}
+		appendN(t, l, 5, 1)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l = mustOpen(t, Options{Dir: dir, Policy: policy})
+		recs, _ := replayAll(t, l)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Update.Ref() != testUpdate(5).Ref() {
+			t.Fatalf("%v: replayed %d records, want the one appended after the checkpoints", policy, len(recs))
+		}
+	}
+}
+
 func TestSizeShrinksAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})

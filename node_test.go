@@ -154,9 +154,11 @@ func TestNodeClosed(t *testing.T) {
 func TestWatchPushAndPull(t *testing.T) {
 	hub := pushpull.NewHub()
 	ctx := context.Background()
-	// Publisher pushes straight to the push-receiver.
-	pub := openHubNode(t, hub, "publisher", 1, pushpull.WithPeers("push-recv"))
-	recv := openHubNode(t, hub, "push-recv", 2)
+	// Publisher pushes straight to the push-receiver. Neither pulls, so the
+	// receiver's events come by push and the publisher's by its own writes.
+	pub := openHubNode(t, hub, "publisher", 1, pushpull.WithPeers("push-recv"),
+		pushpull.WithPullInterval(time.Hour))
+	recv := openHubNode(t, hub, "push-recv", 2, pushpull.WithPullInterval(time.Hour))
 
 	recvEvents, err := recv.Watch(ctx, "")
 	if err != nil {
