@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -467,15 +465,6 @@ func BenchmarkRecoverWAL(b *testing.B) {
 		}
 		r.Stop()
 		if err := l.Close(); err != nil {
-			b.Fatal(err)
-		}
-		// Every recovery reads the same log: drop the empty segment this
-		// Open added (names sort by index).
-		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-		if err != nil || len(segs) != 2 {
-			b.Fatalf("segments %v, %v; want the log's and this Open's", segs, err)
-		}
-		if err := os.Remove(segs[1]); err != nil {
 			b.Fatal(err)
 		}
 		// Every recovery starts from the same heap, as a restarting

@@ -15,8 +15,8 @@ import (
 const DefaultWALCheckpointBytes = 16 << 20
 
 // walCheckpointSegments is the segment count past which the janitor
-// checkpoints whatever the log's size: every restart starts a segment, so a
-// node that restarts often but writes little would otherwise pile up files.
+// checkpoints whatever the log's size: each restart that writes starts a
+// segment, and frequent restarts with few writes would pile up files.
 const walCheckpointSegments = 64
 
 // WALRecovery reports what RecoverWAL restored from disk.
