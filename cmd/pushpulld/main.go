@@ -10,8 +10,8 @@
 //
 // With -wal-dir the daemon is crash-consistent: every accepted update is
 // appended to a write-ahead log (fsync policy per -fsync) before the apply
-// is acknowledged, and startup restores the latest checkpoint and replays
-// the surviving log — a kill -9 loses nothing acknowledged; /v1/state
+// is acknowledged, and startup replays the latest checkpoint's records, then
+// the surviving segments' — a kill -9 loses nothing acknowledged; /v1/state
 // reports the recovered updates. The WAL is the daemon's only persistence:
 // without -wal-dir a restarted daemon opens empty and catches up by pull.
 // The line
@@ -134,20 +134,17 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan struct{}) int {
 		return 1
 	}
 	// The recovered count lets /v1/state reconcile apply counters across
-	// the restart.
-	var restored int
-	if rec, ok := node.WALRecovery(); ok {
-		restored = rec.Restored()
-		if restored > 0 || rec.TruncatedBytes > 0 {
-			fmt.Fprintf(stderr, "pushpulld: wal recovery: checkpoint=%d replayed=%d duplicates=%d truncated=%dB\n",
-				rec.CheckpointRestored, rec.Replayed, rec.Duplicates, rec.TruncatedBytes)
-		}
+	// the restart; without a WAL it is zero.
+	rec, _ := node.WALRecovery()
+	if rec.Replayed > 0 || rec.TruncatedBytes > 0 {
+		fmt.Fprintf(stderr, "pushpulld: wal recovery: replayed=%d duplicates=%d truncated=%dB\n",
+			rec.Replayed, rec.Duplicates, rec.TruncatedBytes)
 	}
 
 	srv, err := serve.New(serve.Config{
 		Node:         node,
 		Metrics:      reg,
-		Restored:     restored,
+		Restored:     rec.Replayed,
 		StartUnready: true,
 	})
 	if err != nil {

@@ -74,6 +74,11 @@ type ProcConfig struct {
 	// Fsync is the WAL fsync policy (always/interval/never); "" leaves the
 	// daemon default.
 	Fsync string
+	// WALCheckpoint is the resident WAL size in bytes past which a janitor
+	// pass checkpoints the log (0 = daemon default).
+	WALCheckpoint int64
+	// JanitorInterval is the maintenance pass period (0 = daemon default).
+	JanitorInterval time.Duration
 	// Seed pins the daemon's randomness; 0 draws from crypto/rand.
 	Seed int64
 	// PullInterval is the anti-entropy period (0 = daemon default 30s).
@@ -88,38 +93,28 @@ type ProcConfig struct {
 }
 
 func (c ProcConfig) args() []string {
-	httpAddr, gossipAddr := c.HTTPAddr, c.GossipAddr
-	if httpAddr == "" {
-		httpAddr = "127.0.0.1:0"
+	orEphemeral := func(addr string) string {
+		if addr == "" {
+			return "127.0.0.1:0"
+		}
+		return addr
 	}
-	if gossipAddr == "" {
-		gossipAddr = "127.0.0.1:0"
+	args := []string{"-http", orEphemeral(c.HTTPAddr), "-gossip", orEphemeral(c.GossipAddr)}
+	flag := func(set bool, name, value string) {
+		if set {
+			args = append(args, name+"="+value)
+		}
 	}
-	args := []string{"-http", httpAddr, "-gossip", gossipAddr}
-	if len(c.Peers) > 0 {
-		args = append(args, "-peers", strings.Join(c.Peers, ","))
-	}
-	if c.WALDir != "" {
-		args = append(args, "-wal-dir", c.WALDir)
-	}
-	if c.Fsync != "" {
-		args = append(args, "-fsync", c.Fsync)
-	}
-	if c.Seed != 0 {
-		args = append(args, "-seed", strconv.FormatInt(c.Seed, 10))
-	}
-	if c.PullInterval > 0 {
-		args = append(args, "-pull-interval", c.PullInterval.String())
-	}
-	if c.Fanout > 0 {
-		args = append(args, "-fanout", strconv.Itoa(c.Fanout))
-	}
-	if c.PF > 0 {
-		args = append(args, "-pf", strconv.FormatFloat(c.PF, 'g', -1, 64))
-	}
-	if c.Acks {
-		args = append(args, "-acks")
-	}
+	flag(len(c.Peers) > 0, "-peers", strings.Join(c.Peers, ","))
+	flag(c.WALDir != "", "-wal-dir", c.WALDir)
+	flag(c.Fsync != "", "-fsync", c.Fsync)
+	flag(c.WALCheckpoint > 0, "-wal-checkpoint", strconv.FormatInt(c.WALCheckpoint, 10))
+	flag(c.JanitorInterval > 0, "-janitor-interval", c.JanitorInterval.String())
+	flag(c.Seed != 0, "-seed", strconv.FormatInt(c.Seed, 10))
+	flag(c.PullInterval > 0, "-pull-interval", c.PullInterval.String())
+	flag(c.Fanout > 0, "-fanout", strconv.Itoa(c.Fanout))
+	flag(c.PF > 0, "-pf", strconv.FormatFloat(c.PF, 'g', -1, 64))
+	flag(c.Acks, "-acks", "true")
 	return args
 }
 

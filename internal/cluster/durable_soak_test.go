@@ -61,8 +61,21 @@ func (b *burstWriter) wait(t *testing.T) []serve.PutResult {
 func tornTail(t *testing.T, dir string) {
 	t.Helper()
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments in %s (err=%v)", dir, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) == 0 {
+		// The kill landed after a checkpoint pruned every segment and before
+		// the next write created one: tear that write, the first record of a
+		// fresh segment, whose header is the one the checkpoint starts with.
+		ckpt, err := os.ReadFile(filepath.Join(dir, "checkpoint.snap"))
+		if err != nil || len(ckpt) < 8 {
+			t.Fatalf("no WAL segment and no checkpoint header in %s (err=%v)", dir, err)
+		}
+		segs = []string{filepath.Join(dir, "wal-00000001.seg")}
+		if err := os.WriteFile(segs[0], ckpt[:8], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sort.Strings(segs)
 	tail := segs[len(segs)-1]
@@ -83,10 +96,11 @@ func tornTail(t *testing.T, dir string) {
 }
 
 // TestClusterSoakDurable is the durability chaos soak: every member runs
-// with a write-ahead log, a victim is SIGKILLed while a write burst is in
-// flight against it, its WAL tail is deliberately torn, and it must come
-// back from disk alone holding every write it ever
-// acknowledged. Traffic keeps flowing through the survivors throughout,
+// with a write-ahead log that its janitor checkpoints on every pass, a
+// victim is SIGKILLed while a write burst is in flight against it, its WAL
+// tail is deliberately torn, and it must come back from disk alone — its
+// checkpoint's records, then the surviving segments' — holding every write
+// it ever acknowledged. Traffic keeps flowing through the survivors throughout,
 // and the run ends with full convergence plus the exactly-once invariants.
 func TestClusterSoakDurable(t *testing.T) {
 	procs, killCycles, keysPerPhase := 4, 2, 30
@@ -102,6 +116,9 @@ func TestClusterSoakDurable(t *testing.T) {
 		Acks:         true,
 		WALDir:       filepath.Join(tmp, "wal"),
 		Fsync:        "interval",
+		// Every janitor pass that finds the log non-empty checkpoints it.
+		WALCheckpoint:   1,
+		JanitorInterval: 50 * time.Millisecond,
 	}
 	c, err := Launch(daemonBin, procs, base, testLogWriter{t})
 	if err != nil {
@@ -139,7 +156,11 @@ func TestClusterSoakDurable(t *testing.T) {
 			tr.want[k] = v
 		}
 		burst.mu.Unlock()
-		tornTail(t, fmt.Sprintf("%s.%d", base.WALDir, victim))
+		victimWAL := fmt.Sprintf("%s.%d", base.WALDir, victim)
+		if _, err := os.Stat(filepath.Join(victimWAL, "checkpoint.snap")); err != nil {
+			t.Fatalf("kill cycle %d: the victim's WAL holds no checkpoint: %v", cycle, err)
+		}
+		tornTail(t, victimWAL)
 
 		// Survivors take writes while the victim is down.
 		tr.write(survivors, keysPerPhase)

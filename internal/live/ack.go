@@ -21,28 +21,13 @@ const defaultSuspectTTL = time.Minute
 // the stable compaction frontier.
 const defaultFrontierTTL = 10 * time.Minute
 
-// ackTimeout returns the effective ack deadline.
-func (c Config) ackTimeout() time.Duration {
-	if c.AckTimeout > 0 {
-		return c.AckTimeout
+// orDefault returns v, or def when v is not positive: the effective value of
+// a Config field whose zero value selects a default.
+func orDefault[T ~int64](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return defaultAckTimeout
-}
-
-// suspectTTL returns the effective suspect duration.
-func (c Config) suspectTTL() time.Duration {
-	if c.SuspectTTL > 0 {
-		return c.SuspectTTL
-	}
-	return defaultSuspectTTL
-}
-
-// frontierTTL returns the effective frontier participation window.
-func (c Config) frontierTTL() time.Duration {
-	if c.FrontierTTL > 0 {
-		return c.FrontierTTL
-	}
-	return defaultFrontierTTL
+	return def
 }
 
 // Suspects returns the addresses currently suspected offline (for tests and

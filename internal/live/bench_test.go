@@ -412,10 +412,19 @@ func BenchmarkTCPSendBurst(b *testing.B) {
 // BenchmarkRecoverWAL measures a restart's recovery: open a write-ahead log
 // of 40,000 updates over 10,000 keys — the repo benchmark's rejoin prefill,
 // every key written four times with 128-byte values — and replay it into a
-// fresh replica's store. recovery-ms/op is the time from wal.Open to
-// RecoverWAL returning.
+// fresh replica's store. In log the records sit in segments; in checkpoint
+// a checkpoint holds them and a 4,000-record tail follows in a segment.
+// recovery-ms/op is the time from wal.Open to RecoverWAL returning.
 func BenchmarkRecoverWAL(b *testing.B) {
-	const records, keys = 40000, 10000
+	b.Run("log", func(b *testing.B) { benchRecoverWAL(b, 0) })
+	b.Run("checkpoint", func(b *testing.B) { benchRecoverWAL(b, 4000) })
+}
+
+// benchRecoverWAL is BenchmarkRecoverWAL for a log checkpointed before a
+// tail of tail records, or not checkpointed when tail is 0.
+func benchRecoverWAL(b *testing.B, tail int) {
+	const prefill, keys = 40000, 10000
+	records := prefill + tail
 	dir := b.TempDir()
 	l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncNever})
 	if err != nil {
@@ -440,6 +449,11 @@ func BenchmarkRecoverWAL(b *testing.B) {
 	value := make([]byte, 128)
 	rng.Read(value)
 	for i := 0; i < records; i++ {
+		if i == prefill {
+			if _, err := w.CheckpointWAL(); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if _, err := w.Publish(fmt.Sprintf("r/k%05d", order[i%keys]), value); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -350,8 +352,8 @@ func TestReplicaSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverWAL: %v", err)
 	}
-	if rec.CheckpointRestored != 3 || rec.Replayed != 0 {
-		t.Fatalf("recovery = %+v, want 3 updates from the checkpoint and no records", rec)
+	if rec.Replayed != 3 || rec.Frontiers != 1 {
+		t.Fatalf("recovery = %+v, want the checkpoint's 3 updates and its frontier", rec)
 	}
 	if _, ok := r2.Get("a"); ok {
 		t.Fatal("tombstone lost in restore")
@@ -366,27 +368,39 @@ func TestReplicaSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestReplicaRestoreGarbage: a checkpoint that does not decode fails
-// recovery instead of starting from the log alone, whose covered segments
-// were pruned.
+// TestReplicaRestoreGarbage: a checkpoint that is not a WAL segment image —
+// junk, or the gob store snapshot checkpoints were written as before they
+// became WAL records — fails recovery, naming the file and applying nothing,
+// instead of starting from the log alone, whose covered segments were pruned.
 func TestReplicaRestoreGarbage(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), []byte("junk"), 0o644); err != nil {
+	var gobImage bytes.Buffer
+	old := store.NewSharded(1)
+	old.Apply(store.Update{Origin: "o", Seq: 1, Key: "k", Value: []byte("v"), Stamp: time.Unix(1, 0)})
+	if err := old.WriteSnapshot(&gobImage); err != nil {
 		t.Fatal(err)
 	}
-	l := openWAL(t, dir, wal.Options{})
-	defer l.Close()
-	hub := NewHub()
-	tr, err := hub.Attach("snap-bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReplica(Config{Fanout: 0, Seed: 52, WAL: l}, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RecoverWAL(); err == nil {
-		t.Fatal("garbage checkpoint accepted")
+	for name, content := range map[string][]byte{"junk": []byte("junk"), "gob": gobImage.Bytes()} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "checkpoint.snap")
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l := openWAL(t, dir, wal.Options{})
+		defer l.Close()
+		tr, err := NewHub().Attach("snap-bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReplica(Config{Fanout: 0, Seed: 52, WAL: l}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RecoverWAL(); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s checkpoint: RecoverWAL error %v, want one naming %s", name, err, path)
+		}
+		if n := r.st.UpdateCount(); n != 0 {
+			t.Fatalf("%s checkpoint: %d updates applied", name, n)
+		}
 	}
 }
 

@@ -51,9 +51,6 @@ type Config struct {
 	// instead of an entry-by-entry delta; 0 disables the size trigger
 	// (compaction gaps still force snapshots).
 	SnapshotCatchUp int
-	// FrontierTTL bounds how long a peer's last pull clock participates in
-	// the stable compaction frontier; 0 means 10 minutes.
-	FrontierTTL time.Duration
 	// JanitorInterval is the period of the background janitor that GCs
 	// expired tombstones, expires TTL'd keys, and compacts the update log up
 	// to the stable frontier; 0 disables the janitor.
@@ -76,12 +73,12 @@ type Config struct {
 	Metrics Metrics
 	// WAL, when non-nil, makes applied state crash-consistent: every update
 	// the store accepts (local publish and remote ingest) is appended to
-	// the log before the apply is acknowledged, and RecoverWAL restores
-	// checkpoint + surviving records on restart. The replica does not own
-	// the log's lifecycle — the caller opens and closes it.
+	// the log before the apply is acknowledged, and RecoverWAL replays it on
+	// restart. The replica does not own the log's lifecycle — the caller
+	// opens and closes it.
 	WAL *wal.Log
 	// WALCheckpointBytes is the resident log size beyond which the janitor
-	// checkpoints (snapshot + prune); 0 means DefaultWALCheckpointBytes.
+	// checkpoints (store image + prune); 0 means DefaultWALCheckpointBytes.
 	WALCheckpointBytes int64
 }
 
@@ -116,8 +113,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("live: suspect ttl %v negative", c.SuspectTTL)
 	case c.SnapshotCatchUp < 0:
 		return fmt.Errorf("live: snapshot catch-up threshold %d negative", c.SnapshotCatchUp)
-	case c.FrontierTTL < 0:
-		return fmt.Errorf("live: frontier ttl %v negative", c.FrontierTTL)
 	case c.JanitorInterval < 0:
 		return fmt.Errorf("live: janitor interval %v negative", c.JanitorInterval)
 	case c.TombstoneRetention < 0:
@@ -205,15 +200,11 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 	if seed == 0 {
 		seed = cryptoSeed()
 	}
-	retain := cfg.TombstoneRetention
-	if retain == 0 {
-		retain = store.DefaultTombstoneRetention
-	}
 	r := &Replica{
 		cfg:       cfg,
 		transport: transport,
 		addr:      transport.Addr(),
-		st:        store.NewShardedWithRetention(0, retain),
+		st:        store.NewShardedWithRetention(0, orDefault(cfg.TombstoneRetention, store.DefaultTombstoneRetention)),
 		rng:       rand.New(rand.NewSource(seed)),
 		senders:   make(map[string]*peerSender),
 		stop:      make(chan struct{}),
@@ -232,10 +223,10 @@ func NewReplica(cfg Config, transport Transport) (*Replica, error) {
 		ListMax:         cfg.ListMax,
 		PullAttempts:    cfg.PullAttempts,
 		Acks:            cfg.Acks,
-		AckTimeout:      cfg.ackTimeout().Nanoseconds(),
-		SuspectTTL:      cfg.suspectTTL().Nanoseconds(),
+		AckTimeout:      orDefault(cfg.AckTimeout, defaultAckTimeout).Nanoseconds(),
+		SuspectTTL:      orDefault(cfg.SuspectTTL, defaultSuspectTTL).Nanoseconds(),
 		SnapshotCatchUp: cfg.SnapshotCatchUp,
-		FrontierTTL:     cfg.frontierTTL().Nanoseconds(),
+		FrontierTTL:     defaultFrontierTTL.Nanoseconds(),
 		LazySweep:       true,
 		QueryLocalVoice: true,
 		DeferPullRender: true,

@@ -2,16 +2,15 @@ package live
 
 import (
 	"errors"
-	"fmt"
+	"io"
 
 	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wal"
 )
 
-// DefaultWALCheckpointBytes is the resident-WAL size that triggers a
-// checkpoint on the janitor's schedule when Config.WALCheckpointBytes is
-// zero.
+// DefaultWALCheckpointBytes is the resident-WAL size that triggers a janitor
+// checkpoint when Config.WALCheckpointBytes is zero.
 const DefaultWALCheckpointBytes = 16 << 20
 
 // walCheckpointSegments is the segment count past which the janitor
@@ -21,10 +20,8 @@ const walCheckpointSegments = 64
 
 // WALRecovery reports what RecoverWAL restored from disk.
 type WALRecovery struct {
-	// CheckpointRestored is the number of updates the checkpoint snapshot
-	// carried.
-	CheckpointRestored int
-	// Replayed is the number of replayed WAL records that grew the store.
+	// Replayed is the number of replayed records, the checkpoint's included,
+	// that grew the store: the updates recovery installed.
 	Replayed int
 	// Duplicates is the number of replayed records the store already
 	// covered (a crash between apply and ack logs twice; Apply is
@@ -35,12 +32,6 @@ type WALRecovery struct {
 	// TruncatedBytes is how many bytes of torn or damaged segments recovery
 	// did not replay.
 	TruncatedBytes int64
-}
-
-// Restored is the total number of updates recovery installed, the figure
-// the daemon reports as its restored count.
-func (rec WALRecovery) Restored() int {
-	return rec.CheckpointRestored + rec.Replayed
 }
 
 // walAppend logs applied updates to the write-ahead log, if one is
@@ -79,31 +70,17 @@ func (r *Replica) walAppendFrontier(c version.Clock) {
 }
 
 // RecoverWAL restores the replica's state from the configured write-ahead
-// log: the latest checkpoint snapshot first, then every surviving WAL
-// record through the normal store apply path, so clocks, branch counts, and
-// the writer's sequence counter end up exactly as a clean restart would
-// leave them. Call before Start, and before registering store apply hooks
-// that must not observe recovery traffic. Replay is idempotent — duplicated
-// records (a crash between apply and ack) are absorbed by the store and
-// counted, not errors.
+// log: one Replay — the checkpoint's records, then the surviving segments' —
+// through the normal store apply path, so clocks, branch counts, and the
+// writer's sequence counter end up exactly as a clean restart would leave
+// them. Call before Start, and before registering store apply hooks that must
+// not observe recovery traffic. Duplicated records (a crash between apply
+// and ack) are absorbed by the store and counted, not errors.
 func (r *Replica) RecoverWAL() (WALRecovery, error) {
 	var rec WALRecovery
 	l := r.cfg.WAL
 	if l == nil {
 		return rec, errors.New("live: no WAL configured")
-	}
-	if rd, ok, err := l.OpenCheckpoint(); err != nil {
-		return rec, err
-	} else if ok {
-		err := r.st.RestoreSnapshot(rd)
-		rd.Close()
-		if err != nil {
-			// A checkpoint that does not decode is not salvageable by
-			// skipping it: segments behind it were pruned, so starting from
-			// the log alone would silently lose acknowledged writes.
-			return rec, fmt.Errorf("live: wal checkpoint unusable: %w", err)
-		}
-		rec.CheckpointRestored = r.st.UpdateCount()
 	}
 	st, err := l.Replay(func(record wal.Record) error {
 		switch record.Kind {
@@ -133,15 +110,18 @@ func (r *Replica) RecoverWAL() (WALRecovery, error) {
 }
 
 // CheckpointWAL bounds the write-ahead log now: it seals the active
-// segment, writes the store snapshot atomically into the WAL directory,
-// and prunes the sealed segments the snapshot covers. The janitor calls
-// this when the log outgrows Config.WALCheckpointBytes; tests and
-// operators may call it directly.
+// segment, writes the store's log image as WAL records atomically into the
+// WAL directory, and prunes the sealed segments the image covers. The
+// janitor calls this when the log outgrows Config.WALCheckpointBytes; tests
+// and operators may call it directly.
 func (r *Replica) CheckpointWAL() (int, error) {
 	if r.cfg.WAL == nil {
 		return 0, errors.New("live: no WAL configured")
 	}
-	return r.cfg.WAL.Checkpoint(r.st.WriteSnapshot)
+	return r.cfg.WAL.Checkpoint(func(w io.Writer) error {
+		us, compacted := r.st.LogImage()
+		return wal.WriteCheckpoint(w, us, compacted)
+	})
 }
 
 // maybeCheckpointWAL runs a checkpoint when the log has outgrown the
@@ -153,10 +133,7 @@ func (r *Replica) maybeCheckpointWAL() {
 	if l == nil {
 		return
 	}
-	limit := r.cfg.WALCheckpointBytes
-	if limit <= 0 {
-		limit = DefaultWALCheckpointBytes
-	}
+	limit := orDefault(r.cfg.WALCheckpointBytes, DefaultWALCheckpointBytes)
 	if l.Size() < limit && l.Segments() <= walCheckpointSegments {
 		return
 	}

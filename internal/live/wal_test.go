@@ -116,8 +116,8 @@ func TestWALReplicaRecoversAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RecoverWAL: %v", err)
 	}
-	if rec.Restored() != want {
-		t.Fatalf("recovery restored %d updates (%+v), want %d", rec.Restored(), rec, want)
+	if rec.Replayed != want {
+		t.Fatalf("recovery restored %d updates (%+v), want %d", rec.Replayed, rec, want)
 	}
 	if !r2.Store().Equal(r1.Store()) {
 		t.Fatal("recovered store diverges from the surviving replica")
@@ -249,15 +249,15 @@ func TestWALJanitorCheckpointBoundsLogAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if l2.Segments() != 0 {
+		t.Fatalf("%d segments survived the checkpoint, want recovery from the checkpoint alone", l2.Segments())
+	}
 	rec, err := r2.RecoverWAL()
 	if err != nil {
 		t.Fatalf("RecoverWAL: %v", err)
 	}
-	if rec.Restored() != writes {
-		t.Fatalf("recovery restored %d (%+v), want %d", rec.Restored(), rec, writes)
-	}
-	if rec.CheckpointRestored == 0 {
-		t.Fatalf("recovery never used the checkpoint: %+v", rec)
+	if rec.Replayed != writes {
+		t.Fatalf("recovery restored %d (%+v), want %d", rec.Replayed, rec, writes)
 	}
 	for i := 0; i < writes; i++ {
 		if _, ok := r2.Get(fmt.Sprintf("k-%03d", i)); !ok {

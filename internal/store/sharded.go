@@ -511,17 +511,21 @@ func (s *Sharded) Equal(other Backend) bool {
 	return true
 }
 
-// WriteSnapshot serialises the resident update log and compacted watermark
-// to w. The stream is byte-identical for the same logical contents whatever
-// the shard count: it serialises MissingFor(nil) and the watermark, whose
+// LogImage returns MissingFor(nil) and the compacted watermark, read in one
+// cut across all log shards so a compaction cannot pair fresh entries with a
+// stale watermark. Applying the updates to an empty store and then adopting
+// the watermark rebuilds this one. The updates are read-only.
+func (s *Sharded) LogImage() ([]Update, version.Clock) {
+	s.rlockLogs()
+	defer s.runlockLogs()
+	return s.missingLocked(nil), s.compactedLocked()
+}
+
+// WriteSnapshot serialises LogImage to w. The stream is byte-identical for
+// the same logical contents whatever the shard count, because the image's
 // orders are canonical.
 func (s *Sharded) WriteSnapshot(w io.Writer) error {
-	// One consistent cut across all log shards for both the entries and the
-	// watermark: a compaction between reading the two could otherwise pair
-	// fresh entries with a stale frontier.
-	s.rlockLogs()
-	updates, compacted := s.missingLocked(nil), s.compactedLocked()
-	s.runlockLogs()
+	updates, compacted := s.LogImage()
 	return encodeSnapshot(w, updates, compacted)
 }
 

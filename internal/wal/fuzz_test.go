@@ -1,12 +1,16 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"github.com/p2pgossip/update/internal/store"
+	"github.com/p2pgossip/update/internal/version"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
@@ -14,30 +18,31 @@ import (
 // used as the fuzz oracle: walk the segment bytes, stop at the first
 // framing or checksum failure, decode what decodes, skip what does not.
 // Replay must deliver exactly this sequence — in particular it must never
-// deliver a record whose stored checksum does not match its body.
-func oracleScan(data []byte) (recs []Record, skipped int) {
+// deliver a record whose stored checksum does not match its body. end is
+// where the valid records end, 0 when the header is bad.
+func oracleScan(data []byte) (recs []Record, skipped, end int) {
 	want := segmentHeader()
 	if len(data) < len(want) {
-		return nil, 0
+		return nil, 0, 0
 	}
 	for i := range want {
 		if data[i] != want[i] {
-			return nil, 0
+			return nil, 0, 0
 		}
 	}
 	off := headerSize
 	for {
 		if off+recordHeaderSize > len(data) {
-			return recs, skipped
+			return recs, skipped, off
 		}
 		n := binary.BigEndian.Uint32(data[off : off+4])
 		crc := binary.BigEndian.Uint32(data[off+4 : off+8])
 		if n == 0 || n > MaxRecordBytes || off+recordHeaderSize+int(n) > len(data) {
-			return recs, skipped
+			return recs, skipped, off
 		}
 		body := data[off+recordHeaderSize : off+recordHeaderSize+int(n)]
 		if crc32.Checksum(body, crcTable) != crc {
-			return recs, skipped
+			return recs, skipped, off
 		}
 		if rec, ok := decodeOracle(body); ok {
 			recs = append(recs, rec)
@@ -113,7 +118,7 @@ func FuzzWALRecover(f *testing.F) {
 		if err := os.WriteFile(segmentPath(dir, 1), data, 0o644); err != nil {
 			t.Fatalf("WriteFile: %v", err)
 		}
-		wantRecs, wantSkipped := oracleScan(data)
+		wantRecs, wantSkipped, _ := oracleScan(data)
 
 		l, err := Open(Options{Dir: dir, Policy: SyncNever})
 		if err != nil {
@@ -161,6 +166,95 @@ func FuzzWALRecover(f *testing.F) {
 		}
 		if st2.TruncatedBytes != st.TruncatedBytes {
 			t.Fatalf("second recovery TruncatedBytes = %d, first %d", st2.TruncatedBytes, st.TruncatedBytes)
+		}
+	})
+}
+
+// FuzzWALCheckpoint feeds arbitrary bytes to recovery as the checkpoint,
+// beside one clean segment. The checkpoint is usable only when the oracle
+// reads all of it, past a valid header, without skipping a record; then
+// Replay must deliver exactly its records followed by the segment's, and
+// otherwise fail having delivered nothing. It must never panic.
+func FuzzWALCheckpoint(f *testing.F) {
+	us := []store.Update{testUpdate(1), testUpdate(2), testUpdate(7)}
+	var clean bytes.Buffer
+	if err := WriteCheckpoint(&clean, us, version.Clock{"origin-1": 2}); err != nil {
+		f.Fatal(err)
+	}
+	var gob bytes.Buffer
+	old := store.NewSharded(1)
+	for _, u := range us {
+		old.Apply(u)
+	}
+	if err := old.WriteSnapshot(&gob); err != nil {
+		f.Fatal(err)
+	}
+	c := clean.Bytes()
+	f.Add(c)
+	f.Add(c[:len(c)-3])
+	f.Add(c[:headerSize])
+	f.Add(c[:headerSize+5])
+	f.Add([]byte{})
+	flipped := append([]byte(nil), c...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), c...), 0xff, 0x00, 0xff))
+	f.Add(gob.Bytes())
+
+	segDir := f.TempDir()
+	{
+		l, err := Open(Options{Dir: segDir, Policy: SyncNever})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 10; i < 14; i++ {
+			if err := l.Append(testUpdate(i)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	seg, err := os.ReadFile(segmentPath(segDir, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	segRecs, _, _ := oracleScan(seg)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(segmentPath(dir, 1), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "checkpoint.snap"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ckptRecs, skipped, end := oracleScan(data)
+		usable := end >= headerSize && end == len(data) && skipped == 0
+
+		l, err := Open(Options{Dir: dir, Policy: SyncNever})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer l.Close()
+		var got []Record
+		_, err = l.Replay(func(r Record) error {
+			got = append(got, r)
+			return nil
+		})
+		if !usable {
+			if err == nil || len(got) != 0 {
+				t.Fatalf("unusable checkpoint: Replay delivered %d records, error %v; want none and an error", len(got), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("Replay refused a usable checkpoint: %v", err)
+		}
+		want := append(append([]Record(nil), ckptRecs...), segRecs...)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("replayed %d records, want the checkpoint's %d then the segment's %d", len(got), len(ckptRecs), len(segRecs))
 		}
 	})
 }

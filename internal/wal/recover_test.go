@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/p2pgossip/update/internal/store"
 	"github.com/p2pgossip/update/internal/wire"
 )
 
@@ -430,8 +431,7 @@ func TestRecoverReadOnly(t *testing.T) {
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
 	appendN(t, l, 0, 40)
 	if _, err := l.Checkpoint(func(w io.Writer) error {
-		_, err := io.WriteString(w, "snapshot")
-		return err
+		return WriteCheckpoint(w, []store.Update{testUpdate(0)}, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -121,6 +122,33 @@ func replaySegment(path string, size int64, fn func(Record) error) (valid int64,
 		}
 		valid += recordHeaderSize + n
 	}
+}
+
+// readCheckpoint decodes every record of the checkpoint at path, none if it
+// is missing. The segments it replaced are pruned, so any damage, a body
+// that does not decode included, is an error naming the file.
+func readCheckpoint(path string) (recs []Record, err error) {
+	fi, err := os.Stat(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	var valid int64
+	if err == nil {
+		valid, err = replaySegment(path, fi.Size(), func(rec Record) error {
+			if rec.Kind == 0 {
+				return errors.New("a record body does not decode")
+			}
+			recs = append(recs, rec)
+			return nil
+		})
+	}
+	if err == nil && (valid < headerSize || valid < fi.Size()) {
+		err = errors.New("bad segment header, or a torn or checksum-failing record")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wal: checkpoint %s unusable at byte %d: %w", path, valid, err)
+	}
+	return recs, nil
 }
 
 // readError maps a short read, the end of a segment's valid records, to nil

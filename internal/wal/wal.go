@@ -26,15 +26,13 @@
 // power loss and kernel panics.
 //
 // Recovery is one read-only pass. Open reads no record and changes no
-// existing file: it lists the segments and their sizes. Replay reads the
-// segments that existed at Open; each replays up to its first invalid
-// record (bad header, short record, implausible length, bad CRC), and the
-// bytes from there to its end are counted, not repaired.
-// Appends racing recovery land in later segments and are never replayed
-// into themselves. Checkpoint bounds the log: it seals the active segment,
-// writes an application snapshot atomically next to the segments, and
-// prunes every segment older than the seal — recovery is then snapshot +
-// surviving segments.
+// existing file. Replay reads the checkpoint, then the segments that existed
+// at Open; each segment replays up to its first invalid record (bad header,
+// short record, implausible length, bad CRC), and the bytes from there to its
+// end are counted, not repaired. Checkpoint bounds the log: it seals the
+// active segment, writes a segment image of the store (WriteCheckpoint)
+// atomically next to the segments, and prunes every segment older than the
+// seal, so any damage in the image fails Replay before a record is delivered.
 package wal
 
 import (
@@ -72,32 +70,25 @@ const (
 	SyncNever
 )
 
+// policyNames spells each policy the way the -fsync daemon flag does.
+var policyNames = [...]string{SyncAlways: "always", SyncInterval: "interval", SyncNever: "never"}
+
 // String names the policy the way the -fsync daemon flag spells it.
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncInterval:
-		return "interval"
-	case SyncNever:
-		return "never"
-	default:
-		return fmt.Sprintf("SyncPolicy(%d)", int(p))
+	if p >= 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
 // ParseSyncPolicy maps the -fsync flag spellings to policies.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "always":
-		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
-	case "never":
-		return SyncNever, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
+	for p, name := range policyNames {
+		if name == s {
+			return SyncPolicy(p), nil
+		}
 	}
+	return 0, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
 // Metrics is the counter sink the log reports to; it matches the live
@@ -181,8 +172,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Options configures Open.
 type Options struct {
-	// Dir is the directory holding segments and the checkpoint snapshot.
-	// It is created if missing. Required.
+	// Dir is the directory holding the segments and the checkpoint, a
+	// segment image. It is created if missing. Required.
 	Dir string
 	// Policy selects the fsync policy; the zero value is SyncAlways.
 	Policy SyncPolicy
@@ -216,7 +207,7 @@ const (
 	// RecordUpdate is a store update (wire.AppendStoreUpdate body).
 	RecordUpdate RecordKind = 1
 	// RecordFrontier is an adopted compaction frontier (wire.AppendClock
-	// body), logged when a snapshot catch-up moves the clock wholesale.
+	// body): a snapshot catch-up's, or a checkpointed store's watermark.
 	RecordFrontier RecordKind = 2
 )
 
@@ -352,8 +343,7 @@ const maxRetainedScratch = 1 << 20
 // An I/O error wedges the log: every later append returns it.
 func (l *Log) Append(us ...store.Update) error {
 	return l.appendRecords(len(us), func(dst []byte, i int) []byte {
-		dst = append(dst, byte(RecordUpdate))
-		return wire.AppendStoreUpdate(dst, us[i])
+		return updateBody(dst, us[i])
 	})
 }
 
@@ -361,9 +351,59 @@ func (l *Log) Append(us ...store.Update) error {
 // recovery can restore the compaction watermark a snapshot installed.
 func (l *Log) AppendFrontier(c version.Clock) error {
 	return l.appendRecords(1, func(dst []byte, _ int) []byte {
-		dst = append(dst, byte(RecordFrontier))
-		return wire.AppendClock(dst, c)
+		return frontierBody(dst, c)
 	})
+}
+
+// updateBody and frontierBody append the body of an update record and of a
+// frontier record to dst.
+func updateBody(dst []byte, u store.Update) []byte {
+	return wire.AppendStoreUpdate(append(dst, byte(RecordUpdate)), u)
+}
+
+func frontierBody(dst []byte, c version.Clock) []byte {
+	return wire.AppendClock(append(dst, byte(RecordFrontier)), c)
+}
+
+// appendRecord frames record i onto b: its length and checksum, then the body
+// mk appends. A body over MaxRecordBytes is refused, and b returned as it was.
+func appendRecord(b []byte, i int, mk func(dst []byte, i int) []byte) ([]byte, error) {
+	start := len(b)
+	b = mk(append(b, 0, 0, 0, 0, 0, 0, 0, 0), i)
+	body := b[start+recordHeaderSize:]
+	if len(body) > MaxRecordBytes {
+		return b[:start], fmt.Errorf("wal: record body %d bytes exceeds MaxRecordBytes", len(body))
+	}
+	putU32(b[start:start+4], uint32(len(body)))
+	putU32(b[start+4:start+8], crc32.Checksum(body, crcTable))
+	return b, nil
+}
+
+// WriteCheckpoint writes a checkpoint to w as a segment image: the segment
+// header, each of us as an update record, then frontier as one frontier
+// record. Replaying it through the store's apply path, the frontier adopted
+// last, rebuilds the store us and frontier were read from.
+func WriteCheckpoint(w io.Writer, us []store.Update, frontier version.Clock) error {
+	mk := func(dst []byte, i int) []byte {
+		if i < len(us) {
+			return updateBody(dst, us[i])
+		}
+		return frontierBody(dst, frontier)
+	}
+	b := segmentHeader()
+	for i := 0; i <= len(us); i++ {
+		var err error
+		if b, err = appendRecord(b, i, mk); err != nil {
+			return err
+		}
+		if len(b) >= 64<<10 || i == len(us) {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	return nil
 }
 
 // appendRecords frames n records, record i's body appended to dst by mk,
@@ -412,15 +452,11 @@ func (l *Log) writeRecordsLocked(n int, mk func(dst []byte, i int) []byte) (reco
 	}()
 	for i := 0; i < n; i++ {
 		start := len(b)
-		b = mk(append(b, 0, 0, 0, 0, 0, 0, 0, 0), i)
-		body := b[start+recordHeaderSize:]
-		if len(body) > MaxRecordBytes {
-			refused = fmt.Errorf("wal: record body %d bytes exceeds MaxRecordBytes", len(body))
-			b = b[:start]
+		var tooBig error
+		if b, tooBig = appendRecord(b, i, mk); tooBig != nil {
+			refused = tooBig
 			continue
 		}
-		putU32(b[start:start+4], uint32(len(body)))
-		putU32(b[start+4:start+8], crc32.Checksum(body, crcTable))
 		framed := len(b) - start
 		if l.segSize+int64(len(b)) > l.segBytes && l.segSize+int64(start) > headerSize {
 			if err = l.writeLocked(b[:start]); err == nil {
@@ -620,22 +656,18 @@ func (l *Log) createSegmentLocked() error {
 }
 
 // Checkpoint bounds the log: it seals the active segment, writes the
-// application snapshot atomically to CheckpointPath via write, and prunes
-// every segment older than the seal. The snapshot is taken after the seal,
-// so it necessarily covers every record in the pruned segments (records are
-// appended only after their store apply completed). Returns how many
-// segments were pruned.
-func (l *Log) Checkpoint(write func(io.Writer) error) (int, error) {
-	pruned, err := l.checkpoint(write)
-	if err != nil {
-		l.inc(MetricCheckpointErrors)
-		return pruned, err
-	}
-	l.inc(MetricCheckpoints)
-	return pruned, nil
-}
-
-func (l *Log) checkpoint(write func(io.Writer) error) (int, error) {
+// checkpoint atomically to CheckpointPath via write (Replay accepts what
+// WriteCheckpoint writes), and prunes every segment older than the seal,
+// returning how many it pruned. write runs after the seal and records follow
+// their store apply, so what it reads covers every pruned record.
+func (l *Log) Checkpoint(write func(io.Writer) error) (pruned int, err error) {
+	defer func() {
+		if err != nil {
+			l.inc(MetricCheckpointErrors)
+		} else {
+			l.inc(MetricCheckpoints)
+		}
+	}()
 	l.mu.Lock()
 	if l.closed.Load() {
 		l.mu.Unlock()
@@ -657,16 +689,12 @@ func (l *Log) checkpoint(write func(io.Writer) error) (int, error) {
 // pruneBefore removes every sealed segment with index < boundary.
 func (l *Log) pruneBefore(boundary uint64) (int, error) {
 	l.mu.Lock()
-	var drop []sealedSeg
-	keep := l.sealed[:0]
-	for _, s := range l.sealed {
-		if s.idx < boundary {
-			drop = append(drop, s)
-		} else {
-			keep = append(keep, s)
-		}
+	n := 0 // sealed is ascending by index
+	for n < len(l.sealed) && l.sealed[n].idx < boundary {
+		n++
 	}
-	l.sealed = keep
+	drop := append([]sealedSeg(nil), l.sealed[:n]...)
+	l.sealed = append(l.sealed[:0], l.sealed[n:]...)
 	l.mu.Unlock()
 	var firstErr error
 	removed := 0
@@ -696,15 +724,17 @@ func (l *Log) pruneBefore(boundary uint64) (int, error) {
 	return removed, firstErr
 }
 
-// Replay streams the records of every segment that existed when Open ran,
-// oldest first, stopping at the first callback error. Records appended after
-// Open are not visited, so recovery can overlap live traffic without
-// replaying it into itself. Each segment replays up to its first invalid
-// record; the bytes from there to its end are counted in TruncatedBytes and
-// are reported again at every recovery until a checkpoint prunes their
-// segment. Checksum-valid bodies that fail to decode are skipped and
-// counted, never delivered. A reader goroutine decodes the next batches while
-// fn runs on the caller's goroutine, and has exited when Replay returns.
+// Replay streams the records of the checkpoint, then those of every segment
+// that existed when Open ran, oldest first, stopping at the first callback
+// error. A checkpoint that does not read whole fails Replay, naming the file,
+// before any record is delivered. Records appended after Open are not
+// visited, so recovery can overlap live traffic without replaying it into
+// itself. Each segment replays up to its first invalid record; the bytes
+// from there to its end are counted in TruncatedBytes and are reported again
+// at every recovery until a checkpoint prunes their segment. Checksum-valid
+// segment bodies that fail to decode are skipped and counted, never
+// delivered. A reader goroutine decodes the next batches while fn runs on
+// the caller's goroutine, and has exited when Replay returns.
 func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 	var st ReplayStats
 	l.mu.Lock()
@@ -766,12 +796,17 @@ func (l *Log) Replay(fn func(Record) error) (ReplayStats, error) {
 // errReplayStopped ends the reader once Replay has closed the free channel.
 var errReplayStopped = errors.New("wal: replay stopped")
 
-// readBatches is Replay's reader: it decodes the records of segs, the zero
-// Record for a body that does not decode, into batches taken from free and
-// sends them on full in log order, and returns the bytes it did not replay.
-// It stops when the segments end, one fails to read, or free is closed. A
-// segment no longer than its header holds no record and is not opened.
+// readBatches is Replay's reader: it decodes the checkpoint's records, then
+// those of segs, the zero Record for a segment body that does not decode,
+// into batches taken from free and sends them on full in log order, and
+// returns the bytes it did not replay. It stops when the segments end, a
+// file fails to read, or free is closed. A segment no longer than its header
+// holds no record and is not opened.
 func (l *Log) readBatches(segs []sealedSeg, free <-chan []Record, full chan<- []Record) (truncated int64, err error) {
+	ckpt, err := readCheckpoint(l.CheckpointPath())
+	if err != nil {
+		return 0, err
+	}
 	b := <-free
 	add := func(rec Record) error {
 		if b = append(b, rec); len(b) < cap(b) {
@@ -783,6 +818,11 @@ func (l *Log) readBatches(segs []sealedSeg, free <-chan []Record, full chan<- []
 			return errReplayStopped
 		}
 		return nil
+	}
+	for _, rec := range ckpt {
+		if err = add(rec); err != nil {
+			return 0, err
+		}
 	}
 	for _, seg := range segs {
 		if seg.size <= headerSize {
@@ -800,23 +840,8 @@ func (l *Log) readBatches(segs []sealedSeg, free <-chan []Record, full chan<- []
 	return truncated, err
 }
 
-// CheckpointPath is where Checkpoint writes the application snapshot.
-func (l *Log) CheckpointPath() string {
-	return filepath.Join(l.dir, "checkpoint.snap")
-}
-
-// OpenCheckpoint opens the checkpoint snapshot for reading. ok is false
-// when no checkpoint has ever been written.
-func (l *Log) OpenCheckpoint() (rc io.ReadCloser, ok bool, err error) {
-	f, err := os.Open(l.CheckpointPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("wal: opening checkpoint: %w", err)
-	}
-	return f, true, nil
-}
+// CheckpointPath is where Checkpoint writes the checkpoint.
+func (l *Log) CheckpointPath() string { return filepath.Join(l.dir, "checkpoint.snap") }
 
 // Size is the resident byte size of all segments (headers included). The
 // live adapter compares it against its checkpoint threshold.
@@ -835,9 +860,6 @@ func (l *Log) Segments() int {
 	}
 	return len(l.sealed) + 1
 }
-
-// Dir is the directory the log lives in.
-func (l *Log) Dir() string { return l.dir }
 
 // Close syncs and closes the active segment, if one was created. Further
 // appends return ErrClosed; Close is idempotent.

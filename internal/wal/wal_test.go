@@ -130,10 +130,10 @@ func TestCheckpointPrunesAndBoundsReplay(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
 	appendN(t, l, 0, 40)
-	snapshot := []byte("pretend-application-snapshot")
+	image := []store.Update{testUpdate(3), testUpdate(7), testUpdate(39)}
+	frontier := version.Clock{"origin-0": 2}
 	pruned, err := l.Checkpoint(func(w io.Writer) error {
-		_, err := w.Write(snapshot)
-		return err
+		return WriteCheckpoint(w, image, frontier)
 	})
 	if err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -145,26 +145,100 @@ func TestCheckpointPrunesAndBoundsReplay(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	raw, err := os.ReadFile(l.CheckpointPath())
+	if err != nil || !bytes.HasPrefix(raw, segmentHeader()) {
+		t.Fatalf("checkpoint does not start with the segment header: %q, %v", raw[:min(len(raw), headerSize)], err)
+	}
 
 	l2 := mustOpen(t, Options{Dir: dir, Policy: SyncNever, SegmentBytes: 256})
 	defer l2.Close()
-	rc, ok, err := l2.OpenCheckpoint()
-	if err != nil || !ok {
-		t.Fatalf("OpenCheckpoint: ok=%v err=%v", ok, err)
+	recs, st := replayAll(t, l2)
+	if len(recs) != len(image)+1+5 || st.Records != len(recs) {
+		t.Fatalf("replayed %d records (%+v), want the checkpoint's %d, its frontier, then the 5 post-checkpoint ones",
+			len(recs), st, len(image))
 	}
-	got, err := io.ReadAll(rc)
-	rc.Close()
-	if err != nil || !bytes.Equal(got, snapshot) {
-		t.Fatalf("checkpoint content = %q, %v; want %q", got, err, snapshot)
+	for i, u := range image {
+		if recs[i].Kind != RecordUpdate || !reflect.DeepEqual(recs[i].Update, u) {
+			t.Fatalf("checkpoint record %d = %+v, want %+v", i, recs[i], u)
+		}
 	}
-	recs, _ := replayAll(t, l2)
-	if len(recs) != 5 {
-		t.Fatalf("replayed %d records after checkpoint, want only the 5 post-checkpoint ones", len(recs))
+	if f := recs[len(image)]; f.Kind != RecordFrontier || f.Frontier.Compare(frontier) != version.Equal {
+		t.Fatalf("checkpoint frontier record = %+v, want %v", f, frontier)
 	}
-	for i, r := range recs {
+	for i, r := range recs[len(image)+1:] {
 		if !reflect.DeepEqual(r.Update, testUpdate(40+i)) {
 			t.Fatalf("post-checkpoint record %d = %+v", i, r.Update)
 		}
+	}
+}
+
+// TestCheckpointReplayMatchesSnapshotRestore: replaying a checkpoint of a
+// store with overwrites, a tombstone, two concurrent branches and a
+// compacted log rebuilds what restoring its gob snapshot rebuilds, down to
+// the bytes of the two stores' own snapshots.
+func TestCheckpointReplayMatchesSnapshotRestore(t *testing.T) {
+	src := store.NewSharded(4)
+	a, err := store.NewWriter("a", src, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := store.NewWriter("b", store.NewSharded(1), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		a.Put(fmt.Sprintf("k%d", i%5), []byte{byte(i)})
+	}
+	a.Delete("k1")
+	src.Apply(b.Put("k2", []byte("concurrent")))
+	if src.CompactLog(src.Clock()) == 0 || src.BranchCount("k2") != 2 {
+		t.Fatalf("source not compacted or not branched: %d branches", src.BranchCount("k2"))
+	}
+
+	var snap bytes.Buffer
+	if err := src.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := store.NewSharded(2)
+	if err := restored.RestoreSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir, Policy: SyncNever})
+	if _, err := l.Checkpoint(func(w io.Writer) error {
+		us, compacted := src.LogImage()
+		return WriteCheckpoint(w, us, compacted)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l = mustOpen(t, Options{Dir: dir, Policy: SyncNever})
+	defer l.Close()
+	replayed := store.NewSharded(2)
+	recs, _ := replayAll(t, l)
+	for _, r := range recs {
+		if r.Kind == RecordFrontier {
+			replayed.AdoptFrontier(r.Frontier)
+		} else {
+			replayed.Apply(r.Update)
+		}
+	}
+
+	var want, got bytes.Buffer
+	if err := restored.WriteSnapshot(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.WriteSnapshot(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || !replayed.Equal(restored) ||
+		replayed.Clock().Compare(restored.Clock()) != version.Equal || replayed.BranchCount("k2") != 2 {
+		t.Fatalf("replayed checkpoint differs from the restored snapshot: clock %v vs %v, compacted %v vs %v, %d vs %d updates",
+			replayed.Clock(), restored.Clock(), replayed.CompactedThrough(), restored.CompactedThrough(),
+			replayed.UpdateCount(), restored.UpdateCount())
 	}
 }
 
@@ -319,11 +393,12 @@ func TestNoActiveSegmentYet(t *testing.T) {
 		if err := l.Sync(); err != nil {
 			t.Fatalf("%v: Sync before any append: %v", policy, err)
 		}
-		if n, err := l.Checkpoint(func(io.Writer) error { return nil }); err != nil || n != 1 {
+		emptyCheckpoint := func(w io.Writer) error { return WriteCheckpoint(w, nil, nil) }
+		if n, err := l.Checkpoint(emptyCheckpoint); err != nil || n != 1 {
 			t.Fatalf("%v: Checkpoint before any append pruned %d, %v; want 1", policy, n, err)
 		}
 		appendN(t, l, 3, 2)
-		if _, err := l.Checkpoint(func(io.Writer) error { return nil }); err != nil {
+		if _, err := l.Checkpoint(emptyCheckpoint); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Sync(); err != nil {
@@ -342,8 +417,8 @@ func TestNoActiveSegmentYet(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 1 || recs[0].Update.Ref() != testUpdate(5).Ref() {
-			t.Fatalf("%v: replayed %d records, want the one appended after the checkpoints", policy, len(recs))
+		if len(recs) != 2 || recs[0].Kind != RecordFrontier || recs[1].Update.Ref() != testUpdate(5).Ref() {
+			t.Fatalf("%v: replayed %d records, want the empty checkpoint's frontier and the one appended after it", policy, len(recs))
 		}
 	}
 }

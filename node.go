@@ -166,8 +166,8 @@ func (n *Node) Delete(ctx context.Context, key string) (Update, error) {
 }
 
 // WALRecovery reports what crash recovery restored when the node was opened
-// with WithWAL: checkpoint updates, replayed records, absorbed duplicates,
-// and damaged bytes not replayed. ok is false when no WAL is configured.
+// with WithWAL: replayed records (the checkpoint's included), absorbed
+// duplicates, and damaged bytes not replayed. ok is false when no WAL is configured.
 func (n *Node) WALRecovery() (stats WALRecoveryStats, ok bool) {
 	return n.walRec, n.hasWAL
 }

@@ -154,11 +154,12 @@ func TestNodeClosed(t *testing.T) {
 func TestWatchPushAndPull(t *testing.T) {
 	hub := pushpull.NewHub()
 	ctx := context.Background()
-	// Publisher pushes straight to the push-receiver. Neither pulls, so the
-	// receiver's events come by push and the publisher's by its own writes.
+	// Publisher pushes straight to the push-receiver. Neither pulls — no
+	// coming-online pull, no periodic one — so the receiver's events come
+	// by push and the publisher's by its own writes.
 	pub := openHubNode(t, hub, "publisher", 1, pushpull.WithPeers("push-recv"),
-		pushpull.WithPullInterval(time.Hour))
-	recv := openHubNode(t, hub, "push-recv", 2, pushpull.WithPullInterval(time.Hour))
+		pushpull.WithPullAttempts(0))
+	recv := openHubNode(t, hub, "push-recv", 2, pushpull.WithPullAttempts(0))
 
 	recvEvents, err := recv.Watch(ctx, "")
 	if err != nil {
@@ -404,9 +405,10 @@ func TestNodeMetrics(t *testing.T) {
 	reg := pushpull.NewMetrics()
 	a := openHubNode(t, hub, "metrics-a", 1,
 		pushpull.WithMetrics(reg), pushpull.WithPeers("metrics-b"))
-	// b never pulls, so the update reaches it by push and the push
-	// counters are bumped before its event.
-	b := openHubNode(t, hub, "metrics-b", 2, pushpull.WithMetrics(reg), pushpull.WithPullInterval(time.Hour))
+	// b never pulls — no coming-online pull, no periodic one — so the
+	// update reaches it by push and the push counters are bumped before its
+	// event.
+	b := openHubNode(t, hub, "metrics-b", 2, pushpull.WithMetrics(reg), pushpull.WithPullAttempts(0))
 
 	events, err := b.Watch(ctx, "")
 	if err != nil {

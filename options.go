@@ -238,8 +238,8 @@ func OpenWAL(o WALOptions) (*WAL, error) { return wal.Open(o) }
 type WALRecoveryStats = live.WALRecovery
 
 // WithWAL makes the node's applied state crash-consistent: every accepted
-// update is appended to l before the apply is acknowledged, Open restores
-// the log's checkpoint and replays surviving records before the protocol
+// update is appended to l before the apply is acknowledged, Open replays
+// the log's checkpoint and then its surviving records before the protocol
 // starts, and the janitor checkpoints the log when it outgrows the
 // WithWALCheckpoint threshold. The node does not take ownership of l —
 // close it after the node. The WAL is the only way a node's state survives
@@ -255,8 +255,8 @@ func WithWAL(l *WAL) Option {
 }
 
 // WithWALCheckpoint sets the resident WAL size (bytes) beyond which the
-// janitor checkpoints — writes a store snapshot into the WAL directory and
-// prunes the segments it covers. 0 (the default) selects
+// janitor checkpoints — writes the store's log image as WAL records into the
+// WAL directory and prunes the segments it covers. 0 (the default) selects
 // live.DefaultWALCheckpointBytes.
 func WithWALCheckpoint(bytes int64) Option {
 	return func(o *nodeOptions) { o.cfg.WALCheckpointBytes = bytes }
