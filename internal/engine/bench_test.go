@@ -7,7 +7,6 @@ package engine
 // target sampling with the §6 ack preferences.
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -61,24 +60,44 @@ func benchRF(k int) []int {
 	return rf
 }
 
+// BenchmarkHandlePushFirstReceipt covers first receipts that mostly push on
+// (1024 known peers, fanout 10, carried lists of 0 to 512) and, as fleet=4,
+// receipts whose carried list already names every known peer, which push on
+// to nobody, under the adaptive and a stateless schedule.
 func BenchmarkHandlePushFirstReceipt(b *testing.B) {
-	for _, listLen := range []int{0, 64, 512} {
-		b.Run(fmt.Sprintf("carried=%d", listLen), func(b *testing.B) {
-			e, _ := newBenchEngine(b, 1024, Config[int]{
-				Fanout:      10,
-				PartialList: true,
-				ListMax:     64,
-				NewPF:       func() pf.Func { return pf.NewAdaptive(0.9) },
-			})
-			rf := benchRF(listLen)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				deliver(e, 1, Message[int]{
-					Kind: KindPush, Update: benchUpdate(i), RF: rf, T: 2,
+	for _, sched := range []struct {
+		name  string
+		newPF func() pf.Func
+	}{
+		{"adaptive", func() pf.Func { return pf.NewAdaptive(0.9) }},
+		{"geometric", func() pf.Func { return pf.Geometric{Base: 0.9} }},
+	} {
+		for _, tc := range []struct {
+			name           string
+			peers, carried int
+		}{
+			{"carried=0", 1024, 0},
+			{"carried=64", 1024, 64},
+			{"carried=512", 1024, 512},
+			{"fleet=4", 4, 4},
+		} {
+			b.Run(sched.name+"/"+tc.name, func(b *testing.B) {
+				e, _ := newBenchEngine(b, tc.peers, Config[int]{
+					Fanout:      10,
+					PartialList: true,
+					ListMax:     64,
+					NewPF:       sched.newPF,
 				})
-			}
-		})
+				rf := benchRF(tc.carried)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					deliver(e, 1, Message[int]{
+						Kind: KindPush, Update: benchUpdate(i), RF: rf, T: 2,
+					})
+				}
+			})
+		}
 	}
 }
 
@@ -114,23 +133,67 @@ func TestDuplicatePushAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestTrackAllocations pins the flooding state of a newly tracked update at
-// two objects for a list of up to listMapThreshold peers: the state itself,
-// whose inline array holds the first eight, and one growth of the list.
-func TestTrackAllocations(t *testing.T) {
-	e, _ := newBenchEngine(t, 64, Config[int]{Fanout: 3})
-	peers := benchRF(listMapThreshold)
-	seq := uint64(0)
-	step := func() {
-		seq++
-		e.track(store.Ref{Origin: "w", Seq: seq}).rf.AddAll(peers)
+// firstReceipts returns a step entering n distinct first receipts into e, one
+// per call, each carrying rf, with the store left out: the engine's share of
+// a first receipt.
+func firstReceipts(e *Engine[int], n int, rf []int) func() {
+	msgs := make([]Message[int], n)
+	for i := range msgs {
+		msgs[i] = Message[int]{Kind: KindPush, Update: benchUpdate(i), RF: rf, T: 1}
 	}
+	next := 0
+	return func() {
+		e.HandlePushApplied(1, msgs[next], Applied{Res: store.Applied, Branches: 1})
+		next++
+	}
+}
+
+// TestTrackAllocations pins the flooding state of a first receipt that pushes
+// on, with a list of up to listMapThreshold peers, at two objects: the state
+// itself, whose inline array holds the first eight, and one growth of the
+// list.
+func TestTrackAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	// 15 known peers, 11 of them carried: R_f = 11 + self, pushed on to the
+	// other 4, is listMapThreshold peers.
+	e, ep := newBenchEngine(t, listMapThreshold-1, Config[int]{Fanout: listMapThreshold, PartialList: true})
+	const runs = 200
+	step := firstReceipts(e, 2*stateWindow+runs+2, benchRF(listMapThreshold-5))
 	// Fill both generations first, so the window maps have their buckets.
 	for i := 0; i < 2*stateWindow; i++ {
 		step()
 	}
-	if n := testing.AllocsPerRun(200, step); n > 2 {
-		t.Fatalf("track plus a %d-peer list allocates %v objects, want ≤ 2", len(peers), n)
+	if n := testing.AllocsPerRun(runs, step); n > 2 {
+		t.Fatalf("a first receipt that pushes on allocates %v objects, want ≤ 2", n)
+	}
+	ep.discard = false
+	step()
+	if len(ep.sent) != 4 {
+		t.Fatalf("a first receipt pushed on to %d peers, want 4", len(ep.sent))
+	}
+}
+
+// TestNotPushedOnAllocatesNothing: under a stateless schedule, a first
+// receipt whose carried list names every known peer is decided in the
+// engine's scratch list and leaves nothing on the heap.
+func TestNotPushedOnAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	e, _ := newBenchEngine(t, 4, Config[int]{
+		Fanout:      4,
+		PartialList: true,
+		NewPF:       func() pf.Func { return pf.Geometric{Base: 0.9} },
+	})
+	step := firstReceipts(e, 202, benchRF(4))
+	step() // the first sizes the scratch list
+	if n := testing.AllocsPerRun(200, step); n != 0 {
+		t.Fatalf("a first receipt that is not pushed on allocates %v times, want 0", n)
+	}
+	if got := len(e.cur) + len(e.old); got != 0 {
+		t.Fatalf("%d flooding states after receipts that were not pushed on, want 0", got)
 	}
 }
 

@@ -84,7 +84,10 @@ type Config[ID comparable] struct {
 	Fanout float64
 	// NewPF builds the forwarding-probability schedule for one update. A
 	// factory (rather than a shared instance) lets adaptive schedules keep
-	// per-update state. Nil means PF(t) = 1.
+	// per-update state: every first receipt and publish calls it, unless it
+	// returns one of the pf package's stateless schedules (Constant, Linear,
+	// Geometric, AffineGeometric, TTL, Haas), which is then called once and
+	// shared by every update. Nil means PF(t) = 1.
 	NewPF func() pf.Func
 	// PartialList enables carrying the flooding list R_f on push messages.
 	PartialList bool
@@ -189,9 +192,10 @@ func (c Config[ID]) Validate() error {
 	}
 }
 
-// updateState is the per-update bookkeeping: the accumulated flooding list,
-// the duplicate count (the §6 local tuning metric), and the PF instance that
-// decides forwarding. The list starts on the inline array.
+// updateState is the flooding state of an update published here or pushed
+// on from here: the accumulated flooding list, the duplicate count (the §6
+// local tuning metric), and the PF instance that decided forwarding. The
+// list starts on the inline array.
 type updateState[ID comparable] struct {
 	rf     orderedSet[ID]
 	inline [8]ID
@@ -284,6 +288,11 @@ type Engine[ID comparable] struct {
 	view *peerView[ID] // known replicas, never containing self
 	// cur and old are the two generations of flooding state (see track).
 	cur, old map[store.Ref]*updateState[ID]
+	// first is the flooding list of the first receipt being decided; it is
+	// copied into flooding state only if the receipt pushes on.
+	first orderedSet[ID]
+	// sharedPF is NewPF's schedule once it proved stateless (see newPF).
+	sharedPF pf.Func
 
 	// scratch is the reusable peer-sampling buffer; sample takes it and
 	// releaseScratch returns it, so the steady path allocates nothing.
@@ -469,14 +478,16 @@ func (e *Engine[ID]) KnownCount() int { return e.view.Len() }
 // --- Update bookkeeping ----------------------------------------------
 
 // stateWindow is the number of updates one generation of flooding state
-// holds. R_f and the duplicate count matter only during an update's push
-// phase (§4.2, §6) — forwarding is decided once, at first receipt — and
-// "have I seen it" is the store's answer, so the engine keeps no more.
+// holds. R_f and the duplicate count matter only while this node still
+// pushes an update (§4.2, §6) — forwarding is decided once, at first
+// receipt — and "have I seen it" is the store's answer, so the engine keeps
+// state only for updates published here or pushed on from here.
 const stateWindow = 4096
 
 // Duplicates returns the duplicate-push count observed for an update while
 // its flooding state is in the window; 0 once it has left, and for updates
-// never tracked (learned by pull or snapshot, or stored before a restart).
+// never tracked (received by push but not pushed on, learned by pull or
+// snapshot, or stored before a restart).
 func (e *Engine[ID]) Duplicates(updateID string) int {
 	ref, err := store.ParseRef(updateID)
 	if s, ok := e.state(ref); ok && err == nil {
@@ -487,7 +498,7 @@ func (e *Engine[ID]) Duplicates(updateID string) int {
 
 // FloodingList returns the accumulated flooding list for an update, in
 // insertion order, or nil once its flooding state has left the window (and
-// for updates never tracked).
+// for updates never tracked, as for Duplicates).
 func (e *Engine[ID]) FloodingList(updateID string) []ID {
 	ref, err := store.ParseRef(updateID)
 	if s, ok := e.state(ref); ok && err == nil {
@@ -509,24 +520,37 @@ func (e *Engine[ID]) state(ref store.Ref) (*updateState[ID], bool) {
 	return s, ok
 }
 
-// track starts the flooding state of an update published here or first
-// received by push. A full current generation swaps with the older one,
-// emptied first (buckets kept), so at most 2·stateWindow entries are
+// track starts the flooding state of an update published here or pushed on
+// from here, decided by pfn. A full current generation swaps with the older
+// one, emptied first (buckets kept), so at most 2·stateWindow entries are
 // resident; counting updates, not time, keeps the simulator deterministic.
-func (e *Engine[ID]) track(ref store.Ref) *updateState[ID] {
+func (e *Engine[ID]) track(ref store.Ref, pfn pf.Func) *updateState[ID] {
 	if len(e.cur) >= stateWindow {
 		clear(e.old)
 		e.cur, e.old = e.old, e.cur
 	}
-	s := &updateState[ID]{}
+	s := &updateState[ID]{pfn: pfn}
 	s.rf.order = s.inline[:0]
-	if e.cfg.NewPF != nil {
-		s.pfn = e.cfg.NewPF()
-	} else {
-		s.pfn = pf.Always()
-	}
 	e.cur[ref] = s
 	return s
+}
+
+// newPF returns the schedule for one update. A schedule of one of the pf
+// package's stateless types answers the same for every update, so the first
+// one NewPF returns is kept and shared; any other gets a fresh instance.
+func (e *Engine[ID]) newPF() pf.Func {
+	if e.sharedPF != nil {
+		return e.sharedPF
+	}
+	if e.cfg.NewPF == nil {
+		return pf.Always()
+	}
+	f := e.cfg.NewPF()
+	switch f.(type) {
+	case pf.Constant, pf.Linear, pf.Geometric, pf.AffineGeometric, pf.TTL, pf.Haas:
+		e.sharedPF = f
+	}
+	return f
 }
 
 // --- Lifecycle callbacks ---------------------------------------------
@@ -588,7 +612,7 @@ func (e *Engine[ID]) Handle(from ID, m Message[ID]) {
 // protocol bookkeeping.
 func (e *Engine[ID]) PublishApplied(u store.Update, branches int) {
 	e.fireApply(u, store.Applied, SourceLocal, branches)
-	state := e.track(u.Ref())
+	state := e.track(u.Ref(), e.newPF())
 	e.lastReceived = e.ep.Now()
 
 	targets := e.sample(e.fanout())
@@ -619,10 +643,10 @@ type Applied struct {
 // The store decides what is new. A push whose flooding state is in the window
 // is a duplicate whatever pre says (its first copy entered already), and so
 // is one the engine does not track whose pre.Res is store.Duplicate: an
-// update evicted from the window, learned by pull or snapshot, stored before
-// a restart, or a racing twin entering ahead of the copy that applied it. An
-// adapter may therefore skip the store for an update it has Seen and pass
-// Applied{Res: store.Duplicate}.
+// update not pushed on from here, evicted from the window, learned by pull or
+// snapshot, stored before a restart, or a racing twin entering ahead of the
+// copy that applied it. An adapter may therefore skip the store for an update
+// it has Seen and pass Applied{Res: store.Duplicate}.
 func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// Name-dropper: every push teaches us replicas we did not know.
 	e.learnAll(m.RF)
@@ -638,7 +662,7 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 		state.rf.AddAll(m.RF)
 		if ad, ok := state.pfn.(*pf.Adaptive); ok {
 			ad.ObserveDuplicate()
-			ad.ObserveListFraction(e.listFraction(state))
+			ad.ObserveListFraction(e.listFraction(state.rf.Len()))
 		}
 	}
 	if tracked || pre.Res == store.Duplicate {
@@ -651,19 +675,22 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// First receipt: process the update.
 	e.lastReceived = e.ep.Now()
 	e.notConfident = false
-	state = e.track(ref)
-	state.rf.AddAll(m.RF)
-	state.rf.Add(e.self)
-
 	if e.cfg.Acks && e.validID(from) {
 		e.ep.Send(from, Message[ID]{Kind: KindAck, UpdateRef: ref})
 	}
 
-	if ad, ok := state.pfn.(*pf.Adaptive); ok {
+	// R_f and the decision are built in the engine's scratch list; flooding
+	// state is filed only if the update is pushed on from here.
+	rf := &e.first
+	rf.reset()
+	rf.AddAll(m.RF)
+	rf.Add(e.self)
+	pfn := e.newPF()
+	if ad, ok := pfn.(*pf.Adaptive); ok {
 		// §6 speculation: the flooding list on the incoming push estimates
 		// how far the update has already been sent, and unlike duplicate
 		// counts it is available before the forwarding decision below.
-		ad.ObserveListFraction(e.listFraction(state))
+		ad.ObserveListFraction(e.listFraction(rf.Len()))
 	}
 	e.fireApply(m.Update, pre.Res, SourcePush, pre.Branches)
 
@@ -672,7 +699,7 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// which is where the partial list saves messages (the (1−f_r)^t factor
 	// of the analysis), and the new list is R_f ∪ R_p.
 	t := m.T + 1
-	if e.ep.Rand().Float64() >= state.pfn.P(t) {
+	if e.ep.Rand().Float64() >= pfn.P(t) {
 		return
 	}
 	rp := e.sample(e.fanout())
@@ -681,11 +708,15 @@ func (e *Engine[ID]) HandlePushApplied(from ID, m Message[ID], pre Applied) {
 	// prefix is the old filter-then-union without a second buffer.
 	targets := rp[:0]
 	for _, candidate := range rp {
-		if state.rf.Add(candidate) {
+		if rf.Add(candidate) {
 			targets = append(targets, candidate)
 		}
 	}
-	e.sendPushes(m.Update, targets, state, t)
+	if len(targets) > 0 {
+		state = e.track(ref, pfn)
+		rf.moveTo(&state.rf)
+		e.sendPushes(m.Update, targets, state, t)
+	}
 	e.releaseScratch(rp)
 }
 
@@ -724,16 +755,16 @@ func (e *Engine[ID]) Carried(list []ID) []ID {
 }
 
 // listFraction estimates the fraction of the replica population an update
-// has already been sent to, from its flooding-list length — the paper's
+// has already been sent to, from its flooding-list length n — the paper's
 // normalised list length L(t), the feed-forward signal of the §6 adaptive
 // PF. With a configured Population it is len/R (the simulator's model);
 // otherwise the known population stands in for R (the live runtime).
-func (e *Engine[ID]) listFraction(state *updateState[ID]) float64 {
+func (e *Engine[ID]) listFraction(n int) float64 {
 	population := e.cfg.Population
 	if population <= 0 {
 		population = e.view.Len() + 1
 	}
-	return float64(state.rf.Len()) / float64(population)
+	return float64(n) / float64(population)
 }
 
 // fanout draws the per-push target count: Fanout with probabilistic rounding

@@ -178,11 +178,12 @@ func testUpdate(t testing.TB, origin string, seq uint64, key, value string) stor
 // feed-forward signal: the flooding-list fraction carried on a push must
 // reach the adaptive PF schedule. Both adapters share this code path, so
 // the simulator's self-tuning now matches the live runtime's by
-// construction (the two hand-rolled copies used to drift here).
+// construction (the two hand-rolled copies used to drift here). The replica
+// pushes the update on, so it keeps the update's flooding state and PF.
 func TestListFractionFeedsAdaptivePF(t *testing.T) {
 	var captured []*pf.Adaptive
 	cfg := Config[int]{
-		Fanout:      0, // no forwarding: the list stays exactly RF ∪ {self}
+		Fanout:      5, // every known peer: the forward adds only peer 6
 		Population:  10,
 		PartialList: true,
 		NewPF: func() pf.Func {
@@ -191,23 +192,25 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 			return a
 		},
 	}
-	e, _ := newTestEngine(t, 5, cfg, nil)
-	for i := 0; i < 10; i++ {
-		e.Learn(i)
-	}
+	e, ep := newTestEngine(t, 5, cfg, nil)
+	e.Learn(6)
 
 	u := testUpdate(t, "peer-0", 1, "k", "v")
 	// First receipt carrying a 4-entry list: R_f = {1,2,3,4} ∪ {5}, so
-	// L = 5/10 and PF = Base·(1−L) = 0.5.
+	// L = 5/10 and PF = Base·(1−L) = 0.5. The engine's first draw, 0.36,
+	// forwards, to the one known peer outside R_f: R_f = {1,...,6}.
 	deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4}, T: 1})
 	if len(captured) != 1 {
 		t.Fatalf("adaptive instances = %d, want 1", len(captured))
+	}
+	if len(ep.sent) != 1 || ep.sent[0].to != 6 {
+		t.Fatalf("first receipt sent %v, want one push to 6", ep.sent)
 	}
 	if got := captured[0].P(2); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("PF after first receipt = %g, want 0.5", got)
 	}
 
-	// A duplicate merging three more ids: L = 8/10, one duplicate, so
+	// A duplicate merging two more ids: L = 8/10, one duplicate, so
 	// PF = 0.7¹·(1−0.8) = 0.14.
 	deliver(e, 2, Message[int]{Kind: KindPush, Update: u, RF: []int{6, 7, 8}, T: 2})
 	if got := e.Duplicates(u.ID()); got != 1 {
@@ -215,6 +218,60 @@ func TestListFractionFeedsAdaptivePF(t *testing.T) {
 	}
 	if got := captured[0].P(3); math.Abs(got-0.14) > 1e-9 {
 		t.Fatalf("PF after duplicate = %g, want 0.14", got)
+	}
+}
+
+// countingPF is a user-defined stateful schedule: each instance counts its
+// own evaluations.
+type countingPF struct{ calls int }
+
+func (c *countingPF) P(int) float64  { c.calls++; return 1 }
+func (c *countingPF) String() string { return "counting" }
+
+// TestPFInstancePerFirstReceipt: a schedule outside the pf package's stateless
+// types gets a fresh instance for every first receipt, whether or not the
+// update is pushed on, while a stateless one is built once and shared.
+func TestPFInstancePerFirstReceipt(t *testing.T) {
+	receive := func(e *Engine[int]) {
+		for i := 0; i < 6; i++ {
+			rf := []int{1} // two of three known peers are not listed: pushed on
+			if i%2 == 1 {
+				rf = []int{1, 2, 3} // every known peer is listed: not pushed on
+			}
+			u := testUpdate(t, "peer-9", uint64(i+1), fmt.Sprintf("k%d", i), "v")
+			deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: rf, T: 1})
+		}
+	}
+	var built []*countingPF
+	e, _ := newTestEngine(t, 0, Config[int]{Fanout: 2, NewPF: func() pf.Func {
+		c := &countingPF{}
+		built = append(built, c)
+		return c
+	}}, nil)
+	e.Bootstrap([]int{1, 2, 3})
+	receive(e)
+	if len(built) != 6 {
+		t.Fatalf("6 first receipts built %d schedules, want 6", len(built))
+	}
+	for i, c := range built {
+		if c.calls != 1 {
+			t.Fatalf("schedule %d was evaluated %d times, want 1", i, c.calls)
+		}
+	}
+	if n := len(e.cur) + len(e.old); n != 3 {
+		t.Fatalf("%d flooding states, want 3: one per update pushed on", n)
+	}
+
+	calls := 0
+	e, _ = newTestEngine(t, 0, Config[int]{Fanout: 2, NewPF: func() pf.Func {
+		calls++
+		return pf.Geometric{Base: 1}
+	}}, nil)
+	e.Bootstrap([]int{1, 2, 3})
+	receive(e)
+	publish(e, "own", []byte("v"))
+	if calls != 1 {
+		t.Fatalf("a stateless schedule was built %d times, want 1", calls)
 	}
 }
 
@@ -278,8 +335,9 @@ func TestPushForwardsToSampledPeersOutsideList(t *testing.T) {
 
 // TestEngineStateBounded pins the flooding-state window: an engine that
 // publishes and receives 3·stateWindow updates holds the state of at most
-// 2·stateWindow, and a late push of an evicted update is a store duplicate —
-// not forwarded, not applied, one OnDuplicate.
+// 2·stateWindow, receipts that do not push on add none, and a late push of
+// an evicted update is a store duplicate — not forwarded, not applied, one
+// OnDuplicate.
 func TestEngineStateBounded(t *testing.T) {
 	applies, dups := 0, 0
 	e, ep := newTestEngine(t, 0, Config[int]{
@@ -310,6 +368,16 @@ func TestEngineStateBounded(t *testing.T) {
 	}
 	if _, ok := e.state(evicted.Ref()); ok {
 		t.Fatal("the first received update is still in the window")
+	}
+	// Pushes whose list names every known peer are applied, not pushed on,
+	// and leave the window as it was.
+	held := len(e.cur) + len(e.old)
+	for i := 0; i < 100; i++ {
+		u := testUpdate(t, "peer-8", uint64(i+1), fmt.Sprintf("listed-%d", i), "v")
+		deliver(e, 1, Message[int]{Kind: KindPush, Update: u, RF: []int{1, 2, 3, 4, 5}, T: 1})
+	}
+	if n := len(e.cur) + len(e.old); n != held {
+		t.Fatalf("receipts that do not push on changed the flooding states from %d to %d", held, n)
 	}
 
 	ep.discard, ep.sent = false, nil

@@ -58,6 +58,16 @@ func (s *orderedSet[ID]) AddAll(ids []ID) int {
 	return n
 }
 
+// reset empties the set; the slice keeps its array, the index goes.
+func (s *orderedSet[ID]) reset() { s.order, s.seen = s.order[:0], nil }
+
+// moveTo fills dst, an empty set, with s's entries: the slice is copied and
+// the index, if any, moves.
+func (s *orderedSet[ID]) moveTo(dst *orderedSet[ID]) {
+	dst.order = append(dst.order, s.order...)
+	dst.seen, s.seen = s.seen, nil
+}
+
 // Slice returns a copy of the entries in insertion order.
 func (s *orderedSet[ID]) Slice() []ID {
 	return append([]ID(nil), s.order...)

@@ -35,7 +35,9 @@ type Config struct {
 	Fr float64
 	// NewPF builds the forwarding-probability function for one update at
 	// one peer. A factory (rather than a shared instance) lets adaptive
-	// schedules keep per-peer, per-update state. Nil means PF(t) = 1.
+	// schedules keep per-peer, per-update state; the pf package's stateless
+	// schedules are built once per peer and shared (engine.Config.NewPF).
+	// Nil means PF(t) = 1.
 	NewPF func() pf.Func
 	// PartialList enables carrying the flooding list R_f on push messages.
 	PartialList bool

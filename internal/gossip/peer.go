@@ -353,7 +353,9 @@ func (p *Peer) HasUpdate(updateID string) bool {
 	return err == nil && p.st.Seen(ref)
 }
 
-// Duplicates returns the duplicate-push count observed for an update.
+// Duplicates returns the duplicate-push count observed for an update while
+// the peer keeps its flooding state: for updates it published or pushed on,
+// until they leave the engine's window; 0 otherwise.
 func (p *Peer) Duplicates(updateID string) int { return p.eng.Duplicates(updateID) }
 
 // Init implements simnet.Node.

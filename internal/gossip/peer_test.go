@@ -209,6 +209,7 @@ func TestPullTimeoutTriggersResync(t *testing.T) {
 
 func TestDuplicateCountingAndListMerge(t *testing.T) {
 	cfg := DefaultConfig(10)
+	cfg.Fr = 0.3 // fanout 3: peer 5 pushes on, so it keeps the flooding state
 	cfg.NewPF = nil
 	cfg.PullAttempts = 0
 	net, en := buildEngine(t, 10, cfg, 10, churn.Static{}, 12)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,24 +148,52 @@ func TestDeletePropagates(t *testing.T) {
 	}, "delete did not propagate")
 }
 
+// TestAdaptivePFInLiveRuntime runs the adaptive schedule on the live path.
+// Two replicas then publish at once, with fanout below N−1, so receipts are
+// pushed on and duplicates arrive from concurrent connections: under -race
+// this checks that the engine observes each schedule only under the
+// replica's serialisation.
 func TestAdaptivePFInLiveRuntime(t *testing.T) {
+	metrics := &recordingMetrics{}
 	cfg := Config{
 		Fanout:       5,
 		NewPF:        func() pf.Func { return pf.NewAdaptive(1.0) },
 		PartialList:  true,
 		PullAttempts: 2,
 		PullInterval: 10 * time.Millisecond,
+		Metrics:      metrics,
 	}
 	_, replicas := newCluster(t, 12, cfg)
-	replicas[3].Publish("adaptive", []byte("x"))
-	eventually(t, 2*time.Second, func() bool {
-		for _, r := range replicas {
-			if _, ok := r.Get("adaptive"); !ok {
-				return false
+	converged := func(keys ...string) func() bool {
+		return func() bool {
+			for _, r := range replicas {
+				for _, k := range keys {
+					if _, ok := r.Get(k); !ok {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		return true
-	}, "adaptive cluster did not converge")
+	}
+	replicas[3].Publish("adaptive", []byte("x"))
+	eventually(t, 2*time.Second, converged("adaptive"), "adaptive cluster did not converge")
+
+	var wg sync.WaitGroup
+	for _, i := range []int{0, 7} {
+		wg.Add(1)
+		go func(r *Replica, key string) {
+			defer wg.Done()
+			r.Publish(key, []byte("y"))
+		}(replicas[i], fmt.Sprintf("adaptive-%d", i))
+	}
+	wg.Wait()
+	eventually(t, 2*time.Second, converged("adaptive-0", "adaptive-7"),
+		"concurrent adaptive publishers did not converge")
+	eventually(t, 2*time.Second, func() bool {
+		got := metrics.observed()
+		return got[MetricPushSent] > float64(3*cfg.Fanout) && got[MetricPushDuplicate] > 0
+	}, "no push was forwarded, or no duplicate arrived")
 }
 
 func TestConcurrentPublishersConverge(t *testing.T) {

@@ -3,7 +3,6 @@ package pf
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Adaptive is the paper's self-tuning forwarding probability (§6). Instead of
@@ -24,8 +23,8 @@ import (
 // to a constant function, so all of the paper's static schedules remain
 // expressible.
 //
-// Adaptive is safe for concurrent use: the live runtime updates duplicate
-// counts from transport goroutines.
+// Adaptive is not safe for concurrent use. The engine observes and evaluates
+// it only under its adapter's serialisation.
 type Adaptive struct {
 	// Base is the probability before any evidence of spread is observed.
 	Base float64
@@ -36,7 +35,6 @@ type Adaptive struct {
 	// Floor is a lower bound keeping the rumor alive (like Fig. 5's +0.2).
 	Floor float64
 
-	mu         sync.Mutex
 	duplicates int
 	listFrac   float64
 }
@@ -56,42 +54,25 @@ func NewAdaptive(base float64) *Adaptive {
 }
 
 // ObserveDuplicate records one duplicate push received for the update.
-func (a *Adaptive) ObserveDuplicate() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.duplicates++
-}
+func (a *Adaptive) ObserveDuplicate() { a.duplicates++ }
 
 // ObserveListFraction records the normalised partial-list length L ∈ [0,1]
 // seen on the most recent push message (monotone: keeps the maximum).
 func (a *Adaptive) ObserveListFraction(l float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if l > a.listFrac {
 		a.listFrac = clamp01(l)
 	}
 }
 
 // Reset clears the observations, for reuse across updates.
-func (a *Adaptive) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.duplicates = 0
-	a.listFrac = 0
-}
+func (a *Adaptive) Reset() { a.duplicates, a.listFrac = 0, 0 }
 
 // Duplicates returns the number of duplicates observed so far.
-func (a *Adaptive) Duplicates() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.duplicates
-}
+func (a *Adaptive) Duplicates() int { return a.duplicates }
 
 // P implements Func. The round number is unused: the evidence, not the
 // clock, drives the decay.
 func (a *Adaptive) P(int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	p := a.Base
 	if a.DupDecay > 0 && a.DupDecay < 1 {
 		p *= math.Pow(a.DupDecay, float64(a.duplicates))

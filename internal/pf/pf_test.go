@@ -209,25 +209,6 @@ func TestAdaptiveReset(t *testing.T) {
 	}
 }
 
-func TestAdaptiveConcurrentSafety(t *testing.T) {
-	a := NewAdaptive(1.0)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ {
-			a.ObserveDuplicate()
-			a.ObserveListFraction(float64(i) / 1000)
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		_ = a.P(i)
-	}
-	<-done
-	if a.Duplicates() != 1000 {
-		t.Fatalf("Duplicates = %d, want 1000", a.Duplicates())
-	}
-}
-
 func TestStrings(t *testing.T) {
 	funcs := []Func{
 		Constant{C: 0.8}, Linear{Start: 1, Slope: 0.1}, Geometric{Base: 0.9},

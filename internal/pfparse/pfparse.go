@@ -82,8 +82,9 @@ func Parse(spec string) (pf.Func, error) {
 
 // Factory parses spec once and returns a per-update schedule constructor,
 // the shape pushpull.WithPF and the engine's NewPF take. Stateless schedules
-// are shared across updates; adaptive gets a fresh pf.NewAdaptive per call,
-// because it accumulates one update's duplicate and list evidence.
+// are shared across updates (the engine then calls the constructor once);
+// adaptive gets a fresh pf.NewAdaptive per call, because it accumulates one
+// update's duplicate and list evidence.
 func Factory(spec string) (func() pf.Func, error) {
 	fn, err := Parse(spec)
 	if err != nil {

@@ -495,3 +495,29 @@ func TestOpenSyncsInheritedSegment(t *testing.T) {
 		}
 	}
 }
+
+// TestFsyncsPerPolicy counts fsyncs through one forced rotation and Close.
+// SyncNever fsyncs only at Close: not on append, not at the seal, and not
+// the new segment's directory entry. SyncInterval (its timer idle) adds one
+// for the seal, and SyncAlways one more per append.
+func TestFsyncsPerPolicy(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+		cm := &countingMetrics{}
+		l := mustOpen(t, Options{Dir: t.TempDir(), Policy: policy, Interval: time.Hour, SegmentBytes: 256, Metrics: cm})
+		appends := 0
+		for cm.get(MetricRotations) == 0 {
+			appendN(t, l, appends, 1)
+			appends++
+		}
+		want := map[SyncPolicy]float64{SyncAlways: float64(appends) + 1, SyncInterval: 1, SyncNever: 0}[policy]
+		if got := cm.get(MetricFsyncs); got != want {
+			t.Errorf("%v: %s = %v after %d appends and one rotation, want %v", policy, MetricFsyncs, got, appends, want)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := cm.get(MetricFsyncs); got != want+1 {
+			t.Errorf("%v: %s = %v after Close, want %v", policy, MetricFsyncs, got, want+1)
+		}
+	}
+}

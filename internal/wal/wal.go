@@ -12,10 +12,11 @@
 // internal/wire binary codec (a logged update is the same bytes it
 // travelled as). Records accumulate in numbered segment files
 // (wal-00000001.seg, wal-00000002.seg, ...), each starting with an 8-byte
-// magic header. A segment is sealed — fsynced, closed, never written again
-// — before its successor is created, and each process's first write creates
-// one past all on disk: only the newest segment at a crash can hold a torn
-// tail, recovery never writes to one, and a restart without writes adds none.
+// magic header. A segment is sealed — fsynced (unless the policy is
+// SyncNever), closed, never written again — before its successor is
+// created, and each process's first write creates one past all on disk:
+// only the newest segment at a crash can hold a torn tail, recovery never
+// writes to one, and a restart without writes adds none.
 //
 // Durability is a policy, not a constant: SyncAlways fsyncs before every
 // append acknowledges (group commit batches concurrent appenders under one
@@ -64,9 +65,10 @@ const (
 	// post-crash loss window to at most one interval of acknowledged
 	// writes. Appends return as soon as the kernel has the bytes.
 	SyncInterval
-	// SyncNever never fsyncs during appends; sealing and Close still sync.
-	// State survives process kills (the page cache persists) but not power
-	// loss.
+	// SyncNever fsyncs neither appends, nor sealed segments, nor the
+	// directory entry of a new segment, nor at Open; only Close and the
+	// checkpoint file are fsynced. State survives process kills (the page
+	// cache persists) but not power loss.
 	SyncNever
 )
 
@@ -600,8 +602,8 @@ func (l *Log) intervalLoop() {
 	}
 }
 
-// sealLocked makes the active segment, if any, durable and closes it; the
-// next write creates its successor. Callers hold l.mu. On error the log
+// sealLocked closes the active segment, if any, fsynced first unless the
+// policy is SyncNever; the next write creates its successor. Callers hold l.mu. On error the log
 // must be wedged by the caller before it releases l.mu.
 func (l *Log) sealLocked() error {
 	if l.f == nil {
@@ -610,7 +612,9 @@ func (l *Log) sealLocked() error {
 	l.fsyncMu.Lock()
 	var err error
 	if l.policy != SyncNever {
-		err = l.f.Sync()
+		if err = l.f.Sync(); err == nil {
+			l.inc(MetricFsyncs)
+		}
 	}
 	cerr := l.f.Close()
 	l.fsyncMu.Unlock()
@@ -622,7 +626,6 @@ func (l *Log) sealLocked() error {
 		return fmt.Errorf("wal: sealing segment %d: %w", l.segIdx, err)
 	}
 	if l.policy != SyncNever {
-		l.inc(MetricFsyncs)
 		// Everything appended so far now sits in sealed, synced segments.
 		l.advanceSynced(l.seq)
 	}

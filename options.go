@@ -151,8 +151,10 @@ func WithFanout(n int) Option {
 	return func(o *nodeOptions) { o.cfg.Fanout = n }
 }
 
-// WithPF sets the forwarding-probability schedule constructor, called once
-// per distinct update (the paper's PF(t)). nil means PF(t) = 1.
+// WithPF sets the forwarding-probability schedule constructor (the paper's
+// PF(t)), called for each update published or first received here; one that
+// returns a pf stateless schedule (such as PFGeometric) is called once and
+// its schedule shared. nil means PF(t) = 1.
 func WithPF(newPF func() PFFunc) Option {
 	return func(o *nodeOptions) { o.cfg.NewPF = newPF }
 }
